@@ -66,10 +66,8 @@ func CellScenario(c SweepCell) Scenario {
 }
 
 // cellGraphSpec projects a sweep cell's graph parameters into the
-// GraphSpec its Scenario declares. It is also the graph half of the
-// batched tier's grouping key: cells with equal specs resolve, through
-// the prepared-scenario cache, to the same built *Graph, which is what
-// lets their lanes share one BatchRunner.
+// GraphSpec its Scenario declares. Cells with equal specs resolve,
+// through the prepared-scenario cache, to the same built *Graph.
 func cellGraphSpec(c SweepCell) GraphSpec {
 	return GraphSpec{
 		Kind: c.Graph.Kind, N: c.Graph.N,
@@ -152,7 +150,7 @@ func sweepOutcome(cell SweepCell, br BatchResult) SweepOutcome {
 	o := SweepOutcome{Consistent: true}
 	g := br.Graph
 	if g == nil {
-		// Replayed cells arrive without the batch-prepared graph; the
+		// Replayed cells arrive without the prepared graph; the
 		// build is deterministic, so rebuilding preserves the facts.
 		if built, err := br.Scenario.BuildGraph(); err == nil {
 			g = built

@@ -14,13 +14,6 @@
 // produce identical reports (rvbench fails otherwise): the cache is an
 // amortization, never a shortcut.
 //
-// Since schema v3 the file also records the batch-dispatch benchmark
-// (internal/schedbench.BatchCells): b.N identical short cells executed
-// once per-cell — a fresh Runner per cell, the v2 dispatch path — and
-// once through shared-graph BatchRunners, the lockstep tier the sweep
-// pipeline now routes eligible cells through. Their ratio is the
-// dispatch-amortization win the batched tier exists for.
-//
 // Since schema v4 the file records the telemetry section: the cost of
 // the metric record path (counter increment + histogram observation,
 // which must stay allocation-free) and the warm campaign re-measured
@@ -36,9 +29,8 @@
 //	                           # measure, compare against the committed
 //	                           # baseline, write nothing; exit 1 on a
 //	                           # half-step regression, a normalized
-//	                           # warm-throughput regression, a
-//	                           # batch-dispatch speedup below floor, or
-//	                           # an allocation-ceiling breach
+//	                           # warm-throughput regression, or an
+//	                           # allocation-ceiling breach
 package main
 
 import (
@@ -60,29 +52,20 @@ import (
 
 // Schema is the BENCH_sched.json format identifier. v2 split the
 // campaign measurement into prep (cold cache) and run (warm steady
-// state) passes and added allocation accounting; v3 added the
-// batch_dispatch section (per-cell vs batched lockstep dispatch) and
-// its speedup floor, and the campaign section now measures the batched
-// execution tier, the engine's default since it landed; v4 added the
+// state) passes and added allocation accounting; v3 added a
+// batch_dispatch section for the batched lockstep tier; v4 added the
 // telemetry section: the metric record path's cost (which must stay
 // allocation-free — hot loops call it), and the warm campaign re-run
 // with a registry attached, whose report must be byte-identical to the
-// plain run's and whose throughput must stay within the ratio floor.
-const Schema = "meetpoly/bench_sched/v4"
+// plain run's and whose throughput must stay within the ratio floor;
+// v5 removed batch_dispatch with the tier it measured.
+const Schema = "meetpoly/bench_sched/v5"
 
 // CoreBench is one execution core's half-step microbenchmark result.
 type CoreBench struct {
 	NsPerHalfStep     float64 `json:"ns_per_halfstep"`
 	BytesPerHalfStep  int64   `json:"bytes_per_halfstep"`
 	AllocsPerHalfStep int64   `json:"allocs_per_halfstep"`
-}
-
-// CellBench is one dispatch variant's batch benchmark result, per
-// cell of schedbench.BatchCellBudget adversary events.
-type CellBench struct {
-	NsPerCell     float64 `json:"ns_per_cell"`
-	BytesPerCell  int64   `json:"bytes_per_cell"`
-	AllocsPerCell int64   `json:"allocs_per_cell"`
 }
 
 // CampaignPass is one timed execution of the benchmark campaign.
@@ -105,24 +88,6 @@ type BenchFile struct {
 		// zero-handoff core. The acceptance floor is 5.
 		Speedup float64 `json:"speedup"`
 	} `json:"half_step"`
-
-	// BatchDispatch is the per-cell vs batched lockstep dispatch
-	// benchmark: identical short cells (CellBudget events each, the
-	// shape campaign matrices are made of) run through one fresh Runner
-	// per cell versus shared-graph BatchRunners. Cell preparation is
-	// outside the timed region in both variants — the engine's prepare
-	// stage pays it identically either way — so the numbers isolate
-	// dispatch overhead, which is what the batched tier amortizes.
-	BatchDispatch struct {
-		CellBudget int       `json:"cell_budget"`
-		PerCell    CellBench `json:"per_cell"`
-		Batched    CellBench `json:"batched"`
-		// Speedup is per-cell ns / batched ns: same-run hardware, so
-		// the ratio is hardware-independent. The acceptance floor is 2
-		// (recorded runs land near 3x; the floor leaves the same 2x
-		// margin the other normalized gates grant cross-machine noise).
-		Speedup float64 `json:"speedup"`
-	} `json:"batch_dispatch"`
 
 	Campaign struct {
 		Spec      string `json:"spec"`
@@ -224,17 +189,6 @@ func measure(quick bool) (*BenchFile, error) {
 	bf.HalfStep.Goroutine = CoreBench{NsPerHalfStep: ns, BytesPerHalfStep: by, AllocsPerHalfStep: al}
 	if s := bf.HalfStep.Stepper.NsPerHalfStep; s > 0 {
 		bf.HalfStep.Speedup = bf.HalfStep.Goroutine.NsPerHalfStep / s
-	}
-
-	bf.BatchDispatch.CellBudget = schedbench.BatchCellBudget
-	fmt.Fprintln(os.Stderr, "rvbench: measuring per-cell dispatch (fresh runner per cell)...")
-	ns, by, al = schedbench.MeasureBatch(false)
-	bf.BatchDispatch.PerCell = CellBench{NsPerCell: ns, BytesPerCell: by, AllocsPerCell: al}
-	fmt.Fprintln(os.Stderr, "rvbench: measuring batched lockstep dispatch...")
-	ns, by, al = schedbench.MeasureBatch(true)
-	bf.BatchDispatch.Batched = CellBench{NsPerCell: ns, BytesPerCell: by, AllocsPerCell: al}
-	if b := bf.BatchDispatch.Batched.NsPerCell; b > 0 {
-		bf.BatchDispatch.Speedup = bf.BatchDispatch.PerCell.NsPerCell / b
 	}
 
 	spec := benchSpec(quick)
@@ -372,11 +326,6 @@ func WithDefaults() []meetpoly.Option {
 //     core measured in the same run (the channel hand-off is the
 //     natural calibration unit), must not exceed 2x the baseline's
 //     normalized cost, and the dispatch speedup keeps its 5x floor;
-//   - the batch-dispatch speedup (per-cell ns / batched ns, same-run
-//     hardware so inherently normalized) must stay at or above its 2x
-//     floor, the batched variant must allocate no more per cell than
-//     the per-cell variant, and its per-event allocations (allocs/cell
-//     over the cell budget) must stay at most 1;
 //   - warm campaign throughput, normalized the same way (cells/sec ×
 //     goroutine ns — "cells per goroutine-handoff-equivalent"), must
 //     not fall below half the baseline's;
@@ -423,23 +372,6 @@ func checkRegression(cur, base *BenchFile) error {
 	}
 	if cur.HalfStep.Speedup < 5 {
 		return fmt.Errorf("stepper core speedup %.1fx below the 5x floor", cur.HalfStep.Speedup)
-	}
-
-	// Batch-dispatch gates: the speedup is a same-run ratio, so no
-	// cross-hardware normalization is needed, and the allocation gates
-	// are exact counts.
-	bd := &cur.BatchDispatch
-	if bd.Speedup < 2 {
-		return fmt.Errorf("batched dispatch speedup %.2fx below the 2x floor", bd.Speedup)
-	}
-	if bd.Batched.AllocsPerCell > bd.PerCell.AllocsPerCell {
-		return fmt.Errorf("batched dispatch allocates %d/cell vs %d/cell per-cell (batching must not add allocations)",
-			bd.Batched.AllocsPerCell, bd.PerCell.AllocsPerCell)
-	}
-	if bd.CellBudget > 0 {
-		if a := float64(bd.Batched.AllocsPerCell) / float64(bd.CellBudget); a > 1 {
-			return fmt.Errorf("batched dispatch allocates %.3f times per adversary event (ceiling 1)", a)
-		}
 	}
 
 	// Warm-throughput gate, hardware-normalized by the same run's
@@ -530,8 +462,8 @@ func main() {
 			fatal(err)
 		}
 		fmt.Fprintf(os.Stderr,
-			"rvbench: no regression (stepper %.1f ns, %.1fx; batch dispatch %.2fx; campaign prep %.0f run %.0f cells/sec, %.0f allocs/cell; record %.1f ns, telemetry %.2fx)\n",
-			bf.HalfStep.Stepper.NsPerHalfStep, bf.HalfStep.Speedup, bf.BatchDispatch.Speedup,
+			"rvbench: no regression (stepper %.1f ns, %.1fx; campaign prep %.0f run %.0f cells/sec, %.0f allocs/cell; record %.1f ns, telemetry %.2fx)\n",
+			bf.HalfStep.Stepper.NsPerHalfStep, bf.HalfStep.Speedup,
 			bf.Campaign.Prep.CellsPerSec, bf.Campaign.Run.CellsPerSec, bf.Campaign.Run.AllocsPerCell,
 			bf.Telemetry.RecordNsPerOp, bf.Telemetry.RunRatio)
 		return
@@ -541,8 +473,8 @@ func main() {
 		fatal(err)
 	}
 	fmt.Fprintf(os.Stderr,
-		"rvbench: wrote %s (stepper %.1f ns, %.1fx; batch dispatch %.2fx; campaign prep %.0f run %.0f cells/sec, %.0f allocs/cell; record %.1f ns, telemetry %.2fx)\n",
-		*out, bf.HalfStep.Stepper.NsPerHalfStep, bf.HalfStep.Speedup, bf.BatchDispatch.Speedup,
+		"rvbench: wrote %s (stepper %.1f ns, %.1fx; campaign prep %.0f run %.0f cells/sec, %.0f allocs/cell; record %.1f ns, telemetry %.2fx)\n",
+		*out, bf.HalfStep.Stepper.NsPerHalfStep, bf.HalfStep.Speedup,
 		bf.Campaign.Prep.CellsPerSec, bf.Campaign.Run.CellsPerSec, bf.Campaign.Run.AllocsPerCell,
 		bf.Telemetry.RecordNsPerOp, bf.Telemetry.RunRatio)
 }

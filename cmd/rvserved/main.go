@@ -137,7 +137,7 @@ func main() {
 		return
 	}
 
-	// One registry spans the whole process: the engine's cache/batch
+	// One registry spans the whole process: the engine's cache/cell
 	// series and the service's request/checkpoint series scrape from the
 	// same /metrics page.
 	reg := meetpoly.NewMetrics()

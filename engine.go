@@ -39,7 +39,6 @@ type Engine struct {
 	autoExtend    bool
 	forceBlocking bool
 	usePrepCache  bool
-	batchTier     bool
 
 	// mu guards catalog coverage checks and extensions; sequence reads
 	// are internally synchronized by the catalog itself.
@@ -73,8 +72,7 @@ type Engine struct {
 	// WithTelemetry: the nil check is the whole disabled cost, and the
 	// telemetry differential test pins reports byte-identical either
 	// way). cellTrace, when set, receives serialized begin/end span
-	// events per sweep cell (WithCellTrace) and — like an observer —
-	// disables the batched tier.
+	// events per sweep cell (WithCellTrace).
 	tele      *engineMetrics
 	cellTrace func(CellTraceEvent)
 }
@@ -209,7 +207,6 @@ type engineConfig struct {
 	autoExtend     bool
 	directDispatch bool
 	preparedCache  bool
-	batched        bool
 	metrics        *Metrics
 	cellTrace      func(CellTraceEvent)
 }
@@ -265,26 +262,18 @@ func WithDirectDispatch(on bool) Option { return func(c *engineConfig) { c.direc
 // unbounded streams of distinct specs where the cache could only grow.
 func WithPreparedCache(on bool) Option { return func(c *engineConfig) { c.preparedCache = on } }
 
-// WithBatchedExecution controls the sweep's batched execution tier (on
-// by default). On, sweep workers group batchable cells that share a
-// prepared graph — contiguous under the campaign walk order — into
-// lanes of one lockstep BatchRunner, paying the per-cell dispatch
-// overhead (runner construction, per-agent state, pooled scratch churn)
-// once per batch instead of once per cell. The tier engages only when
-// its preconditions hold (prepared cache on, direct dispatch on, no
-// observer attached) and only for kinds that declare the two-walker
-// lane shape; everything else runs on the per-cell tiers unchanged.
-// Batched and per-cell execution are observationally identical — the
-// batch differential test enforces byte-identical sweep reports —
-// and turning the tier off exists for exactly that comparison.
-func WithBatchedExecution(on bool) Option { return func(c *engineConfig) { c.batched = on } }
+// WithBatchedExecution has no effect: every sweep cell runs through the
+// same per-cell path.
+//
+// Deprecated: drop the option.
+func WithBatchedExecution(bool) Option { return func(*engineConfig) {} }
 
 // NewEngine builds an engine. With no options it verifies a compact
 // exploration catalog on the standard graph families up to 6 nodes,
 // exactly like NewEnv(6, 1).
 func NewEngine(opts ...Option) *Engine {
 	cfg := engineConfig{maxN: 6, seed: 1, parallelism: runtime.GOMAXPROCS(0), autoExtend: true,
-		directDispatch: true, preparedCache: true, batched: true}
+		directDispatch: true, preparedCache: true}
 	for _, o := range opts {
 		o(&cfg)
 	}
@@ -300,7 +289,6 @@ func NewEngine(opts ...Option) *Engine {
 		autoExtend:    cfg.autoExtend,
 		forceBlocking: !cfg.directDispatch,
 		usePrepCache:  cfg.preparedCache,
-		batchTier:     cfg.batched,
 	}
 	if cfg.obs != nil {
 		e.obs = &lockedObserver{inner: cfg.obs}
@@ -320,12 +308,6 @@ func NewEngine(opts ...Option) *Engine {
 		}
 	}
 	return e
-}
-
-// engineOver wraps an existing environment for the deprecated free
-// functions, preserving their auto-extending single-call behaviour.
-func engineOver(env *Env) *Engine {
-	return &Engine{env: env, parallelism: 1, autoExtend: true}
 }
 
 // Env returns the engine's trajectory environment, for interoperating
@@ -696,10 +678,6 @@ func (e *Engine) SweepStreamWithOracles(ctx context.Context, spec SweepSpec, ora
 //   - folding any partition of disjoint ranges through one
 //     order-independent aggregator reproduces Engine.Sweep's report
 //     byte-identically.
-//
-// The batched execution tier applies within a range exactly as in a
-// full sweep: grouping happens over the walked cells, which stay
-// contiguous per (kind, graph) inside any range.
 func (e *Engine) SweepStreamRange(ctx context.Context, spec SweepSpec, lo, hi int) iter.Seq2[SweepCellResult, error] {
 	return e.sweepSeq(ctx, spec, lo, hi, e.defaultOracles)
 }
@@ -803,25 +781,18 @@ func (e *Engine) sweepSeq(ctx context.Context, spec SweepSpec, lo, hi int, mkOra
 		// results nobody will read.
 		stop := make(chan struct{})
 		defer close(stop)
-		workCh := make(chan sweepWork, 2*workers)
+		// Two slots per worker on each side keep workers busy while the
+		// producer expands and the consumer drains, with memory still
+		// proportional to the pool.
+		workCh := make(chan SweepCell, 2*workers)
 		resCh := make(chan SweepCellResult, 2*workers)
 		var wg sync.WaitGroup
 		wg.Add(workers)
 		for w := 0; w < workers; w++ {
 			go func() {
 				defer wg.Done()
-				for work := range workCh {
-					if work.batch != nil {
-						for _, cr := range e.runCellBatch(runCtx, work.batch, oracles) {
-							select {
-							case resCh <- cr:
-							case <-stop:
-								return
-							}
-						}
-						continue
-					}
-					cr := e.runCell(runCtx, work.cell, oracles)
+				for cell := range workCh {
+					cr := e.runCell(runCtx, cell, oracles)
 					select {
 					case resCh <- cr:
 					case <-stop:
@@ -832,53 +803,16 @@ func (e *Engine) sweepSeq(ctx context.Context, spec SweepSpec, lo, hi int, mkOra
 		}
 		go func() {
 			defer close(workCh)
-			// Batched-tier grouping: batchable cells sharing one (kind,
-			// graph) key arrive contiguously under the campaign walk's
-			// axis order, so a single pending batch plus a flush on key
-			// change groups them without any map state.
-			batching := e.batchEligible()
-			var (
-				pending []SweepCell
-				pendKey batchKey
-			)
-			flush := func() bool {
-				if len(pending) == 0 {
-					return true
-				}
-				w := sweepWork{batch: pending}
-				pending = nil
-				select {
-				case workCh <- w:
-					return true
-				case <-stop:
-					return false
-				}
-			}
 			// The walk only fails on validation errors, which CountSweep
 			// and the range check ruled out above.
 			WalkSweepRange(spec, lo, hi, func(c SweepCell) bool { //nolint:errcheck // validated above
-				if batching && batchableKind(ScenarioKind(c.Kind)) {
-					key := batchKey{kind: c.Kind, graph: cellGraphSpec(c)}
-					if len(pending) > 0 && (key != pendKey || len(pending) >= sweepBatchSize) {
-						if !flush() {
-							return false
-						}
-					}
-					pendKey = key
-					pending = append(pending, c)
-					return true
-				}
-				if !flush() {
-					return false
-				}
 				select {
-				case workCh <- sweepWork{cell: c}:
+				case workCh <- c:
 					return true
 				case <-stop:
 					return false
 				}
 			})
-			flush()
 		}()
 		go func() {
 			wg.Wait()

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"sync"
 	"testing"
 
@@ -242,4 +243,67 @@ func mustJSON(t *testing.T, v any) []byte {
 		t.Fatal(err)
 	}
 	return out
+}
+
+// TestCacheStatsConsistentSnapshot: CacheStats must return a (Hits,
+// Misses) pair that held at a single instant. Workers alternate one guaranteed hit with one guaranteed
+// miss, so at any instant the two counters differ by at most the
+// worker count (plus the one warming miss); a snapshot torn across two
+// independent loads — the old implementation — lets an arbitrary
+// number of operations land between reading Hits and reading Misses
+// and shows up here as a wider gap. Run under -race this also proves
+// the counter path is data-race free.
+func TestCacheStatsConsistentSnapshot(t *testing.T) {
+	eng := NewEngine()
+	warm := GraphSpec{Kind: "ring", N: 5}
+	eng.preparedFor(warm) // miss #0: every later lookup of warm is a hit
+	const workers = 8
+	const iters = 200
+
+	var wg sync.WaitGroup
+	done := make(chan struct{})
+	errs := make(chan string, 1)
+	for r := 0; r < 2; r++ {
+		go func() {
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				st := eng.CacheStats()
+				// Hits lag Misses by the warming miss; beyond that the
+				// alternation bounds the gap by the worker count.
+				if d := st.Misses - 1 - st.Hits; d < -workers || d > workers {
+					select {
+					case errs <- fmt.Sprintf("Hits=%d Misses=%d", st.Hits, st.Misses):
+					default:
+					}
+					return
+				}
+			}
+		}()
+	}
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < iters; i++ {
+				eng.preparedFor(warm) // hit
+				// A unique spec per (worker, iteration): a guaranteed miss.
+				eng.preparedFor(GraphSpec{Kind: "ring", N: 100 + w*iters + i})
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(done)
+	select {
+	case msg := <-errs:
+		t.Fatalf("torn cache-stats snapshot observed: %s", msg)
+	default:
+	}
+	st := eng.CacheStats()
+	if st.Hits != workers*iters || st.Misses != workers*iters+1 {
+		t.Fatalf("final stats %+v, want Hits=%d Misses=%d", st, workers*iters, workers*iters+1)
+	}
 }

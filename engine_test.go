@@ -472,17 +472,3 @@ func TestObserverEvents(t *testing.T) {
 		t.Errorf("observer missed ESST phase announcements; saw %v", phases)
 	}
 }
-
-// TestDeprecatedWrappers pins the legacy free functions to the engine:
-// same results, same "no error on budget miss" contract.
-func TestDeprecatedWrappers(t *testing.T) {
-	env := NewEnv(4, 1)
-	// Symmetric oriented ring: budget miss must NOT be an error here.
-	res, err := Rendezvous(Ring(4), 0, 2, 1, 3, env, nil, 10_000)
-	if err != nil {
-		t.Fatalf("legacy Rendezvous must swallow budget exhaustion: %v", err)
-	}
-	if res.Met {
-		t.Error("symmetric instance cannot meet in 10k events")
-	}
-}

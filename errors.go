@@ -2,9 +2,9 @@ package meetpoly
 
 import "meetpoly/internal/rverr"
 
-// Typed sentinel errors. Every error returned by the Engine (and by the
-// deprecated free functions) that falls into one of these classes wraps
-// the corresponding sentinel, so callers dispatch with errors.Is
+// Typed sentinel errors. Every error returned by the Engine that falls
+// into one of these classes wraps the corresponding sentinel, so
+// callers dispatch with errors.Is
 // regardless of which internal layer produced the failure:
 //
 //	res, err := eng.Run(ctx, sc)
@@ -20,9 +20,9 @@ var (
 	// partial result is still returned alongside the error.
 	ErrBudgetExhausted = rverr.ErrBudgetExhausted
 
-	// ErrInvalidScenario: the scenario (or legacy call) violates the
-	// model — duplicate starts, non-positive or equal labels, unknown
-	// kinds, malformed adversary specs, out-of-range nodes.
+	// ErrInvalidScenario: the scenario violates the model — duplicate
+	// starts, non-positive or equal labels, unknown kinds, malformed
+	// adversary specs, out-of-range nodes.
 	ErrInvalidScenario = rverr.ErrInvalidScenario
 
 	// ErrCatalogUncovered: the engine's verified catalog does not cover

@@ -7,7 +7,7 @@
 // quantitative content — polynomial growth in the graph size and in the
 // length of the smaller label, versus exponential/doubly-exponential
 // growth for the baseline — without executing the (astronomically long)
-// worst-case walks. See DESIGN.md §2.4.
+// worst-case walks. See DESIGN.md §2.3.
 package costmodel
 
 import (

@@ -81,7 +81,7 @@ func E3BaselineVsPi(m *costmodel.Model, n int, lens []int) *Table {
 	}
 	t.Notes = append(t.Notes,
 		"baseline log2 cost doubles with each extra label bit (doubly exponential in length); Pi grows polynomially",
-		"the baseline is given the graph size n for free, making the comparison conservative (DESIGN.md §2.5)")
+		"the baseline is given the graph size n for free, making the comparison conservative (DESIGN.md §2.4)")
 	return t
 }
 

@@ -121,7 +121,7 @@ func E8SGL(env *trajectory.Env, instances []SGLInstance, budget int) *Table {
 			res.Agents[0].Leader, res.Agents[0].TeamSize, strings.Join(names, " "))
 	}
 	t.Notes = append(t.Notes,
-		"Phase 2 horizon: PracticalBudget(3) — the paper's Pi(E(n),|L|) horizon is unwalkable; outputs are verified exactly (DESIGN.md §2.4)")
+		"Phase 2 horizon: PracticalBudget(3) — the paper's Pi(E(n),|L|) horizon is unwalkable; outputs are verified exactly (DESIGN.md §2.3)")
 	return t
 }
 

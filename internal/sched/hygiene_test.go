@@ -1,7 +1,6 @@
 package sched
 
 import (
-	"context"
 	"testing"
 
 	"meetpoly/internal/graph"
@@ -146,55 +145,6 @@ func TestNewRunnerErrorPathsPrecedeScratch(t *testing.T) {
 		if err == nil {
 			r.Close()
 			t.Errorf("%s: NewRunner accepted an invalid config", name)
-		}
-	}
-}
-
-// TestBatchCloseScrubsScratch is the batch analogue: after Close, the
-// pooled batchScratch holds no agent, adversary, view or meeting
-// references anywhere in its capacity.
-func TestBatchCloseScrubsScratch(t *testing.T) {
-	b, err := NewBatchRunner(context.Background(), graph.Ring(6))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for l := 0; l < 4; l++ {
-		if _, err := b.AddLane(LaneConfig{
-			Starts:             [2]int{0, 3},
-			Agents:             [2]Stepper{&Walker{Stepper: script(0, 0, 0), StopAtMeeting: true}, &Walker{Stepper: script(0, 0, 0), StopAtMeeting: true}},
-			Adversary:          &RoundRobin{},
-			MaxSteps:           100,
-			StopAtFirstMeeting: true,
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	s := b.scratch
-	b.Run()
-	b.Close()
-	for i, st := range s.states[:cap(s.states)] {
-		if st.agent != nil || st.stepper != nil {
-			t.Errorf("pooled batch scratch states[%d] retains agent references", i)
-		}
-	}
-	for i, p := range s.ptrs[:cap(s.ptrs)] {
-		if p != nil {
-			t.Errorf("pooled batch scratch ptrs[%d] retains a pointer", i)
-		}
-	}
-	for i, v := range s.views[:cap(s.views)] {
-		if v.agents != nil || v.dormant != nil || v.g != nil {
-			t.Errorf("pooled batch scratch views[%d] retains view state", i)
-		}
-	}
-	for i, a := range s.advs[:cap(s.advs)] {
-		if a != nil {
-			t.Errorf("pooled batch scratch advs[%d] retains an adversary", i)
-		}
-	}
-	for i, m := range s.meetings[:cap(s.meetings)] {
-		if m != nil {
-			t.Errorf("pooled batch scratch meetings[%d] retains meeting slices", i)
 		}
 	}
 }

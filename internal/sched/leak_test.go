@@ -132,3 +132,37 @@ func TestMixedTeamCoresAgree(t *testing.T) {
 		}
 	}
 }
+
+// TestRunnerCancellationLatency: under the avoider and late-wake
+// adversaries a mid-run cancellation must land within ctxPollStride
+// events, because steps advances on every applied event — there is no
+// event mix that defers the stride poll.
+func TestRunnerCancellationLatency(t *testing.T) {
+	for _, advName := range []string{"avoider", "late-wake"} {
+		t.Run(advName, func(t *testing.T) {
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			const cancelAt = 100
+			r, err := NewRunner(Config{
+				Graph:          graph.Ring(8),
+				Starts:         []int{0, 4},
+				Agents:         []Agent{&Walker{Stepper: endless{}}, &Walker{Stepper: endless{}}},
+				InitiallyAwake: []int{0, 1},
+				MaxSteps:       1 << 30,
+				Context:        ctx,
+			}, &cancelAfter{inner: Strategies(2)[advName](), n: cancelAt, cancel: cancel})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer r.Close()
+			sum := r.Run()
+			if !sum.Canceled {
+				t.Fatalf("run not canceled: %+v", sum)
+			}
+			if sum.Steps > cancelAt+ctxPollStride {
+				t.Errorf("run took %d steps, want <= %d after cancellation at %d",
+					sum.Steps, cancelAt+ctxPollStride, cancelAt)
+			}
+		})
+	}
+}

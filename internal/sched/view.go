@@ -22,18 +22,12 @@ type AgentView struct {
 type View struct {
 	Steps int
 
-	// The view binds directly to whichever core owns the execution — the
-	// single-cell Runner or one lane of a BatchRunner — through the graph,
-	// a pointer to that execution's dormant counter, and an alias of its
-	// agent pointers. Binding to the pieces rather than to the Runner is
-	// what lets a BatchRunner hand each lane's adversary its own View over
-	// a slice of the shared dense state.
+	// The view aliases the Runner state the adversary reads instead of
+	// holding the Runner: the per-event accessors (CanAdvance in every
+	// adversary's inner loop) save one pointer chase per call.
 	g       *graph.Graph
 	dormant *int
-	// agents aliases the execution's agent pointers: the per-event
-	// accessors (CanAdvance in every adversary's inner loop) save one
-	// pointer chase per call.
-	agents []*agentState
+	agents  []*agentState
 }
 
 // view refreshes and hands out the runner's single reused View buffer.

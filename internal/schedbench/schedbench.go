@@ -10,7 +10,6 @@
 package schedbench
 
 import (
-	"context"
 	"testing"
 
 	"meetpoly/internal/graph"
@@ -60,115 +59,4 @@ func HalfSteps(force bool) func(b *testing.B) {
 func Measure(force bool) (nsPerOp float64, bytesPerOp, allocsPerOp int64) {
 	res := testing.Benchmark(HalfSteps(force))
 	return float64(res.T.Nanoseconds()) / float64(res.N), res.AllocedBytesPerOp(), res.AllocsPerOp()
-}
-
-// BatchCellBudget is the per-cell event budget of the batch-dispatch
-// benchmark: small enough that per-cell dispatch (runner construction,
-// pooled-scratch churn, loop setup/teardown) dominates per-event work —
-// the cell shape campaign matrices are made of, and the overhead the
-// batched tier exists to amortize.
-const BatchCellBudget = 4
-
-// batchLaneCap mirrors the sweep tier's batch size: cells per
-// BatchRunner in the batched variant.
-const batchLaneCap = 256
-
-// BatchCells returns a benchmark function that executes b.N identical
-// two-agent cells of BatchCellBudget events each. batched=false runs
-// one fresh Runner per cell — the v2 per-cell dispatch path;
-// batched=true fills shared-graph BatchRunners with up to batchLaneCap
-// lanes and runs each group through one lockstep loop. ns/op is ns per
-// cell; the ratio of the two is the dispatch-amortization win.
-//
-// Cell preparation — walkers, adversaries, the agent slices — happens
-// outside the timed region, from a slot pool sized batchLaneCap (slot l
-// serves lane l of each batched chunk, and cell i%batchLaneCap of the
-// per-cell variant): in the engine's sweep that work belongs to the
-// prepare stage, which both tiers pay identically, so the benchmark
-// isolates what actually differs — dispatch. The agents co-rotate and
-// never meet, so reusing a slot across cells carries no state over.
-func BatchCells(batched bool) func(b *testing.B) {
-	return func(b *testing.B) {
-		g := graph.Ring(6)
-		type slot struct {
-			agents []sched.Agent
-			pair   [2]sched.Stepper
-			adv    *sched.RoundRobin
-		}
-		slots := make([]slot, batchLaneCap)
-		for i := range slots {
-			a := &sched.Walker{Stepper: endless{}}
-			c := &sched.Walker{Stepper: endless{}}
-			slots[i] = slot{agents: []sched.Agent{a, c}, pair: [2]sched.Stepper{a, c}, adv: &sched.RoundRobin{}}
-		}
-		starts := []int{0, 3}
-		awake := []int{0, 1}
-		b.ReportAllocs()
-		b.ResetTimer()
-		if !batched {
-			for i := 0; i < b.N; i++ {
-				s := &slots[i%batchLaneCap]
-				r, err := sched.NewRunner(sched.Config{
-					Graph:          g,
-					Starts:         starts,
-					Agents:         s.agents,
-					InitiallyAwake: awake,
-					MaxSteps:       BatchCellBudget,
-				}, s.adv)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if sum := r.Run(); sum.Steps != BatchCellBudget {
-					b.Fatalf("executed %d of %d half-steps", sum.Steps, BatchCellBudget)
-				}
-				r.Close()
-			}
-			return
-		}
-		for done := 0; done < b.N; {
-			lanes := b.N - done
-			if lanes > batchLaneCap {
-				lanes = batchLaneCap
-			}
-			br, err := sched.NewBatchRunner(context.Background(), g)
-			if err != nil {
-				b.Fatal(err)
-			}
-			for l := 0; l < lanes; l++ {
-				if _, err := br.AddLane(sched.LaneConfig{
-					Starts:    [2]int{0, 3},
-					Agents:    slots[l].pair,
-					Adversary: slots[l].adv,
-					MaxSteps:  BatchCellBudget,
-				}); err != nil {
-					b.Fatal(err)
-				}
-			}
-			br.Run()
-			for l := 0; l < lanes; l++ {
-				if sum := br.Summary(l); sum.Steps != BatchCellBudget {
-					b.Fatalf("lane %d executed %d of %d half-steps", l, sum.Steps, BatchCellBudget)
-				}
-			}
-			br.Close()
-			done += lanes
-		}
-	}
-}
-
-// MeasureBatch runs the batch-dispatch benchmark standalone and returns
-// ns, bytes and allocations per cell. It takes the fastest of three
-// runs: the minimum is the least-noise estimator of a benchmark's true
-// cost (interference only ever adds time), and the dispatch speedup is
-// a ratio of two such measurements, so jitter on either side would
-// otherwise square into the recorded number.
-func MeasureBatch(batched bool) (nsPerOp float64, bytesPerOp, allocsPerOp int64) {
-	for i := 0; i < 3; i++ {
-		res := testing.Benchmark(BatchCells(batched))
-		ns := float64(res.T.Nanoseconds()) / float64(res.N)
-		if i == 0 || ns < nsPerOp {
-			nsPerOp, bytesPerOp, allocsPerOp = ns, res.AllocedBytesPerOp(), res.AllocsPerOp()
-		}
-	}
-	return nsPerOp, bytesPerOp, allocsPerOp
 }

@@ -24,7 +24,7 @@
 //     R(E(n), s), collecting every parked agent's label, and sweeps again
 //     broadcasting the now-complete bag.
 //
-// Faithfulness note (DESIGN.md §2.4): the paper's Phase 2 runs for
+// Faithfulness note (DESIGN.md §2.3): the paper's Phase 2 runs for
 // Π(E(n), |L|) traversals, a bound so large it cannot be walked by any
 // machine; Phase2Budget makes the horizon configurable. FaithfulBudget
 // is the paper's; PracticalBudget is the simulation-scale default. The

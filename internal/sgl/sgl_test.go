@@ -318,9 +318,9 @@ func TestPracticalBudgetValidation(t *testing.T) {
 	PracticalBudget(0)
 }
 
-// TestFaithfulBudgetIsAstronomical documents the §2.4 substitution: the
-// paper's Phase 2 horizon saturates the integer range for any realistic
-// E, which is why PracticalBudget exists.
+// TestFaithfulBudgetIsAstronomical documents the DESIGN.md §2.3
+// substitution: the paper's Phase 2 horizon saturates the integer range
+// for any realistic E, which is why PracticalBudget exists.
 func TestFaithfulBudgetIsAstronomical(t *testing.T) {
 	cat := uxs.NewVerified(uxs.DefaultFamily(4), 1)
 	b := FaithfulBudget(cat)

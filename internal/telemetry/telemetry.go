@@ -2,7 +2,7 @@
 // lock-free counters and gauges, fixed-bucket power-of-two histograms,
 // a named-metric registry with immutable snapshots, and a Prometheus
 // text-exposition encoder. Every layer of the system records into it —
-// engine (cache traffic, per-cell wall time, batch occupancy, oracle
+// engine (cache traffic, per-cell wall time, route replays, oracle
 // verdicts), serve (request latencies, checkpoint flush/fsync cost),
 // coord (lease lifecycle) and client (retry classes, healed gaps) —
 // and rvserved/rvcoord expose it at GET /metrics.

@@ -8,7 +8,7 @@
 // observations the model grants an agent (current degree and entry port).
 // Laziness matters because the outer trajectories are astronomically long
 // — |Ω(k)| grows like the 11th power of k even for linear-length
-// exploration sequences (DESIGN.md §2.4) — while executions only ever
+// exploration sequences (DESIGN.md §2.3) — while executions only ever
 // touch a prefix. Exact lengths are therefore computed symbolically with
 // math/big by Lengths, never by materialization.
 package trajectory

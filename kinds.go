@@ -3,7 +3,6 @@ package meetpoly
 import (
 	"context"
 	"fmt"
-	"math/big"
 	"sync"
 
 	"meetpoly/internal/baseline"
@@ -119,32 +118,6 @@ type ScenarioKindDef struct {
 	// run that returned without error met its goal. Built-in kinds use
 	// it to surface goal costs and scheduler accounting.
 	Outcome func(res *Result, runErr error, o *SweepOutcome)
-
-	// batch, when non-nil, marks the kind batchable: the sweep's batched
-	// execution tier may run its cells as lanes of one shared-graph
-	// sched.BatchRunner instead of dispatching Run per cell. The field
-	// is deliberately unexported — a batchable kind must reduce to
-	// exactly the two-walker first-meeting lane shape, and proving that
-	// reduction observationally identical to Run is this package's job,
-	// so externally registered kinds always execute per-cell.
-	batch *batchKind
-}
-
-// batchKind is the batched-execution hook set of a batchable scenario
-// kind: how the sweep's batch tier lowers one prepared cell to a lane
-// of a sched.BatchRunner, and how it lifts the lane's Summary back into
-// the kind's Result. The lowering must match the kind's Run so closely
-// that sweep reports are byte-identical either way — the batch
-// differential test enforces exactly that across every builtin kind.
-type batchKind struct {
-	// walkers builds the lane's two agents from the prepared cell,
-	// replaying cached routes precisely as the kind's Run would.
-	walkers func(e *Engine, routes *trajectory.RouteBook, g *Graph, sc Scenario) (a, b *sched.Walker)
-	// result lifts a lane Summary into the kind's Result and reports
-	// whether the goal was met.
-	result func(e *Engine, sc Scenario, g *Graph, sum Summary) (*Result, bool)
-	// miss names the unreached goal for ScenarioRunContext.Finish.
-	miss string
 }
 
 // scenarioKinds maps ScenarioKind -> *ScenarioKindDef.
@@ -247,14 +220,12 @@ func init() {
 		Validate: validateTwoAgentBudgeted,
 		Run:      runRendezvousKind,
 		Outcome:  outcomeRendezvous,
-		batch:    rendezvousBatchKind,
 	})
 	mustRegisterKind(ScenarioKindDef{
 		Kind: ScenarioBaseline, Labeled: true, UsesAdversary: true, UsesBudget: true,
 		Validate: validateTwoAgentBudgeted,
 		Run:      runBaselineKind,
 		Outcome:  outcomeBaseline,
-		batch:    baselineBatchKind,
 	})
 	mustRegisterKind(ScenarioKindDef{
 		Kind: ScenarioESST, Labeled: false, UsesAdversary: true, UsesBudget: true,
@@ -349,30 +320,6 @@ func runRendezvousKind(rc *ScenarioRunContext) (*Result, error) {
 	return res, rc.Finish(r.Summary, r.Met, "no meeting")
 }
 
-// rendezvousBatchKind lowers a rendezvous cell to a batch lane exactly
-// the way runRendezvousKind lowers it to a single-cell Runner: the same
-// master steppers (route replay when cached), the same stop-at-meeting
-// walkers carrying the labels as payloads, and the same Π bound on the
-// lifted Result.
-var rendezvousBatchKind = &batchKind{
-	miss: "no meeting",
-	walkers: func(e *Engine, routes *trajectory.RouteBook, g *Graph, sc Scenario) (*sched.Walker, *sched.Walker) {
-		s1 := e.masterStepper(routes, g, sc.Starts[0], sc.Labels[0])
-		s2 := e.masterStepper(routes, g, sc.Starts[1], sc.Labels[1])
-		return &sched.Walker{Stepper: s1, StopAtMeeting: true, Payload: sc.Labels[0]},
-			&sched.Walker{Stepper: s2, StopAtMeeting: true, Payload: sc.Labels[1]}
-	},
-	result: func(e *Engine, sc Scenario, g *Graph, sum Summary) (*Result, bool) {
-		r := &core.Result{
-			Met:     sum.FirstMeeting != nil,
-			Meeting: sum.FirstMeeting,
-			Summary: sum,
-			Bound:   e.piBound(g.N(), sc.Labels[0], sc.Labels[1]),
-		}
-		return &Result{Scenario: sc, Rendezvous: r}, r.Met
-	},
-}
-
 func runBaselineKind(rc *ScenarioRunContext) (*Result, error) {
 	e, sc, g := rc.Engine, rc.Scenario, rc.Graph
 	s1 := e.baselineStepper(rc.routes, g, sc.Starts[0], sc.Labels[0])
@@ -384,29 +331,6 @@ func runBaselineKind(rc *ScenarioRunContext) (*Result, error) {
 	}
 	res := &Result{Scenario: sc, Baseline: r}
 	return res, rc.Finish(r.Summary, r.Met, "no meeting")
-}
-
-// baselineBatchKind is the baseline analogue of rendezvousBatchKind:
-// baseline steppers and the additive exponential cost bound, mirroring
-// baseline.RendezvousSteppers.
-var baselineBatchKind = &batchKind{
-	miss: "no meeting",
-	walkers: func(e *Engine, routes *trajectory.RouteBook, g *Graph, sc Scenario) (*sched.Walker, *sched.Walker) {
-		s1 := e.baselineStepper(routes, g, sc.Starts[0], sc.Labels[0])
-		s2 := e.baselineStepper(routes, g, sc.Starts[1], sc.Labels[1])
-		return &sched.Walker{Stepper: s1, StopAtMeeting: true, Payload: sc.Labels[0]},
-			&sched.Walker{Stepper: s2, StopAtMeeting: true, Payload: sc.Labels[1]}
-	},
-	result: func(e *Engine, sc Scenario, g *Graph, sum Summary) (*Result, bool) {
-		n := g.N()
-		r := &baseline.Result{
-			Met:     sum.FirstMeeting != nil,
-			Meeting: sum.FirstMeeting,
-			Summary: sum,
-			Bound:   new(big.Int).Add(baseline.CostBound(e.env, n, sc.Labels[0]), baseline.CostBound(e.env, n, sc.Labels[1])),
-		}
-		return &Result{Scenario: sc, Baseline: r}, r.Met
-	},
 }
 
 func runESSTKind(rc *ScenarioRunContext) (*Result, error) {

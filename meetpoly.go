@@ -70,7 +70,6 @@
 package meetpoly
 
 import (
-	"context"
 	"math/big"
 
 	"meetpoly/internal/baseline"
@@ -105,9 +104,6 @@ type RendezvousResult = core.Result
 // BaselineResult reports an exponential-baseline rendezvous execution.
 type BaselineResult = baseline.Result
 
-// SGLConfig configures a Strong Global Learning run.
-type SGLConfig = sgl.Config
-
 // SGLResult reports an SGL run.
 type SGLResult = sgl.Result
 
@@ -134,101 +130,12 @@ func EnsureFor(env *Env, g *Graph) {
 	}
 }
 
-// legacyRun executes a scenario through a throwaway engine over env,
-// preserving the free functions' semantics: any run that produced a
-// result (goal missed within the budget, adversary rested, ...) is
-// reported through the result, not as an error. Cancellation cannot
-// occur (background context), so a non-nil result means a goal-miss
-// class error.
-func legacyRun(env *Env, sc Scenario) (*Result, error) {
-	res, err := engineOver(env).Run(context.Background(), sc)
-	if res != nil {
-		err = nil
-	}
-	return res, err
-}
-
-// Rendezvous runs Algorithm RV-asynch-poly for two agents with distinct
-// labels from distinct start nodes, under adv (nil = round-robin),
-// stopping at the first meeting or after budget adversary events.
-//
-// Deprecated: build an Engine and run a ScenarioRendezvous Scenario;
-// Engine.Run adds cancellation, typed errors, observers and batching.
-func Rendezvous(g *Graph, start1, start2 int, l1, l2 Label,
-	env *Env, adv Adversary, budget int) (*RendezvousResult, error) {
-	res, err := legacyRun(env, Scenario{
-		Kind: ScenarioRendezvous, GraphInstance: g, AdversaryInstance: adv,
-		Starts: []int{start1, start2}, Labels: []Label{l1, l2}, Budget: budget,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return res.Rendezvous, nil
-}
-
-// BaselineRendezvous runs the exponential-cost comparator (known n).
-//
-// Deprecated: build an Engine and run a ScenarioBaseline Scenario.
-func BaselineRendezvous(g *Graph, start1, start2 int, l1, l2 Label,
-	env *Env, adv Adversary, budget int) (*BaselineResult, error) {
-	res, err := legacyRun(env, Scenario{
-		Kind: ScenarioBaseline, GraphInstance: g, AdversaryInstance: adv,
-		Starts: []int{start1, start2}, Labels: []Label{l1, l2}, Budget: budget,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return res.Baseline, nil
-}
-
 // PiBound returns Π(n, min(|L1|, |L2|)) — Theorem 3.1's guarantee on the
 // traversals either agent performs before meeting is certain — for the
 // environment's catalog.
 func PiBound(env *Env, n int, l1, l2 Label) *big.Int {
 	return core.PiBound(env, n, l1, l2)
 }
-
-// Certify runs the exhaustive adversary on the two agents' route
-// prefixes (moves traversals each): the exact worst case over every
-// schedule the continuous adversary could choose.
-//
-// Deprecated: build an Engine and run a ScenarioCertify Scenario, which
-// adds mid-run cancellation of the lattice sweep.
-func Certify(g *Graph, start1, start2 int, l1, l2 Label,
-	env *Env, moves int) (CertResult, error) {
-	res, err := legacyRun(env, Scenario{
-		Kind: ScenarioCertify, GraphInstance: g,
-		Starts: []int{start1, start2}, Labels: []Label{l1, l2}, Moves: moves,
-	})
-	if err != nil {
-		return CertResult{}, err
-	}
-	return *res.Cert, nil
-}
-
-// ESSTExplore runs Procedure ESST: an explorer and a parked token.
-//
-// Deprecated: build an Engine and run a ScenarioESST Scenario.
-func ESSTExplore(g *Graph, startExplorer, startToken int, env *Env,
-	adv Adversary, maxSteps int) (*ESSTResult, error) {
-	res, err := legacyRun(env, Scenario{
-		Kind: ScenarioESST, GraphInstance: g, AdversaryInstance: adv,
-		Starts: []int{startExplorer, startToken}, Budget: maxSteps,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return res.ESST, nil
-}
-
-// SGL runs Strong Global Learning for a team of k > 1 agents; the four
-// applications (team size, leader election, perfect renaming, gossiping)
-// are all derivable from the result, or use the sgl package's wrappers.
-//
-// Deprecated: build an Engine and run a ScenarioSGL Scenario. This
-// function remains for configurations a declarative Scenario does not
-// express (custom Phase2Budget, InitiallyAwake subsets).
-func SGL(cfg SGLConfig) (*SGLResult, error) { return sgl.Run(cfg) }
 
 // CostModel returns the exact big-integer cost model over a generic
 // exploration-length polynomial P(k) = c * k^d (the paper's abstract P).

@@ -1,20 +1,28 @@
 package meetpoly
 
 import (
+	"context"
 	"math/big"
 	"testing"
 
 	"meetpoly/internal/labels"
-	"meetpoly/internal/sgl"
 )
 
-func TestFacadeRendezvous(t *testing.T) {
-	env := NewEnv(5, 1)
-	g := Path(4)
-	res, err := Rendezvous(g, 0, 3, 2, 5, env, nil, 2_000_000)
+// runFacade executes sc on eng and fails the test on any error.
+func runFacade(t *testing.T, eng *Engine, sc Scenario) *Result {
+	t.Helper()
+	res, err := eng.Run(context.Background(), sc)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return res
+}
+
+func TestFacadeRendezvous(t *testing.T) {
+	res := runFacade(t, NewEngine(WithMaxN(5)), Scenario{
+		Kind: ScenarioRendezvous, GraphInstance: Path(4),
+		Starts: []int{0, 3}, Labels: []Label{2, 5}, Budget: 2_000_000,
+	}).Rendezvous
 	if !res.Met {
 		t.Fatal("facade rendezvous did not meet")
 	}
@@ -24,50 +32,40 @@ func TestFacadeRendezvous(t *testing.T) {
 }
 
 func TestFacadeBaseline(t *testing.T) {
-	env := NewEnv(4, 1)
-	res, err := BaselineRendezvous(Path(2), 0, 1, 1, 2, env, nil, 1_000_000)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runFacade(t, NewEngine(WithMaxN(4)), Scenario{
+		Kind: ScenarioBaseline, GraphInstance: Path(2),
+		Starts: []int{0, 1}, Labels: []Label{1, 2}, Budget: 1_000_000,
+	}).Baseline
 	if !res.Met {
 		t.Fatal("baseline did not meet")
 	}
 }
 
 func TestFacadeCertify(t *testing.T) {
-	env := NewEnv(4, 1)
-	res, err := Certify(Path(2), 0, 1, 1, 2, env, 2000)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runFacade(t, NewEngine(WithMaxN(4)), Scenario{
+		Kind: ScenarioCertify, GraphInstance: Path(2),
+		Starts: []int{0, 1}, Labels: []Label{1, 2}, Moves: 2000,
+	}).Cert
 	if !res.Forced {
 		t.Error("2-path rendezvous should be certified forced")
 	}
 }
 
 func TestFacadeESST(t *testing.T) {
-	env := NewEnv(5, 1)
-	res, err := ESSTExplore(Ring(5), 0, 2, env, nil, 10_000_000)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runFacade(t, NewEngine(WithMaxN(5)), Scenario{
+		Kind: ScenarioESST, GraphInstance: Ring(5),
+		Starts: []int{0, 2}, Budget: 10_000_000,
+	}).ESST
 	if !res.Done || !res.Covered {
 		t.Errorf("ESST done=%v covered=%v", res.Done, res.Covered)
 	}
 }
 
 func TestFacadeSGL(t *testing.T) {
-	env := NewEnv(5, 1)
-	res, err := SGL(SGLConfig{
-		Graph:    Path(4),
-		Starts:   []int{0, 3},
-		Labels:   []Label{1, 5},
-		Env:      env,
-		MaxSteps: 20_000_000,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runFacade(t, NewEngine(WithMaxN(5)), Scenario{
+		Kind: ScenarioSGL, GraphInstance: Path(4),
+		Starts: []int{0, 3}, Labels: []Label{1, 5}, Budget: 20_000_000,
+	}).SGL
 	if !res.AllOutput {
 		t.Error("SGL incomplete")
 	}
@@ -88,16 +86,20 @@ func TestFacadePiBoundAndCostModel(t *testing.T) {
 	}
 }
 
+// TestFacadeEnsureFor runs on an engine that may not extend the
+// catalog itself, so the shuffled star is covered only because
+// EnsureFor extended env's catalog first.
 func TestFacadeEnsureFor(t *testing.T) {
 	env := NewEnv(4, 1)
 	g := Complete(4)
 	EnsureFor(env, g) // Complete(4) is already in the family: no-op
 	shuffled := ShufflePorts(Star(4), 99)
 	EnsureFor(env, shuffled)
-	res, err := Rendezvous(shuffled, 0, 2, 1, 2, env, RandomAdversary(5), 2_000_000)
-	if err != nil {
-		t.Fatal(err)
-	}
+	eng := NewEngine(WithCatalog(env.Catalog()), WithAutoExtend(false))
+	res := runFacade(t, eng, Scenario{
+		Kind: ScenarioRendezvous, GraphInstance: shuffled, AdversaryInstance: RandomAdversary(5),
+		Starts: []int{0, 2}, Labels: []Label{1, 2}, Budget: 2_000_000,
+	}).Rendezvous
 	if !res.Met {
 		t.Error("no meeting on extended-family graph")
 	}
@@ -113,11 +115,6 @@ func TestFacadeTypesAlias(t *testing.T) {
 	var l Label = 5
 	if l.Len() != labels.Label(5).Len() {
 		t.Error("Label alias broken")
-	}
-	var cfg SGLConfig
-	cfg.Phase2Budget = sgl.PracticalBudget(2)
-	if cfg.Phase2Budget(10, 1) != 22 {
-		t.Error("SGLConfig alias broken")
 	}
 	if Version == "" {
 		t.Error("empty version")

@@ -241,8 +241,8 @@ type Scenario struct {
 	// Graph describes the network declaratively.
 	Graph GraphSpec `json:"graph"`
 	// GraphInstance, when non-nil, overrides Graph with an
-	// already-built value (not serialized). The deprecated free
-	// functions use this to route concrete graphs through the engine.
+	// already-built value (not serialized): the way to run a concrete,
+	// caller-built graph through the engine.
 	GraphInstance *Graph `json:"-"`
 	// Starts are the agents' starting nodes (distinct). For ESST:
 	// [explorer, token].

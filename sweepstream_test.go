@@ -79,19 +79,16 @@ func TestSweepStreamFoldEquality(t *testing.T) {
 
 // TestSweepStreamEarlyBreak: breaking out of the range stops the sweep
 // without leaking the pipeline's goroutines — the producer, the workers
-// (mid-batch included: the batched tier yields a whole group's results
-// through the same stop-guarded sends) and the closer must all observe
-// the stop channel and wind down — and a second sweep on the same
-// engine still works. Breaking at the very first yield is the hardest
-// teardown: the producer and every worker are still in full flight.
+// and the closer must all observe the stop channel and wind down — and
+// a second sweep on the same engine still works. Breaking at the very
+// first yield is the hardest teardown: the producer and every worker
+// are still in full flight.
 //
-// The in-batch rows pin the server-conditions case — a client
-// disconnecting while a worker is mid-way through handing over a
-// batched group's results. streamSpec's first work unit under the walk
-// order is the 8-cell rendezvous/path-3 batch (2 starts × 2 labels × 2
-// adversaries on one graph); with one worker, breaking at 2..7 lands
-// strictly inside that group's stop-guarded sends, so a stranded
-// half-consumed batch would show up as a leaked worker here.
+// The one-worker rows pin the server-conditions case — a client
+// disconnecting mid-campaign while the lone worker is blocked handing
+// over a result and the producer is blocked on a full work queue; a
+// send that ignored the stop channel would show up as a leaked
+// goroutine here.
 func TestSweepStreamEarlyBreak(t *testing.T) {
 	ctx := context.Background()
 	cases := []struct {
@@ -101,8 +98,8 @@ func TestSweepStreamEarlyBreak(t *testing.T) {
 	}{
 		{"break-at-1", 1, 0},
 		{"break-at-5", 5, 0},
-		{"break-inside-batched-group-at-2", 2, 1},
-		{"break-inside-batched-group-at-6", 6, 1},
+		{"one-worker-break-at-2", 2, 1},
+		{"one-worker-break-at-6", 6, 1},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -22,11 +22,11 @@ type Metrics = telemetry.Registry
 func NewMetrics() *Metrics { return telemetry.NewRegistry() }
 
 // WithTelemetry attaches a metrics registry to the engine. The engine
-// then records its prepared-cache traffic, route replays, per-cell and
-// batch wall times, batch occupancy and fallbacks, oracle verdicts and
-// the per-graph-kind Π-slack distribution into it — and nothing else
-// changes: telemetry never feeds a result, and the differential test
-// suite pins sweep reports byte-identical with and without it.
+// then records its prepared-cache traffic, route replays, per-cell wall
+// times, oracle verdicts and the per-graph-kind Π-slack distribution
+// into it — and nothing else changes: telemetry never feeds a result,
+// and the differential test suite pins sweep reports byte-identical
+// with and without it.
 func WithTelemetry(m *Metrics) Option {
 	return func(c *engineConfig) { c.metrics = m }
 }
@@ -52,10 +52,8 @@ type CellTraceEvent struct {
 // WithCellTrace attaches a span-style sweep tracer: fn receives a
 // begin and an end CellTraceEvent for every executed cell (`rvsweep
 // -trace` writes them as NDJSON). The engine serializes the callbacks,
-// so fn needs no locking of its own. Like an observer, an attached
-// tracer disables the batched execution tier — per-cell spans need
-// per-cell execution — which changes timings but, by the batch tier's
-// equivalence guarantee, never changes results.
+// so fn needs no locking of its own. Spans bracket the same per-cell
+// execution every sweep runs, traced or not.
 func WithCellTrace(fn func(CellTraceEvent)) Option {
 	return func(c *engineConfig) { c.cellTrace = fn }
 }
@@ -68,13 +66,9 @@ type engineMetrics struct {
 	e   *Engine
 	reg *Metrics
 
-	cellWall      *telemetry.Histogram // per-cell tier wall time
-	batchWall     *telemetry.Histogram // whole graph-keyed batch wall time
-	batchLanes    *telemetry.Histogram // lanes per dispatched batch (occupancy)
-	batchCells    *telemetry.Counter   // cells executed as batch lanes
-	batchFallback *telemetry.Counter   // cells that left the batch path mid-batch
-	routeReplay   *telemetry.Counter   // steppers served from a route book
-	routeFresh    *telemetry.Counter   // steppers derived without a route book
+	cellWall    *telemetry.Histogram // per-cell wall time
+	routeReplay *telemetry.Counter   // steppers served from a route book
+	routeFresh  *telemetry.Counter   // steppers derived without a route book
 
 	verdicts [5]*telemetry.Counter // indexed by verdict class below
 
@@ -110,15 +104,7 @@ func newEngineMetrics(e *Engine, reg *Metrics) *engineMetrics {
 		e.catalogEpoch.Load)
 
 	m.cellWall = reg.Histogram("meetpoly_engine_cell_wall_ns",
-		"Wall time of one sweep cell on the per-cell tiers, in nanoseconds.")
-	m.batchWall = reg.Histogram("meetpoly_engine_batch_wall_ns",
-		"Wall time of one graph-keyed batch (prepare + lockstep run + judging), in nanoseconds.")
-	m.batchLanes = reg.Histogram("meetpoly_engine_batch_lanes",
-		"Lanes per dispatched lockstep batch (occupancy).")
-	m.batchCells = reg.Counter("meetpoly_engine_batch_cells_total",
-		"Sweep cells executed as lanes of the batched tier.")
-	m.batchFallback = reg.Counter("meetpoly_engine_batch_fallback_cells_total",
-		"Cells of a batch that fell back to per-cell execution (lane rejected or unbatchable).")
+		"Wall time of one sweep cell (prepare + run + judging), in nanoseconds.")
 	m.routeReplay = reg.Counter("meetpoly_engine_route_replays_total",
 		"Deterministic trajectories served through a cached route book.")
 	m.routeFresh = reg.Counter("meetpoly_engine_route_fresh_total",

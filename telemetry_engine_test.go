@@ -6,12 +6,11 @@ import (
 	"strings"
 	"testing"
 
+	"meetpoly/internal/campaign"
 	"meetpoly/internal/telemetry"
 )
 
-// telemetryTestSpec is cacheTestSpec widened to every builtin kind, so
-// the differential covers the batched tier (rendezvous, baseline) and
-// the per-cell tiers (esst, sgl, certify) alike.
+// telemetryTestSpec is cacheTestSpec widened to every builtin kind.
 func telemetryTestSpec() SweepSpec {
 	spec := cacheTestSpec()
 	spec.Kinds = []string{"rendezvous", "baseline", "esst", "sgl", "certify"}
@@ -19,10 +18,12 @@ func telemetryTestSpec() SweepSpec {
 	return spec
 }
 
-// TestSweepTelemetryInvisibleToResults is the tentpole's differential:
-// the same campaign swept with telemetry off, telemetry on, and a cell
-// tracer attached must produce byte-identical reports — recording is
-// observation, never participation.
+// TestSweepTelemetryInvisibleToResults is the sweep's execution
+// differential over every builtin kind: the same campaign swept on a
+// plain engine, with telemetry on, with a cell tracer attached, with
+// one worker, and with an observer attached must produce byte-identical
+// reports — recording is observation, never participation, and the
+// worker count only reorders completions.
 func TestSweepTelemetryInvisibleToResults(t *testing.T) {
 	spec := telemetryTestSpec()
 	ctx := context.Background()
@@ -31,23 +32,28 @@ func TestSweepTelemetryInvisibleToResults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if !plain.OK() {
+		t.Fatalf("sweep failed oracles:\n%s", plain.Table())
+	}
+	jp := mustJSON(t, plain)
 	reg := NewMetrics()
-	instrumented, err := NewEngine(WithTelemetry(reg)).Sweep(ctx, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
 	var spans int
-	traced, err := NewEngine(WithCellTrace(func(CellTraceEvent) { spans++ })).Sweep(ctx, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	jp, ji, jt := mustJSON(t, plain), mustJSON(t, instrumented), mustJSON(t, traced)
-	if !bytes.Equal(jp, ji) {
-		t.Errorf("telemetry changed the sweep report:\noff: %s\non:  %s", jp, ji)
-	}
-	if !bytes.Equal(jp, jt) {
-		t.Errorf("cell tracing changed the sweep report:\noff:    %s\ntraced: %s", jp, jt)
+	for _, v := range []struct {
+		name string
+		eng  *Engine
+	}{
+		{"telemetry", NewEngine(WithTelemetry(reg))},
+		{"cell trace", NewEngine(WithCellTrace(func(CellTraceEvent) { spans++ }))},
+		{"parallelism 1", NewEngine(WithParallelism(1))},
+		{"observer", NewEngine(WithObserver(&FuncObserver{}))},
+	} {
+		rep, err := v.eng.Sweep(ctx, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if jv := mustJSON(t, rep); !bytes.Equal(jp, jv) {
+			t.Errorf("%s changed the sweep report:\nplain: %s\n%s: %s", v.name, jp, v.name, jv)
+		}
 	}
 
 	// And the instrumentation actually observed the sweep.
@@ -60,26 +66,79 @@ func TestSweepTelemetryInvisibleToResults(t *testing.T) {
 	}
 	snap := make(map[string]float64)
 	var judged float64
+	var walled uint64
 	for _, p := range reg.Snapshot() {
 		snap[p.Name]++
-		if p.Name == "meetpoly_engine_cells_total" {
+		switch p.Name {
+		case "meetpoly_engine_cells_total":
 			judged += p.Value
+		case "meetpoly_engine_cell_wall_ns":
+			walled += p.Count
 		}
 	}
 	if judged != float64(total) {
 		t.Errorf("meetpoly_engine_cells_total sums to %v, want %d", judged, total)
 	}
+	// Every cell, whatever its kind, runs the one per-cell path that
+	// observes the wall-time histogram.
+	if walled != uint64(total) {
+		t.Errorf("meetpoly_engine_cell_wall_ns counted %d cells, want %d", walled, total)
+	}
 	for _, name := range []string{
 		"meetpoly_engine_cache_hits_total",
 		"meetpoly_engine_cache_misses_total",
 		"meetpoly_engine_cell_verdicts_total",
-		"meetpoly_engine_batch_cells_total",
 		"meetpoly_engine_route_replays_total",
 		"meetpoly_engine_pi_slack_millibits",
 	} {
 		if snap[name] == 0 {
 			t.Errorf("series %s missing from the instrumented sweep's snapshot", name)
 		}
+	}
+}
+
+// TestSweepBatchedMatchesSequential checks the sweep pipeline against
+// plain sequential execution over every builtin kind: the cells a
+// four-worker SweepStream batches through its bounded work queue, put
+// back in index order, must be byte-identical to running each expanded
+// cell one after another through runCell on a fresh engine, and the
+// sequential results must fold into a report that passes its oracles.
+func TestSweepBatchedMatchesSequential(t *testing.T) {
+	spec := telemetryTestSpec()
+	ctx := context.Background()
+	cells, _, err := ExpandSweep(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	batched := make([]SweepCellResult, len(cells))
+	seen := 0
+	for cr, err := range NewEngine(WithParallelism(4)).SweepStream(ctx, spec) {
+		if err != nil {
+			t.Fatal(err)
+		}
+		batched[cr.Cell.Index] = cr
+		seen++
+	}
+	if seen != len(cells) {
+		t.Fatalf("stream yielded %d cells, expansion has %d", seen, len(cells))
+	}
+
+	ref := NewEngine()
+	ref.sweepPrepass(spec)
+	oracles := ref.defaultOracles()
+	agg := campaign.NewAggregator(spec, nil)
+	for i, cell := range cells {
+		want := ref.runCell(ctx, cell, oracles)
+		agg.Add(want)
+		jb, js := mustJSON(t, batched[i]), mustJSON(t, want)
+		if !bytes.Equal(jb, js) {
+			t.Errorf("cell %d (%s): sweep diverges from sequential runCell:\nsweep:      %s\nsequential: %s",
+				i, cell.ID, jb, js)
+		}
+	}
+	if rep := agg.Report(); !rep.OK() {
+		t.Fatalf("sequential sweep failed oracles:\n%s", rep.Table())
 	}
 }
 
@@ -116,9 +175,6 @@ func TestCellTraceSpans(t *testing.T) {
 			t.Errorf("unknown trace phase %q", ev.Phase)
 		}
 	}))
-	if eng.batchEligible() {
-		t.Error("an attached cell tracer must disable the batched tier")
-	}
 	rep, err := eng.Sweep(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
