@@ -275,9 +275,9 @@ func BenchmarkAblationAdversary(b *testing.B) {
 
 // BenchmarkEngineRunPrepared measures one engine-run of a rendezvous
 // scenario on the warm prepared-scenario cache (graph, coverage and
-// routes amortized — the sweep steady state) against the uncached path
-// (WithPreparedCache(false): every run re-builds, re-covers and
-// re-derives its trajectories).
+// routes amortized — the sweep steady state) against the same scenario
+// with its graph passed as a GraphInstance, which bypasses the cache:
+// every run re-covers the graph and re-derives its trajectories.
 func BenchmarkEngineRunPrepared(b *testing.B) {
 	ctx := context.Background()
 	sc := Scenario{
@@ -288,11 +288,10 @@ func BenchmarkEngineRunPrepared(b *testing.B) {
 		Adversary: "avoider",
 		Budget:    10_000,
 	}
-	b.Run("warm-cache", func(b *testing.B) {
+	run := func(b *testing.B, sc Scenario) {
 		eng := NewEngine()
-		if _, err := eng.Run(ctx, sc); err == nil || errors.Is(err, ErrBudgetExhausted) {
-			// warmed; exhaustion is the expected outcome under the avoider
-		} else {
+		if _, err := eng.Run(ctx, sc); err != nil && !errors.Is(err, ErrBudgetExhausted) {
+			// warm-up; exhaustion is the expected outcome under the avoider
 			b.Fatal(err)
 		}
 		b.ReportAllocs()
@@ -302,25 +301,22 @@ func BenchmarkEngineRunPrepared(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
-	})
+	}
+	b.Run("warm-cache", func(b *testing.B) { run(b, sc) })
 	b.Run("cold-cache", func(b *testing.B) {
-		eng := NewEngine(WithPreparedCache(false))
-		if _, err := eng.Run(ctx, sc); err != nil && !errors.Is(err, ErrBudgetExhausted) {
-			b.Fatal(err) // catalog warm-up only; preparation stays cold
+		g, err := sc.Graph.Build()
+		if err != nil {
+			b.Fatal(err)
 		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := eng.Run(ctx, sc); err != nil && !errors.Is(err, ErrBudgetExhausted) {
-				b.Fatal(err)
-			}
-		}
+		inst := sc
+		inst.GraphInstance = g
+		run(b, inst)
 	})
 }
 
 // BenchmarkSweepThroughput measures end-to-end campaign throughput in
-// cells/sec — the quantity BENCH_sched.json's prep/run split records —
-// on the warm and uncached engines.
+// cells/sec on a warm engine — the quantity BENCH_sched.json's run
+// pass records (its prep pass measures the cold sweep).
 func BenchmarkSweepThroughput(b *testing.B) {
 	ctx := context.Background()
 	spec := SweepSpec{
@@ -338,30 +334,22 @@ func BenchmarkSweepThroughput(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	run := func(b *testing.B, eng *Engine) {
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			rep, err := eng.Sweep(ctx, spec)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if !rep.OK() {
-				b.Fatalf("oracle failures:\n%s", rep.Table())
-			}
-		}
-		b.ReportMetric(float64(cells)*float64(b.N)/b.Elapsed().Seconds(), "cells/sec")
+	eng := NewEngine()
+	if _, err := eng.Sweep(ctx, spec); err != nil {
+		b.Fatal(err) // fill the prepared-scenario cache
 	}
-	b.Run("warm-cache", func(b *testing.B) {
-		eng := NewEngine()
-		if _, err := eng.Sweep(ctx, spec); err != nil {
-			b.Fatal(err) // fill the prepared-scenario cache
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rep, err := eng.Sweep(ctx, spec)
+		if err != nil {
+			b.Fatal(err)
 		}
-		run(b, eng)
-	})
-	b.Run("cold-cache", func(b *testing.B) {
-		run(b, NewEngine(WithPreparedCache(false)))
-	})
+		if !rep.OK() {
+			b.Fatalf("oracle failures:\n%s", rep.Table())
+		}
+	}
+	b.ReportMetric(float64(cells)*float64(b.N)/b.Elapsed().Seconds(), "cells/sec")
 }
 
 // BenchmarkRunnerThroughput measures raw scheduler half-steps per second

@@ -109,15 +109,8 @@ func TestSweepAcceptance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode: expansion validated, skipping the full execution")
 	}
-	// The sweeping engine runs the direct-dispatch fast path; the
-	// cross-core oracle re-executes every cell on a goroutine-core
-	// engine sharing the same catalog, so each acceptance sweep is also
-	// a full differential check of the two execution cores.
-	cat := uxs.NewVerified(uxs.DefaultFamily(6), 1)
-	eng := NewEngine(WithCatalog(cat))
-	ref := NewEngine(WithCatalog(cat), WithDirectDispatch(false))
-	oracles := append(campaign.DefaultOracles(eng.BoundModel()), CrossCheckOracle(ref))
-	rep, err := eng.SweepWithOracles(context.Background(), spec, oracles...)
+	eng := NewEngine(WithCatalog(uxs.NewVerified(uxs.DefaultFamily(6), 1)))
+	rep, err := eng.Sweep(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,9 +1,9 @@
 // Command rvbench records the repo's performance trajectory: it runs
-// the scheduler's half-step microbenchmark on both execution cores
-// (internal/schedbench, the same harness BenchmarkRunnerHalfSteps uses)
-// plus an E4-style measured rendezvous campaign on the fast engine, and
-// writes the results as BENCH_sched.json (schema documented in
-// EXPERIMENTS.md §P1).
+// the scheduler's half-step microbenchmark (internal/schedbench, the
+// same harness BenchmarkRunnerHalfSteps uses), a goroutine hand-off
+// round trip as the hardware calibration unit, and an E4-style measured
+// rendezvous campaign, and writes the results as BENCH_sched.json
+// (schema documented in EXPERIMENTS.md §P1).
 //
 // The campaign is measured twice, as the preparation/run split of the
 // v2 schema: the first pass (prep) starts from an empty engine and pays
@@ -58,10 +58,13 @@ import (
 // allocation-free — hot loops call it), and the warm campaign re-run
 // with a registry attached, whose report must be byte-identical to the
 // plain run's and whose throughput must stay within the ratio floor;
-// v5 removed batch_dispatch with the tier it measured.
-const Schema = "meetpoly/bench_sched/v5"
+// v5 removed batch_dispatch with the tier it measured; v6 replaced the
+// goroutine core's half-step (and the speedup over it) with handoff_ns,
+// an unbuffered-channel round trip between two goroutines, as the
+// calibration unit of the normalized gates — the goroutine core is gone.
+const Schema = "meetpoly/bench_sched/v6"
 
-// CoreBench is one execution core's half-step microbenchmark result.
+// CoreBench is the half-step microbenchmark result.
 type CoreBench struct {
 	NsPerHalfStep     float64 `json:"ns_per_halfstep"`
 	BytesPerHalfStep  int64   `json:"bytes_per_halfstep"`
@@ -82,11 +85,11 @@ type BenchFile struct {
 	GOARCH    string `json:"goarch"`
 
 	HalfStep struct {
-		Stepper   CoreBench `json:"stepper"`
-		Goroutine CoreBench `json:"goroutine"`
-		// Speedup is goroutine ns / stepper ns: the dispatch win of the
-		// zero-handoff core. The acceptance floor is 5.
-		Speedup float64 `json:"speedup"`
+		Stepper CoreBench `json:"stepper"`
+		// HandoffNs is one unbuffered-channel round trip between two
+		// goroutines, measured in the same run: the calibration unit
+		// that normalizes the gates for hardware.
+		HandoffNs float64 `json:"handoff_ns"`
 	} `json:"half_step"`
 
 	Campaign struct {
@@ -181,15 +184,12 @@ func measure(quick bool) (*BenchFile, error) {
 	bf := &BenchFile{Schema: Schema, GoVersion: runtime.Version(),
 		GOOS: runtime.GOOS, GOARCH: runtime.GOARCH}
 
-	fmt.Fprintln(os.Stderr, "rvbench: measuring half-steps on the stepper core...")
-	ns, by, al := schedbench.Measure(false)
-	bf.HalfStep.Stepper = CoreBench{NsPerHalfStep: ns, BytesPerHalfStep: by, AllocsPerHalfStep: al}
-	fmt.Fprintln(os.Stderr, "rvbench: measuring half-steps on the goroutine core...")
-	ns, by, al = schedbench.Measure(true)
-	bf.HalfStep.Goroutine = CoreBench{NsPerHalfStep: ns, BytesPerHalfStep: by, AllocsPerHalfStep: al}
-	if s := bf.HalfStep.Stepper.NsPerHalfStep; s > 0 {
-		bf.HalfStep.Speedup = bf.HalfStep.Goroutine.NsPerHalfStep / s
-	}
+	fmt.Fprintln(os.Stderr, "rvbench: measuring half-steps...")
+	res := testing.Benchmark(schedbench.HalfSteps())
+	bf.HalfStep.Stepper = CoreBench{NsPerHalfStep: float64(res.T.Nanoseconds()) / float64(res.N),
+		BytesPerHalfStep: res.AllocedBytesPerOp(), AllocsPerHalfStep: res.AllocsPerOp()}
+	fmt.Fprintln(os.Stderr, "rvbench: measuring the goroutine hand-off round trip...")
+	bf.HalfStep.HandoffNs = measureHandoff()
 
 	spec := benchSpec(quick)
 	cellCount, err := meetpoly.CountSweep(spec)
@@ -271,6 +271,29 @@ func measure(quick bool) (*BenchFile, error) {
 	return bf, nil
 }
 
+// measureHandoff benchmarks one round trip over unbuffered channels
+// between two goroutines: the calibration unit of the normalized gates.
+// Both terms of a normalized gate come from the same run, so a slower
+// machine shifts them together while a scheduler or event-loop
+// regression moves their ratio.
+func measureHandoff() float64 {
+	res := testing.Benchmark(func(b *testing.B) {
+		ping, pong := make(chan struct{}), make(chan struct{})
+		go func() {
+			for range ping {
+				pong <- struct{}{}
+			}
+		}()
+		defer close(ping)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			ping <- struct{}{}
+			<-pong
+		}
+	})
+	return float64(res.T.Nanoseconds()) / float64(res.N)
+}
+
 // measureRecord benchmarks the telemetry record path: one counter
 // increment plus one histogram observation per op — the unit every
 // instrumented hot path pays. It must be allocation-free (checked as a
@@ -313,8 +336,7 @@ func sameReport(a, b *meetpoly.SweepReport) error {
 	return nil
 }
 
-// WithDefaults returns the engine options rvbench runs with (the
-// production fast path).
+// WithDefaults returns the engine options rvbench runs with.
 func WithDefaults() []meetpoly.Option {
 	return []meetpoly.Option{meetpoly.WithMaxN(6), meetpoly.WithSeed(1)}
 }
@@ -322,13 +344,12 @@ func WithDefaults() []meetpoly.Option {
 // checkRegression compares a fresh measurement against the committed
 // baseline. The gates are hardware-independent where possible:
 //
-//   - the stepper core's half-step cost, normalized by the goroutine
-//     core measured in the same run (the channel hand-off is the
-//     natural calibration unit), must not exceed 2x the baseline's
-//     normalized cost, and the dispatch speedup keeps its 5x floor;
+//   - the half-step cost, normalized by the goroutine hand-off round
+//     trip measured in the same run (the calibration unit), must not
+//     exceed 2x the baseline's normalized cost;
 //   - warm campaign throughput, normalized the same way (cells/sec ×
-//     goroutine ns — "cells per goroutine-handoff-equivalent"), must
-//     not fall below half the baseline's;
+//     hand-off ns — "cells per hand-off-equivalent"), must not fall
+//     below half the baseline's;
 //   - the warm pass must stay under an absolute allocation ceiling:
 //     at most 0.05 allocations per adversary event (tightened from
 //     v2's 1 — warm sweeps measure ~0.002 full-size and ~0.012 under
@@ -347,43 +368,32 @@ func WithDefaults() []meetpoly.Option {
 // Absolute ns and cells/sec drifts are reported as warnings only, since
 // the baseline may have been recorded on different hardware.
 func checkRegression(cur, base *BenchFile) error {
-	for _, p := range []struct {
-		name      string
-		cur, base float64
-	}{
-		{"stepper", cur.HalfStep.Stepper.NsPerHalfStep, base.HalfStep.Stepper.NsPerHalfStep},
-		{"goroutine", cur.HalfStep.Goroutine.NsPerHalfStep, base.HalfStep.Goroutine.NsPerHalfStep},
-	} {
-		if p.base > 0 && p.cur > 2*p.base {
-			fmt.Fprintf(os.Stderr,
-				"rvbench: warning: %s core measures %.1f ns/half-step vs baseline %.1f (different hardware?)\n",
-				p.name, p.cur, p.base)
-		}
-	}
-	curG, baseG := cur.HalfStep.Goroutine.NsPerHalfStep, base.HalfStep.Goroutine.NsPerHalfStep
+	curH, baseH := cur.HalfStep.HandoffNs, base.HalfStep.HandoffNs
 	curS, baseS := cur.HalfStep.Stepper.NsPerHalfStep, base.HalfStep.Stepper.NsPerHalfStep
-	if curG > 0 && baseG > 0 && baseS > 0 {
-		curNorm, baseNorm := curS/curG, baseS/baseG
+	if baseS > 0 && curS > 2*baseS {
+		fmt.Fprintf(os.Stderr,
+			"rvbench: warning: half-step measures %.1f ns vs baseline %.1f (different hardware?)\n",
+			curS, baseS)
+	}
+	if curH > 0 && baseH > 0 && baseS > 0 {
+		curNorm, baseNorm := curS/curH, baseS/baseH
 		if curNorm > 2*baseNorm {
 			return fmt.Errorf(
-				"stepper core regressed: %.3f of the goroutine core's cost vs baseline %.3f (>2x)",
+				"half-step regressed: %.3f hand-offs vs baseline %.3f (>2x)",
 				curNorm, baseNorm)
 		}
 	}
-	if cur.HalfStep.Speedup < 5 {
-		return fmt.Errorf("stepper core speedup %.1fx below the 5x floor", cur.HalfStep.Speedup)
-	}
 
 	// Warm-throughput gate, hardware-normalized by the same run's
-	// goroutine half-step cost.
+	// hand-off round trip.
 	curT, baseT := cur.Campaign.Run.CellsPerSec, base.Campaign.Run.CellsPerSec
 	if curT > 0 && baseT > 0 && curT < baseT/2 {
 		fmt.Fprintf(os.Stderr,
 			"rvbench: warning: warm campaign at %.0f cells/sec vs baseline %.0f (different hardware?)\n",
 			curT, baseT)
 	}
-	if curG > 0 && baseG > 0 && curT > 0 && baseT > 0 {
-		curNorm, baseNorm := curT*curG, baseT*baseG
+	if curH > 0 && baseH > 0 && curT > 0 && baseT > 0 {
+		curNorm, baseNorm := curT*curH, baseT*baseH
 		if curNorm < baseNorm/2 {
 			return fmt.Errorf(
 				"warm campaign throughput regressed: %.0f normalized cells/sec vs baseline %.0f (<0.5x)",
@@ -462,8 +472,8 @@ func main() {
 			fatal(err)
 		}
 		fmt.Fprintf(os.Stderr,
-			"rvbench: no regression (stepper %.1f ns, %.1fx; campaign prep %.0f run %.0f cells/sec, %.0f allocs/cell; record %.1f ns, telemetry %.2fx)\n",
-			bf.HalfStep.Stepper.NsPerHalfStep, bf.HalfStep.Speedup,
+			"rvbench: no regression (half-step %.1f ns, hand-off %.1f ns; campaign prep %.0f run %.0f cells/sec, %.0f allocs/cell; record %.1f ns, telemetry %.2fx)\n",
+			bf.HalfStep.Stepper.NsPerHalfStep, bf.HalfStep.HandoffNs,
 			bf.Campaign.Prep.CellsPerSec, bf.Campaign.Run.CellsPerSec, bf.Campaign.Run.AllocsPerCell,
 			bf.Telemetry.RecordNsPerOp, bf.Telemetry.RunRatio)
 		return
@@ -473,8 +483,8 @@ func main() {
 		fatal(err)
 	}
 	fmt.Fprintf(os.Stderr,
-		"rvbench: wrote %s (stepper %.1f ns, %.1fx; campaign prep %.0f run %.0f cells/sec, %.0f allocs/cell; record %.1f ns, telemetry %.2fx)\n",
-		*out, bf.HalfStep.Stepper.NsPerHalfStep, bf.HalfStep.Speedup,
+		"rvbench: wrote %s (half-step %.1f ns, hand-off %.1f ns; campaign prep %.0f run %.0f cells/sec, %.0f allocs/cell; record %.1f ns, telemetry %.2fx)\n",
+		*out, bf.HalfStep.Stepper.NsPerHalfStep, bf.HalfStep.HandoffNs,
 		bf.Campaign.Prep.CellsPerSec, bf.Campaign.Run.CellsPerSec, bf.Campaign.Run.AllocsPerCell,
 		bf.Telemetry.RecordNsPerOp, bf.Telemetry.RunRatio)
 }

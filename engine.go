@@ -33,12 +33,10 @@ type Catalog = uxs.Catalog
 // run that shares a declarative spec (DESIGN.md §3.1). The zero value
 // is not usable.
 type Engine struct {
-	env           *trajectory.Env
-	obs           Observer
-	parallelism   int
-	autoExtend    bool
-	forceBlocking bool
-	usePrepCache  bool
+	env         *trajectory.Env
+	obs         Observer
+	parallelism int
+	autoExtend  bool
 
 	// mu guards catalog coverage checks and extensions; sequence reads
 	// are internally synchronized by the catalog itself.
@@ -199,16 +197,14 @@ func (e *Engine) CacheStats() CacheStats {
 
 // engineConfig collects option state before construction.
 type engineConfig struct {
-	catalog        Catalog
-	maxN           int
-	seed           int64
-	obs            Observer
-	parallelism    int
-	autoExtend     bool
-	directDispatch bool
-	preparedCache  bool
-	metrics        *Metrics
-	cellTrace      func(CellTraceEvent)
+	catalog     Catalog
+	maxN        int
+	seed        int64
+	obs         Observer
+	parallelism int
+	autoExtend  bool
+	metrics     *Metrics
+	cellTrace   func(CellTraceEvent)
 }
 
 // Option configures NewEngine.
@@ -241,27 +237,6 @@ func WithParallelism(n int) Option { return func(c *engineConfig) { c.parallelis
 // sequences for everyone.
 func WithAutoExtend(on bool) Option { return func(c *engineConfig) { c.autoExtend = on } }
 
-// WithDirectDispatch selects the scheduler's execution core (DESIGN.md
-// §2.2, "execution model"). On (the default), agents implementing the
-// scheduler's state-machine interface are dispatched inline on the
-// runner's goroutine — the zero-handoff fast path every built-in
-// algorithm uses. Off forces the blocking goroutine core for every
-// agent. The two cores are observationally identical (the differential
-// test suite and the sweep cross-check oracle enforce it); turning the
-// fast path off exists for exactly those comparisons.
-func WithDirectDispatch(on bool) Option { return func(c *engineConfig) { c.directDispatch = on } }
-
-// WithPreparedCache controls the engine's prepared-scenario cache (on
-// by default): declaratively specified graphs are built, edge-indexed
-// and coverage-checked once per unique GraphSpec, and the deterministic
-// agent routes of rendezvous, baseline and certify scenarios are
-// materialized once per (graph, start, label) and replayed thereafter.
-// Cached and uncached execution are observationally identical (the
-// differential sweep test enforces byte-identical reports); turning the
-// cache off exists for exactly that comparison, and for engines fed
-// unbounded streams of distinct specs where the cache could only grow.
-func WithPreparedCache(on bool) Option { return func(c *engineConfig) { c.preparedCache = on } }
-
 // WithBatchedExecution has no effect: every sweep cell runs through the
 // same per-cell path.
 //
@@ -272,8 +247,7 @@ func WithBatchedExecution(bool) Option { return func(*engineConfig) {} }
 // exploration catalog on the standard graph families up to 6 nodes,
 // exactly like NewEnv(6, 1).
 func NewEngine(opts ...Option) *Engine {
-	cfg := engineConfig{maxN: 6, seed: 1, parallelism: runtime.GOMAXPROCS(0), autoExtend: true,
-		directDispatch: true, preparedCache: true}
+	cfg := engineConfig{maxN: 6, seed: 1, parallelism: runtime.GOMAXPROCS(0), autoExtend: true}
 	for _, o := range opts {
 		o(&cfg)
 	}
@@ -284,11 +258,9 @@ func NewEngine(opts ...Option) *Engine {
 		cfg.parallelism = 1
 	}
 	e := &Engine{
-		env:           trajectory.NewEnv(cfg.catalog),
-		parallelism:   cfg.parallelism,
-		autoExtend:    cfg.autoExtend,
-		forceBlocking: !cfg.directDispatch,
-		usePrepCache:  cfg.preparedCache,
+		env:         trajectory.NewEnv(cfg.catalog),
+		parallelism: cfg.parallelism,
+		autoExtend:  cfg.autoExtend,
 	}
 	if cfg.obs != nil {
 		e.obs = &lockedObserver{inner: cfg.obs}
@@ -368,7 +340,7 @@ type Result struct {
 // Pre-built GraphInstance scenarios bypass the cache — the engine
 // cannot fingerprint an arbitrary caller-owned graph.
 func (e *Engine) prepare(sc Scenario) (*Graph, Adversary, *trajectory.RouteBook, error) {
-	if sc.GraphInstance == nil && e.usePrepCache {
+	if sc.GraphInstance == nil {
 		pg := e.preparedFor(sc.Graph)
 		if pg.buildErr != nil {
 			return nil, nil, nil, pg.buildErr
@@ -385,18 +357,11 @@ func (e *Engine) prepare(sc Scenario) (*Graph, Adversary, *trajectory.RouteBook,
 		}
 		return pg.g, adv, pg.book(e), nil
 	}
-	g, err := sc.BuildGraph()
-	if err != nil {
-		return nil, nil, nil, err
-	}
+	g := sc.GraphInstance
 	if err := sc.validateWith(g); err != nil {
 		return nil, nil, nil, err
 	}
-	desc := g.String()
-	if sc.GraphInstance == nil {
-		desc = sc.Graph.String()
-	}
-	if err := e.ensureCovered(g, desc); err != nil {
+	if err := e.ensureCovered(g, g.String()); err != nil {
 		return nil, nil, nil, err
 	}
 	adv, err := sc.resolveAdversary()
@@ -724,12 +689,8 @@ func (e *Engine) sweepPrepass(spec SweepSpec) {
 		return
 	}
 	for _, gs := range gspecs {
-		if e.usePrepCache {
-			if pg := e.preparedFor(gs); pg.buildErr == nil {
-				pg.cover(e, gs) //nolint:errcheck // memoized; cells report it
-			}
-		} else if g, err := gs.Build(); err == nil {
-			e.ensureCovered(g, gs.String()) //nolint:errcheck // re-derived per cell
+		if pg := e.preparedFor(gs); pg.buildErr == nil {
+			pg.cover(e, gs) //nolint:errcheck // memoized; cells report it
 		}
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 
+	"meetpoly/internal/campaign"
 	"meetpoly/internal/graph"
 )
 
@@ -168,27 +169,52 @@ func TestShuffleSeedsNeverAlias(t *testing.T) {
 }
 
 // TestCachedUncachedSweepsIdentical is the differential acceptance
-// test: the same campaign on a cache-on and a cache-off engine must
-// produce byte-identical reports. The cache (graphs, coverage
-// verdicts, route replays) is an amortization of preparation cost, not
-// an approximation of execution.
+// test: a cached Sweep must produce the byte-identical report of the
+// same campaign run without the cache. The uncached side builds each
+// cell's graph itself and runs the cell as a GraphInstance scenario —
+// the path custom graphs take, which bypasses the prepared-scenario
+// cache and replays no route book — then judges the cells with the
+// default oracles and folds them through the campaign aggregator. The
+// cache (graphs, coverage verdicts, route replays) is an amortization
+// of preparation cost, not an approximation of execution.
 func TestCachedUncachedSweepsIdentical(t *testing.T) {
 	spec := cacheTestSpec()
 	spec.Kinds = []string{"rendezvous", "baseline", "esst", "sgl", "certify"}
 	spec.StartPairs = 1
 	// A modest budget keeps the -race run fast; cells that exhaust it
 	// (baseline's exponential walks under the avoider) are still valid
-	// differential material — both engines must exhaust identically.
+	// differential material — both paths must exhaust identically.
 	spec.Budget = 40_000
 
-	cached, err := NewEngine().Sweep(context.Background(), spec)
+	ctx := context.Background()
+	cached, err := NewEngine().Sweep(ctx, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	uncached, err := NewEngine(WithPreparedCache(false)).Sweep(context.Background(), spec)
+	cells, scs, err := ExpandSweep(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
+	eng := NewEngine()
+	brs := make([]BatchResult, len(cells))
+	for i, sc := range scs {
+		g, err := sc.Graph.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		sc.GraphInstance = g
+		res, err := eng.Run(ctx, sc)
+		brs[i] = BatchResult{Index: cells[i].Index, Scenario: sc, Graph: g, Result: res, Err: err}
+	}
+	if st := eng.CacheStats(); st.Hits+st.Misses != 0 {
+		t.Fatalf("GraphInstance runs went through the prepared-scenario cache: %+v", st)
+	}
+	oracles := campaign.DefaultOracles(eng.BoundModel())
+	agg := campaign.NewAggregator(spec, nil)
+	for i, cell := range cells {
+		agg.Add(eng.judge(cell, brs[i], oracles))
+	}
+	uncached := agg.Report()
 	jc, ju := mustJSON(t, cached), mustJSON(t, uncached)
 	if !bytes.Equal(jc, ju) {
 		t.Fatalf("cached and uncached sweep reports differ:\ncached:   %s\nuncached: %s", jc, ju)

@@ -97,7 +97,6 @@ func RendezvousSteppers(opts sched.RunOpts, g *graph.Graph, start1, start2 int, 
 		StopAtFirstMeeting: true,
 		Context:            opts.Ctx,
 		Observer:           opts.Observer,
-		ForceBlocking:      opts.ForceBlocking,
 	}, adv)
 	if err != nil {
 		return nil, fmt.Errorf("baseline: %w", err)

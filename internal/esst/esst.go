@@ -19,9 +19,10 @@
 // polynomial upper bound E(n) >= n - 1 on the size of the graph, which is
 // exactly what Algorithm SGL's explorers need.
 //
-// The phase machinery lives in Procedure, parameterized by Hooks so that
-// SGL explorers can filter token sightings by agent label; Explorer is
-// the standalone agent used when the token is the only other agent.
+// The phase machinery lives in Machine, a resumable state machine fed
+// per-move sighting flags so that SGL explorers can filter token
+// sightings by agent label; Explorer is the standalone agent used when
+// the token is the only other agent.
 package esst
 
 import (
@@ -36,11 +37,10 @@ import (
 // Explorer is the standalone ESST agent program: any meeting counts as a
 // token sighting. Zero value is not usable; set Cat.
 //
-// Explorer implements both execution cores of DESIGN.md §2.2: Step
-// drives the pull-based Machine inline (the scheduler's fast path),
-// while Run executes the blocking Procedure — two independent
-// realizations of the same phase loop, kept equivalent by the
-// differential tests.
+// Step drives the pull-based Machine. The blocking Procedure, the
+// paper-faithful rendering of the same phase loop, is kept in the
+// package tests as the reference TestMachineMatchesProcedure pins
+// Explorer against.
 type Explorer struct {
 	// Cat supplies exploration sequences (the R(k, ·) trajectories).
 	Cat uxs.Catalog
@@ -61,15 +61,14 @@ type Explorer struct {
 
 	meetEpoch int  // incremented by every OnMeet
 	withToken bool // co-located with the token right now
-	curDegree int
 
-	mach        *Machine // direct-dispatch core state (Step)
-	epochAtStep int      // meetEpoch snapshot at the last Step return
-	inFlight    bool     // a Step-emitted move awaits its arrival
-	lastPort    int      // the port of that move
+	mach        *Machine
+	epochAtStep int  // meetEpoch snapshot at the last Step return
+	inFlight    bool // a Step-emitted move awaits its arrival
+	lastPort    int  // the port of that move
 }
 
-var _ sched.Stepper = (*Explorer)(nil)
+var _ sched.Agent = (*Explorer)(nil)
 
 // Publish implements sched.Agent.
 func (e *Explorer) Publish() any { return e.Payload }
@@ -82,21 +81,20 @@ func (e *Explorer) OnMeet(enc sched.Encounter) {
 	}
 }
 
-// Step implements sched.Stepper: the ESST main loop via Machine. The
-// sighting flags mirror the Hooks wiring of Run — a meeting delivered
-// since the previous decision is a sighting, and withToken is reset at
-// every decision exactly like Hooks.Move does at every move.
+// Step implements sched.Agent: the ESST main loop via Machine. A
+// meeting delivered since the previous decision is a sighting, and
+// withToken is reset at every decision, exactly like the reference's
+// Hooks.Move does at every move.
 func (e *Explorer) Step(p *sched.Proc, o sched.Observation) sched.Action {
 	if e.mach == nil {
 		e.mach = &Machine{Cat: e.Cat, MaxPhase: e.MaxPhase,
 			PhaseHook: func(i int) { p.Phase(fmt.Sprintf("esst: phase %d", i)) }}
 		e.epochAtStep = e.meetEpoch
 	}
-	e.curDegree = o.Degree
 	if e.inFlight {
-		// Record the completed traversal exactly when the goroutine
-		// core's Hooks.Move does: on arrival, so an interrupted run
-		// leaves the same partial trace on either core.
+		// Record the completed traversal on arrival, as the reference's
+		// Hooks.Move does, so an interrupted run leaves the same partial
+		// trace.
 		e.TraceExits = append(e.TraceExits, e.lastPort)
 		e.inFlight = false
 	}
@@ -110,35 +108,6 @@ func (e *Explorer) Step(p *sched.Proc, o sched.Observation) sched.Action {
 	e.withToken = false
 	e.epochAtStep = e.meetEpoch
 	return sched.Action{Port: port}
-}
-
-// Run implements sched.Agent: the ESST main loop via Procedure.
-func (e *Explorer) Run(p *sched.Proc) {
-	e.curDegree = p.Obs().Degree
-	pr := &Procedure{
-		Cat:      e.Cat,
-		MaxPhase: e.MaxPhase,
-		Hooks: Hooks{
-			Move: func(port int) (sched.Observation, bool) {
-				pre := e.meetEpoch
-				e.withToken = false
-				obs := p.Move(port)
-				e.curDegree = obs.Degree
-				e.TraceExits = append(e.TraceExits, port)
-				sighted := e.meetEpoch > pre
-				// withToken was updated by OnMeet for node meetings only;
-				// an in-edge crossing leaves the agents separated.
-				return obs, sighted
-			},
-			Degree:    func() int { return e.curDegree },
-			WithToken: func() bool { return e.withToken },
-			Phase:     func(i int) { p.Phase(fmt.Sprintf("esst: phase %d", i)) },
-		},
-	}
-	ok := pr.Run()
-	e.Done = ok
-	e.Phase = pr.Phase
-	e.Cost = pr.Cost
 }
 
 // codeOfRec renders the paper's code: the sequence of ports along the
@@ -161,12 +130,9 @@ type Token struct {
 	mets    int
 }
 
-var _ sched.Stepper = (*Token)(nil)
+var _ sched.Agent = (*Token)(nil)
 
-// Run implements sched.Agent: the token halts immediately.
-func (t *Token) Run(*sched.Proc) {}
-
-// Step implements sched.Stepper: the token halts immediately.
+// Step implements sched.Agent: the token halts immediately.
 func (t *Token) Step(*sched.Proc, sched.Observation) sched.Action {
 	return sched.Action{Halt: true}
 }
@@ -204,17 +170,27 @@ func Explore(g *graph.Graph, startExplorer, startToken int, cat uxs.Catalog,
 // that additionally receives "esst: phase i" phase-change events.
 func ExploreWith(opts sched.RunOpts, g *graph.Graph, startExplorer, startToken int, cat uxs.Catalog,
 	adv sched.Adversary, maxSteps int) (*Result, error) {
+	return explore(opts, g, startExplorer, startToken, cat, adv, maxSteps, nil)
+}
+
+// explore is ExploreWith with a replaceable explorer program: program,
+// when non-nil, wraps the Explorer into the agent the runner drives
+// (the package tests substitute the blocking reference).
+func explore(opts sched.RunOpts, g *graph.Graph, startExplorer, startToken int, cat uxs.Catalog,
+	adv sched.Adversary, maxSteps int, program func(*Explorer) sched.Agent) (*Result, error) {
 	ex := &Explorer{Cat: cat, MaxPhase: 30*g.N() + 9}
-	tok := &Token{}
+	var agent sched.Agent = ex
+	if program != nil {
+		agent = program(ex)
+	}
 	r, err := sched.NewRunner(sched.Config{
 		Graph:          g,
 		Starts:         []int{startExplorer, startToken},
-		Agents:         []sched.Agent{ex, tok},
+		Agents:         []sched.Agent{agent, &Token{}},
 		InitiallyAwake: []int{0, 1},
 		MaxSteps:       maxSteps,
 		Context:        opts.Ctx,
 		Observer:       opts.Observer,
-		ForceBlocking:  opts.ForceBlocking,
 	}, adv)
 	if err != nil {
 		return nil, fmt.Errorf("esst: %w", err)

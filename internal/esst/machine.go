@@ -2,6 +2,13 @@ package esst
 
 import "meetpoly/internal/uxs"
 
+// MoveRec records one traversal (exit port taken, entry port observed) so
+// that walks can be retraced backwards.
+type MoveRec struct {
+	Exit  int
+	Entry int
+}
+
 // mstate is the Machine's program counter: every emitting state names
 // the state that processes the emitted move's arrival.
 type mstate uint8
@@ -19,19 +26,20 @@ const (
 	msDone
 )
 
-// Machine is Procedure ESST inverted into a pull-based resumable state
-// machine: instead of blocking in Hooks.Move it returns each exit port
-// from Step and receives the arrival on the next call. It is the form a
-// sched.Stepper needs — the scheduler's direct-dispatch core drives
-// agents by asking for their next action, so the procedure cannot sit
-// in a nested call stack between moves.
+// Machine is Procedure ESST as a pull-based resumable state machine:
+// instead of blocking on each move it returns the exit port from Step
+// and receives the arrival on the next call. It is the form a
+// sched.Agent needs — the runner drives agents by asking for their
+// next action, so the procedure cannot sit in a nested call stack
+// between moves.
 //
-// Machine and Procedure implement the same phase loop of §2 move for
-// move; TestMachineMatchesProcedure pins the equivalence on every graph
-// of the test family, and the cross-core differential campaign re-checks
-// it end to end through real schedulers.
+// The package tests keep the blocking rendering of the same phase loop
+// (Procedure, the paper's pseudocode almost line for line) as the
+// reference: TestMachineTraceMatchesProcedureTrace pins the two move
+// for move on a synchronous walk, and TestMachineMatchesProcedure
+// through the runner under several adversaries.
 type Machine struct {
-	// Cat supplies exploration sequences, as in Procedure.
+	// Cat supplies exploration sequences (the R(k, ·) trajectories).
 	Cat uxs.Catalog
 	// MaxPhase aborts the procedure beyond this phase (0 = unlimited).
 	MaxPhase int
@@ -80,7 +88,7 @@ func (m *Machine) emit(port int, arr mstate) (int, bool) {
 }
 
 // failPhase abandons the current phase; the next one starts from the
-// node the agent currently occupies, exactly as in Procedure.Run.
+// node the agent currently occupies, exactly as in the reference.
 func (m *Machine) failPhase() {
 	m.i += 3
 	m.state = msPhaseStart
@@ -112,7 +120,7 @@ func (m *Machine) Step(deg, entry int, sighted, withToken bool) (port int, runni
 		m.state = msPhaseStart
 	} else {
 		// Account the arrival of the previously emitted move, exactly
-		// like Procedure.move.
+		// like the reference's move.
 		m.Cost++
 		m.Trace = append(m.Trace, MoveRec{Exit: m.lastExit, Entry: entry})
 	}

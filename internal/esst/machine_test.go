@@ -1,58 +1,79 @@
 package esst
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
 	"meetpoly/internal/graph"
 	"meetpoly/internal/sched"
+	"meetpoly/internal/sched/schedtest"
 	"meetpoly/internal/uxs"
 )
 
-// TestMachineMatchesProcedure is the package-level differential proof
-// that the pull-based Machine (direct-dispatch core) and the blocking
-// Procedure (goroutine core) realize the same ESST program: the same
-// instances driven through both execution cores must produce identical
-// results, traces and scheduler summaries.
+// machineMatrix is the graph family of the runner-level differential:
+// the shapes a sweep draws (path 3-5, ring 3-5, star 4-5, clique 4,
+// random tree 4-5, random graph 5) plus larger and higher-degree
+// members.
+func machineMatrix() []*graph.Graph {
+	return []*graph.Graph{
+		graph.Path(2), graph.Path(3), graph.Path(4), graph.Path(5),
+		graph.Ring(3), graph.Ring(4), graph.Ring(5), graph.Ring(7),
+		graph.Star(4), graph.Star(5), graph.Star(6),
+		graph.Complete(4), graph.Complete(5),
+		graph.BinaryTree(7),
+		graph.RandomTree(4, uxs.DefaultTreeSeed(4)),
+		graph.RandomTree(5, uxs.DefaultTreeSeed(5)),
+		graph.RandomConnected(5, uxs.DefaultRandomP, uxs.DefaultRandomSeed(5)),
+	}
+}
+
+// TestMachineMatchesProcedure is the runner-level differential proof
+// that the pull-based Machine (Explorer.Step) and the blocking
+// Procedure realize the same ESST program: the same instance run with
+// either program must produce identical results and scheduler
+// summaries. The matrix spans the graph family, four adversaries, two
+// start placements, and both a full budget and a 3,000-event budget
+// that cuts most explorations off mid-walk.
 func TestMachineMatchesProcedure(t *testing.T) {
 	cat := uxs.NewVerified(uxs.DefaultFamily(7), 1)
-	cases := []*graph.Graph{
-		graph.Path(2),
-		graph.Path(5),
-		graph.Ring(4),
-		graph.Ring(7),
-		graph.Star(6),
-		graph.Complete(5),
-		graph.BinaryTree(7),
-	}
 	advs := map[string]func() sched.Adversary{
 		"round-robin": func() sched.Adversary { return &sched.RoundRobin{} },
+		"avoider":     func() sched.Adversary { return &sched.Avoider{} },
 		"random":      func() sched.Adversary { return sched.NewRandom(11) },
 		"biased":      func() sched.Adversary { return &sched.Biased{Weights: []int{1, 5}} },
 	}
-	for _, g := range cases {
+	reference := func(ex *Explorer) sched.Agent {
+		return procedureExplorer{Explorer: ex, step: schedtest.Blocking(t, ex.runProcedure)}
+	}
+	for _, g := range machineMatrix() {
 		if !cat.Covers(g) {
 			cat.Extend(g)
 		}
-		for name, mk := range advs {
-			run := func(force bool) *Result {
-				res, err := ExploreWith(sched.RunOpts{ForceBlocking: force},
-					g, 1%g.N(), 0, cat, mk(), 5_000_000)
-				if err != nil {
-					t.Fatal(err)
+		n := g.N()
+		for _, starts := range [][2]int{{1 % n, 0}, {n - 1, (n - 1) / 2}} {
+			for name, mk := range advs {
+				for _, budget := range []int{5_000_000, 3_000} {
+					id := fmt.Sprintf("%s/starts%v/%s/budget%d", g, starts, name, budget)
+					run := func(program func(*Explorer) sched.Agent) *Result {
+						res, err := explore(sched.RunOpts{}, g, starts[0], starts[1], cat, mk(), budget, program)
+						if err != nil {
+							t.Fatal(err)
+						}
+						return res
+					}
+					mach, ref := run(nil), run(reference)
+					if mach.Done != ref.Done || mach.Phase != ref.Phase || mach.Cost != ref.Cost ||
+						mach.EUpper != ref.EUpper || mach.Covered != ref.Covered {
+						t.Fatalf("%s: programs diverge: machine %+v, procedure %+v", id, mach, ref)
+					}
+					if !reflect.DeepEqual(mach.Summary, ref.Summary) {
+						t.Fatalf("%s: summaries diverge:\nmachine   %+v\nprocedure %+v", id, mach.Summary, ref.Summary)
+					}
+					if budget > 3_000 && !mach.Done {
+						t.Fatalf("%s: ESST did not terminate", id)
+					}
 				}
-				return res
-			}
-			fast, slow := run(false), run(true)
-			if fast.Done != slow.Done || fast.Phase != slow.Phase || fast.Cost != slow.Cost ||
-				fast.EUpper != slow.EUpper || fast.Covered != slow.Covered {
-				t.Fatalf("%s/%s: cores diverge: fast %+v, slow %+v", g, name, fast, slow)
-			}
-			if !reflect.DeepEqual(fast.Summary, slow.Summary) {
-				t.Fatalf("%s/%s: summaries diverge:\nfast %+v\nslow %+v", g, name, fast.Summary, slow.Summary)
-			}
-			if !fast.Done {
-				t.Fatalf("%s/%s: ESST did not terminate", g, name)
 			}
 		}
 	}

@@ -1,21 +1,16 @@
 package esst
 
 import (
+	"fmt"
+
 	"meetpoly/internal/sched"
 	"meetpoly/internal/uxs"
 )
 
-// MoveRec records one traversal (exit port taken, entry port observed) so
-// that walks can be retraced backwards.
-type MoveRec struct {
-	Exit  int
-	Entry int
-}
-
 // Hooks connect a Procedure to whatever drives the agent's physical
-// moves and token detection. Algorithm SGL's explorers must recognize
-// their own token by label among many co-moving agents; the standalone
-// Explorer treats any meeting as a sighting. Both supply Hooks.
+// moves and token detection: a synchronous walk in
+// TestMachineTraceMatchesProcedureTrace, the runner (through
+// schedtest.Blocking) in the reference explorer below.
 type Hooks struct {
 	// Move performs one traversal by the given port and returns the
 	// arrival observation plus whether the token was sighted during it.
@@ -30,8 +25,11 @@ type Hooks struct {
 	Phase func(i int)
 }
 
-// Procedure is the reusable core of ESST: the phase loop of §2, driven
-// through Hooks. Fields are read after Run returns.
+// Procedure is the paper-faithful reference rendering of ESST: the
+// phase loop of §2 as blocking code that moves through Hooks. Machine
+// is the same loop as a resumable state machine; the tests in
+// machine_test.go pin the two against each other move for move. Fields
+// are read after Run returns.
 type Procedure struct {
 	Cat      uxs.Catalog
 	MaxPhase int // 0 = unlimited
@@ -41,8 +39,8 @@ type Procedure struct {
 	Done  bool
 	Phase int
 	Cost  int
-	// Trace records every traversal made during the procedure, in order,
-	// so that SGL's Phase 2 can backtrack the entire Phase 1 walk.
+	// Trace records every traversal made during the procedure, in order
+	// (the counterpart of Machine.Trace).
 	Trace []MoveRec
 }
 
@@ -137,4 +135,45 @@ func (pr *Procedure) probe(i int, codes map[string]bool) bool {
 		}
 	}
 	return false
+}
+
+// procedureExplorer is the reference ESST agent: Explorer's meeting
+// bookkeeping and results, with the blocking Procedure (run through
+// schedtest.Blocking) in place of Machine.
+type procedureExplorer struct {
+	*Explorer
+	step func(*sched.Proc, sched.Observation) sched.Action
+}
+
+func (pe procedureExplorer) Step(p *sched.Proc, o sched.Observation) sched.Action {
+	return pe.step(p, o)
+}
+
+// runProcedure is the explorer's blocking program: the ESST main loop
+// via Procedure, with any meeting since the previous move counted as a
+// sighting.
+func (e *Explorer) runProcedure(p *sched.Proc, start sched.Observation, move func(int) sched.Observation) {
+	deg := start.Degree
+	pr := &Procedure{
+		Cat:      e.Cat,
+		MaxPhase: e.MaxPhase,
+		Hooks: Hooks{
+			Move: func(port int) (sched.Observation, bool) {
+				pre := e.meetEpoch
+				e.withToken = false
+				obs := move(port)
+				deg = obs.Degree
+				e.TraceExits = append(e.TraceExits, port)
+				// withToken was updated by OnMeet for node meetings only;
+				// an in-edge crossing leaves the agents separated.
+				return obs, e.meetEpoch > pre
+			},
+			Degree:    func() int { return deg },
+			WithToken: func() bool { return e.withToken },
+			Phase:     func(i int) { p.Phase(fmt.Sprintf("esst: phase %d", i)) },
+		},
+	}
+	e.Done = pr.Run()
+	e.Phase = pr.Phase
+	e.Cost = pr.Cost
 }

@@ -180,9 +180,8 @@ func (c *invariantChecker) snapshot(v *View) []AgentView {
 	return c.prev
 }
 
-// runFuzzSchedule executes one fuzzed schedule on the selected core and
-// returns its summary.
-func runFuzzSchedule(t *testing.T, data []byte, force bool) Summary {
+// runFuzzSchedule executes one fuzzed schedule and returns its summary.
+func runFuzzSchedule(t *testing.T, data []byte) Summary {
 	g := graph.Ring(5)
 	agents := []Agent{
 		&Walker{Stepper: &fuzzWalk{data: data, off: 0, limit: 40}},
@@ -199,7 +198,6 @@ func runFuzzSchedule(t *testing.T, data []byte, force bool) Summary {
 		InitiallyAwake: []int{0},
 		MaxSteps:       4 * len(data) * 3,
 		Observer:       &FuncObserver{Meeting: chk.onMeeting},
-		ForceBlocking:  force,
 	}, adv)
 	if err != nil {
 		t.Fatal(err)
@@ -210,8 +208,10 @@ func runFuzzSchedule(t *testing.T, data []byte, force bool) Summary {
 
 // FuzzAdversaryEvents feeds arbitrary event streams into Runner.apply
 // through a synthetic adversary and asserts the half-step invariants of
-// the package doc on every event, on both execution cores — which must
-// additionally agree on the whole summary.
+// the package doc on every event. Each schedule runs twice: the second
+// runner draws the first one's recycled scratch from the pool, and the
+// two summaries must agree — no state may leak from one tenant into
+// the next.
 func FuzzAdversaryEvents(f *testing.F) {
 	f.Add([]byte{1, 3, 0, 255, 17, 4, 4, 9, 2, 88, 13, 5})
 	f.Add(bytes.Repeat([]byte{0}, 48))
@@ -221,10 +221,10 @@ func FuzzAdversaryEvents(f *testing.F) {
 		if len(data) == 0 {
 			return
 		}
-		fast := runFuzzSchedule(t, data, false)
-		slow := runFuzzSchedule(t, data, true)
-		if !reflect.DeepEqual(fast, slow) {
-			t.Fatalf("cores diverge on the same schedule:\nstepper   %+v\ngoroutine %+v", fast, slow)
+		first := runFuzzSchedule(t, data)
+		second := runFuzzSchedule(t, data)
+		if !reflect.DeepEqual(first, second) {
+			t.Fatalf("runs diverge on the same schedule:\nfirst  %+v\nsecond %+v", first, second)
 		}
 	})
 }

@@ -7,11 +7,8 @@ import (
 )
 
 // BenchmarkRunnerHalfSteps measures ns (and allocations) per adversary
-// half-step on both execution cores. The stepper core's zero-handoff
-// dispatch is required to be >= 5x faster than the goroutine core's
-// channel ping-pong; cmd/rvbench runs the same harness and records the
-// numbers in BENCH_sched.json.
+// half-step; cmd/rvbench runs the same harness and records the numbers
+// in BENCH_sched.json.
 func BenchmarkRunnerHalfSteps(b *testing.B) {
-	b.Run("stepper", schedbench.HalfSteps(false))
-	b.Run("goroutine", schedbench.HalfSteps(true))
+	b.Run("stepper", schedbench.HalfSteps())
 }

@@ -27,7 +27,7 @@ var _ trajectory.Stepper = (*badPort)(nil)
 func scrubbedRunScratch(t *testing.T, s *runScratch) {
 	t.Helper()
 	for i, st := range s.states[:cap(s.states)] {
-		if st.agent != nil || st.stepper != nil || st.proc != nil {
+		if st.agent != nil || st.proc != nil {
 			t.Errorf("pooled scratch states[%d] retains agent references: %+v", i, st)
 		}
 	}

@@ -6,12 +6,10 @@ import "context"
 // adversary decisions, completed edge traversals, meetings, and
 // algorithm-level phase changes announced by agents via Proc.Phase.
 //
-// Within one run all callbacks are serialized: the runner and the agent
-// goroutines hand control back and forth over unbuffered channels, so at
-// most one goroutine is runnable at any time and the channel operations
-// order every callback in a single happens-before chain. An Observer
-// shared between concurrently executing runners (e.g. a batch) must be
-// safe for concurrent use.
+// Within one run all callbacks are serialized: they run on the runner's
+// goroutine, including the Proc.Phase calls agents make from Step. An
+// Observer shared between concurrently executing runners (e.g. a batch)
+// must be safe for concurrent use.
 type Observer interface {
 	// OnEvent fires after the adversary's event has been applied.
 	// step is the 0-based index of the event.
@@ -72,8 +70,4 @@ func (f *FuncObserver) OnPhase(agent int, phase string) {
 type RunOpts struct {
 	Ctx      context.Context
 	Observer Observer
-	// ForceBlocking runs every agent on the goroutine core even when it
-	// implements Stepper (see Config.ForceBlocking); the differential
-	// test suite uses it to compare the two execution cores.
-	ForceBlocking bool
 }

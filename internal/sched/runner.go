@@ -10,19 +10,15 @@
 //   - two agents are simultaneously inside the same edge travelling in
 //     opposite directions (continuous walks must cross).
 //
-// Agent programs come in two observationally identical flavours
-// (DESIGN.md §2.2, "execution model"). A Stepper is an explicit
-// resumable state machine the runner drives inline on its own goroutine
-// — the zero-handoff fast path. A plain Agent runs its blocking program
-// in its own goroutine, but exactly one goroutine is runnable at any
-// time: the runner and the active agent hand control back and forth
-// over unbuffered channels. Either way executions are fully
-// deterministic given the adversary.
+// An agent program is a resumable state machine (Agent.Step) that the
+// runner calls inline on its own goroutine, at wake and after every
+// arrival, to learn the agent's next exit port: the program picks the
+// route, the adversary only the timing (DESIGN.md §2.2, "execution
+// model"). Executions are fully deterministic given the adversary.
 package sched
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sync"
 
@@ -53,71 +49,43 @@ type Encounter struct {
 
 // Agent is a participant in a simulation.
 //
-// Run is the agent's program. It executes in its own goroutine and moves
-// by calling Proc.Move; returning from Run halts the agent forever (it
-// remains physically present and meetable). OnMeet and Publish are always
-// invoked while the agent's goroutine is suspended, so they may touch the
-// same state as Run without synchronization.
+// Step is the agent's program, run as an explicit resumable state
+// machine: the runner invokes it once at wake (with Entry == -1) and
+// once after every completed traversal, with the arrival observation,
+// and the returned Action is the agent's next move. Returning
+// Action{Halt: true} halts the agent forever (it remains physically
+// present and meetable). The Proc handle is the agent's channel to the
+// runner's observer (Proc.Phase).
 //
-// Agents that additionally implement Stepper are dispatched inline
-// without a goroutine (see Stepper); Run is then only used when the
-// fast path is disabled via Config.ForceBlocking.
+// Publish and OnMeet run between Step invocations, on the runner's
+// goroutine, so state they mutate is visible to the next Step without
+// synchronization.
 type Agent interface {
-	Run(p *Proc)
+	Step(p *Proc, o Observation) Action
 	// Publish returns the payload shared with peers at a meeting.
 	Publish() any
-	// OnMeet delivers a meeting. It runs before the agent resumes; state
-	// it mutates is visible to Run immediately afterwards.
+	// OnMeet delivers a meeting. It runs before the agent's next Step.
 	OnMeet(e Encounter)
 }
 
-// ErrStopped is the panic value used to unwind agent goroutines when the
-// runner shuts down; Proc.Move never returns after it.
-var ErrStopped = errors.New("sched: runner stopped")
+// Action is one agent decision: halt forever, or traverse the edge
+// leaving the current node through Port.
+type Action struct {
+	Halt bool
+	Port int
+}
 
-// Proc is the handle through which an agent program moves. Direct-
-// dispatch steppers receive the same handle (for Proc.Phase) but never
-// block in Move: the act/obs channels exist only on the goroutine core.
+// Proc is an agent's handle on its runner.
 type Proc struct {
 	r  *Runner
 	id int
-
-	cur  Observation
-	act  chan Action
-	obs  chan Observation
-	done chan struct{}
 }
 
-// Obs returns the current observation (the node the agent occupies).
-func (p *Proc) Obs() Observation { return p.cur }
-
 // Phase announces an algorithm-level phase change to the runner's
-// observer (no-op without one). It is safe to call from the agent's
-// goroutine: agent code only runs while the runner is suspended, so the
-// callback is serialized with all other observer callbacks.
+// observer (no-op without one).
 func (p *Proc) Phase(name string) {
 	if p.r.obs != nil {
 		p.r.obs.OnPhase(p.id, name)
-	}
-}
-
-// Move requests a traversal through the given port and blocks until the
-// adversary has carried the agent to the other endpoint. It returns the
-// arrival observation. If the runner shuts down first, Move panics with
-// ErrStopped, which the agent wrapper recovers; program code after Move
-// simply never runs.
-func (p *Proc) Move(port int) Observation {
-	select {
-	case p.act <- Action{Port: port}:
-	case <-p.done:
-		panic(ErrStopped)
-	}
-	select {
-	case o := <-p.obs:
-		p.cur = o
-		return o
-	case <-p.done:
-		panic(ErrStopped)
 	}
 }
 
@@ -163,12 +131,11 @@ type Position struct {
 
 // agentState is the runner's bookkeeping for one agent.
 type agentState struct {
-	agent   Agent
-	stepper Stepper // non-nil selects the direct-dispatch fast path
-	proc    *Proc
-	id      int
-	status  Status
-	pos     Position
+	agent  Agent
+	proc   *Proc
+	id     int
+	status Status
+	pos    Position
 
 	pendingPort  int  // committed exit port when hasPending
 	pendingEntry int  // arrival entry port of the pending traversal (set at half-step 1)
@@ -229,11 +196,6 @@ type Config struct {
 	Context context.Context
 	// Observer, if non-nil, receives execution events (see Observer).
 	Observer Observer
-	// ForceBlocking disables the direct-dispatch fast path: every agent,
-	// Stepper or not, runs its blocking program on the goroutine core.
-	// The differential test suite and the scheduler benchmarks use it to
-	// compare the two execution cores; production callers leave it off.
-	ForceBlocking bool
 }
 
 // Runner executes a simulation.
@@ -259,12 +221,6 @@ type Runner struct {
 	ctx         context.Context
 	obs         Observer
 	canceled    bool
-
-	// done exists only when some agent runs on the goroutine core; the
-	// stepper fast path never blocks, so it needs no shutdown channel.
-	done   chan struct{}
-	wg     sync.WaitGroup
-	closed bool
 
 	// Hot-path scratch, reused across events so the per-half-step cost
 	// is allocation-free — and, via scratch, across runs, so steady-state
@@ -331,7 +287,7 @@ type Adversary interface {
 }
 
 // NewRunner validates the configuration and prepares a runner. Call Run
-// to execute and Close to release agent goroutines.
+// to execute and Close to release its pooled buffers.
 func NewRunner(cfg Config, adv Adversary) (*Runner, error) {
 	if cfg.Graph == nil {
 		return nil, fmt.Errorf("sched: nil graph: %w", rverr.ErrInvalidScenario)
@@ -381,37 +337,20 @@ func NewRunner(cfg Config, adv Adversary) (*Runner, error) {
 		s.ptrs = s.ptrs[:k]
 		clear(s.states)
 	}
-	blocking := false
 	for i, a := range cfg.Agents {
 		st := &s.states[i]
 		st.agent = a
 		st.id = i
 		st.status = StatusDormant
 		st.pos = Position{Kind: AtNode, Node: cfg.Starts[i]}
-		if !cfg.ForceBlocking {
-			st.stepper, _ = a.(Stepper)
-		}
-		if st.stepper == nil {
-			blocking = true
-		}
+		// Procs are heap-allocated per run (not pooled): agents keep
+		// them past the Step call that received them (Explorer's
+		// PhaseHook captures p), so a pooled Proc could alias a later
+		// run's.
+		st.proc = &Proc{r: r, id: i}
 		s.ptrs[i] = st
 	}
 	r.agents = s.ptrs
-	if blocking {
-		// Shutdown and hand-off channels exist only on the goroutine
-		// core; a pure stepper team never blocks.
-		r.done = make(chan struct{})
-	}
-	for _, st := range r.agents {
-		// Procs are heap-allocated per run (not pooled): agent programs
-		// hold them across goroutine suspension points, so a pooled Proc
-		// could alias a later run's.
-		st.proc = &Proc{r: r, id: st.id, done: r.done}
-		if st.stepper == nil {
-			st.proc.act = make(chan Action)
-			st.proc.obs = make(chan Observation)
-		}
-	}
 	r.initialWake = append(r.initialWake, cfg.InitiallyAwake...)
 	r.dormantCount = k
 	s.contacts = boolBuf(s.contacts, k*k)
@@ -478,19 +417,11 @@ func (r *Runner) Run() Summary {
 	return r.summary()
 }
 
-// Close unblocks and joins all agent goroutines, then releases the
-// runner's pooled buffers. Safe to call many times. A closed runner's
-// Summary values remain valid (they are copies), but the live accessors
-// (Traversals, TotalCost, Meetings) must not be called after Close.
+// Close releases the runner's pooled buffers. Safe to call many times.
+// A closed runner's Summary values remain valid (they are copies), but
+// the live accessors (Traversals, TotalCost, Meetings) must not be
+// called after Close.
 func (r *Runner) Close() {
-	if r.closed {
-		return
-	}
-	r.closed = true
-	if r.done != nil {
-		close(r.done)
-	}
-	r.wg.Wait()
 	s := r.scratch
 	if s == nil {
 		return
@@ -503,7 +434,7 @@ func (r *Runner) Close() {
 	// Store the (possibly grown) buffers back and drop every reference to
 	// caller-owned values before pooling. The pointer-bearing buffers are
 	// cleared to FULL capacity, not current length: a previous, larger
-	// tenant's agents/steppers/procs would otherwise stay reachable past
+	// tenant's agents and procs would otherwise stay reachable past
 	// the live prefix and leak into every later run sharing the scratch.
 	s.contacts, s.curContacts, s.grouped = r.contacts, r.curContacts, r.grouped
 	s.edgeGroup, s.edgeTouched = r.edgeGroup, r.edgeTouched
@@ -521,8 +452,7 @@ func (r *Runner) anyActionable() bool {
 	return r.dormantCount > 0 || r.pendingCount > 0
 }
 
-// wake activates a dormant agent and records its first decision: inline
-// for steppers, via a fresh goroutine for blocking programs.
+// wake activates a dormant agent and records its first decision.
 func (r *Runner) wake(i int) {
 	st := r.agents[i]
 	if st.status != StatusDormant {
@@ -530,36 +460,10 @@ func (r *Runner) wake(i int) {
 	}
 	st.status = StatusActive
 	r.dormantCount--
-	st.proc.cur = Observation{Degree: r.g.Degree(st.pos.Node), Entry: -1}
-	if st.stepper != nil {
-		r.commit(st, st.stepper.Step(st.proc, st.proc.cur))
-		return
-	}
-	r.wg.Add(1)
-	go func() {
-		defer r.wg.Done()
-		defer func() {
-			if rec := recover(); rec != nil && rec != ErrStopped { //nolint:errorlint // sentinel identity
-				panic(rec)
-			}
-		}()
-		st.agent.Run(st.proc)
-		select {
-		case st.proc.act <- Action{Halt: true}:
-		case <-r.done:
-		}
-	}()
-	r.receiveDecision(st)
+	r.commit(st, st.agent.Step(st.proc, Observation{Degree: r.g.Degree(st.pos.Node), Entry: -1}))
 }
 
-// receiveDecision blocks until the agent goroutine commits its next
-// action (goroutine core only).
-func (r *Runner) receiveDecision(st *agentState) {
-	r.commit(st, <-st.proc.act)
-}
-
-// commit validates and records one agent decision, whichever core
-// produced it.
+// commit validates and records one agent decision.
 //
 //rvlint:hotpath
 func (r *Runner) commit(st *agentState, a Action) {
@@ -624,14 +528,7 @@ func (r *Runner) apply(ev Event) (enteredEdge bool) {
 		// agent decides its next action. (The adversary view is synced
 		// once per event by the Run loop; nothing here reads it.)
 		r.detectAfterMove(ev.Agent)
-		obs := Observation{Degree: r.g.Degree(to), Entry: entry}
-		st.proc.cur = obs
-		if st.stepper != nil {
-			r.commit(st, st.stepper.Step(st.proc, obs))
-			return false
-		}
-		st.proc.obs <- obs
-		r.receiveDecision(st)
+		r.commit(st, st.agent.Step(st.proc, Observation{Degree: r.g.Degree(to), Entry: entry}))
 		return false
 	default:
 		r.invalidEvent(ev)

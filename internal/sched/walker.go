@@ -5,9 +5,7 @@ import "meetpoly/internal/trajectory"
 // Walker adapts a trajectory.Stepper to a sched agent: the standard shape
 // of a rendezvous agent, which follows a predetermined (label-dependent)
 // trajectory until it meets someone. Decisions depend only on the agent's
-// own observations, exactly as the model demands. Walker is a native
-// sched.Stepper, so runners dispatch it on the zero-handoff fast path;
-// its blocking Run is the canonical RunStepper loop over the same Step.
+// own observations, exactly as the model demands.
 type Walker struct {
 	// Stepper supplies the route. The Walker halts when it is exhausted.
 	Stepper trajectory.Stepper
@@ -20,9 +18,9 @@ type Walker struct {
 	metCount int
 }
 
-var _ Stepper = (*Walker)(nil)
+var _ Agent = (*Walker)(nil)
 
-// Step implements Stepper: one route decision per invocation.
+// Step implements Agent: one route decision per invocation.
 func (w *Walker) Step(_ *Proc, o Observation) Action {
 	if w.StopAtMeeting && w.metCount > 0 {
 		return Action{Halt: true}
@@ -37,9 +35,6 @@ func (w *Walker) Step(_ *Proc, o Observation) Action {
 	}
 	return Action{Port: port}
 }
-
-// Run implements Agent for the goroutine core.
-func (w *Walker) Run(p *Proc) { RunStepper(w, p) }
 
 // Publish implements Agent.
 func (w *Walker) Publish() any { return w.Payload }

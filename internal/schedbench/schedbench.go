@@ -24,10 +24,8 @@ type endless struct{}
 func (endless) Next(deg, entry int) (int, bool) { return 0, true }
 
 // HalfSteps returns a benchmark function that executes exactly b.N
-// adversary events on one runner. force selects the execution core:
-// false = direct-dispatch stepper core, true = goroutine core
-// (sched.Config.ForceBlocking). ns/op is therefore ns per half-step.
-func HalfSteps(force bool) func(b *testing.B) {
+// adversary events on one runner, so ns/op is ns per half-step.
+func HalfSteps() func(b *testing.B) {
 	return func(b *testing.B) {
 		g := graph.Ring(6)
 		r, err := sched.NewRunner(sched.Config{
@@ -39,7 +37,6 @@ func HalfSteps(force bool) func(b *testing.B) {
 			},
 			InitiallyAwake: []int{0, 1},
 			MaxSteps:       b.N,
-			ForceBlocking:  force,
 		}, &sched.RoundRobin{})
 		if err != nil {
 			b.Fatal(err)
@@ -56,7 +53,9 @@ func HalfSteps(force bool) func(b *testing.B) {
 
 // Measure runs the half-step benchmark standalone (outside go test) and
 // returns ns, bytes and allocations per half-step.
-func Measure(force bool) (nsPerOp float64, bytesPerOp, allocsPerOp int64) {
-	res := testing.Benchmark(HalfSteps(force))
+//
+// Deprecated: the argument is ignored; there is one execution core.
+func Measure(bool) (nsPerOp float64, bytesPerOp, allocsPerOp int64) {
+	res := testing.Benchmark(HalfSteps())
 	return float64(res.T.Nanoseconds()) / float64(res.N), res.AllocedBytesPerOp(), res.AllocsPerOp()
 }

@@ -146,8 +146,7 @@ type agent struct {
 	rvEntry int
 	curDeg  int
 
-	pending   []encounterRec
-	meetEpoch int
+	pending []encounterRec
 
 	tokenAssigned  bool
 	tokenLabel     labels.Label
@@ -158,10 +157,7 @@ type agent struct {
 	phase1Trace []esst.MoveRec
 	failure     string
 
-	finalState State // recorded at halt for reports
-
-	// Direct-dispatch core state (agent.Step in step.go); the blocking
-	// program in Run never touches these.
+	// Step's program state (step.go).
 	ss         stepState
 	mach       *esst.Machine
 	eBound     int // ESST-derived size bound E(n)
@@ -204,11 +200,10 @@ func (a *agent) Publish() any {
 	}
 }
 
-// OnMeet implements sched.Agent. It runs while the agent's goroutine is
-// suspended: bags union immediately; travellers additionally queue the
-// snapshot for their transition rules.
+// OnMeet implements sched.Agent. It runs between two Step calls: bags
+// union immediately; travellers additionally queue the snapshot for
+// their transition rules.
 func (a *agent) OnMeet(e sched.Encounter) {
-	a.meetEpoch++
 	peers := make([]Payload, 0, len(e.Peers))
 	for _, p := range e.Peers {
 		pl, ok := p.Payload.(Payload)
@@ -264,38 +259,6 @@ func (a *agent) minBag() labels.Label {
 	return min
 }
 
-// move performs one traversal, refreshing token flags.
-func (a *agent) move(p *sched.Proc, port int) sched.Observation {
-	a.tokenSighted = false
-	a.withToken = false
-	obs := p.Move(port)
-	a.curDeg = obs.Degree
-	return obs
-}
-
-// Run implements sched.Agent: the SGL state machine.
-func (a *agent) Run(p *sched.Proc) {
-	defer func() { a.finalState = a.state }()
-	a.curDeg = p.Obs().Degree
-	a.rv = a.newRV()
-	p.Phase("sgl: traveller")
-	a.runTraveller(p)
-	if a.state == StateGhost {
-		p.Phase("sgl: ghost")
-		if a.final && !a.hasOutput {
-			a.setOutput()
-		}
-		return // park forever; OnMeet keeps serving
-	}
-	// Explorer.
-	p.Phase("sgl: explorer phase 1 (ESST)")
-	e := a.phase1(p)
-	p.Phase("sgl: explorer phase 2 (resume RV)")
-	a.phase2(p, e)
-	p.Phase("sgl: explorer phase 3 (seek/sweep)")
-	a.phase3(p, e)
-}
-
 func (a *agent) newRV() trajectory.Stepper {
 	// Import cycle note: the master RV schedule lives in package core;
 	// sgl reimplements the same flattened loop to avoid core->sgl->core
@@ -332,28 +295,6 @@ func (a *agent) newRV() trajectory.Stepper {
 	})
 }
 
-// runTraveller executes RV-asynch-poly until a transition fires.
-func (a *agent) runTraveller(p *sched.Proc) {
-	for {
-		for len(a.pending) > 0 {
-			enc := a.pending[0]
-			a.pending = a.pending[1:]
-			if a.decideTraveller(enc) {
-				a.pending = nil
-				return
-			}
-		}
-		port, ok := a.rv.Next(a.curDeg, a.rvEntry)
-		if !ok {
-			a.failure = "traveller: RV schedule exhausted (impossible)"
-			return
-		}
-		obs := a.move(p, port)
-		a.rvCount++
-		a.rvEntry = obs.Entry
-	}
-}
-
 // decideTraveller applies the traveller transition rules of Algorithm
 // SGL to one meeting snapshot; true when the agent changed state.
 func (a *agent) decideTraveller(enc encounterRec) bool {
@@ -388,120 +329,6 @@ func (a *agent) decideTraveller(enc encounterRec) bool {
 	}
 	// Rule 3: explorers only, no smaller labels: stay traveller.
 	return false
-}
-
-// phase1 runs Procedure ESST against the agent's token and returns the
-// size bound E(n) = cost + 1.
-func (a *agent) phase1(p *sched.Proc) int {
-	pr := &esst.Procedure{
-		Cat: a.cat,
-		Hooks: esst.Hooks{
-			Move: func(port int) (sched.Observation, bool) {
-				obs := a.move(p, port)
-				return obs, a.tokenSighted
-			},
-			Degree:    func() int { return a.curDeg },
-			WithToken: func() bool { return a.withToken },
-		},
-	}
-	pr.Run()
-	a.phase1Trace = pr.Trace
-	return pr.Cost + 1
-}
-
-// phase2 backtracks the Phase 1 walk and resumes RV-asynch-poly until
-// the budget is exhausted or a smaller label is heard.
-func (a *agent) phase2(p *sched.Proc, e int) {
-	if a.minBag() < a.label {
-		return // abort immediately; Phase 3 starts here
-	}
-	for t := len(a.phase1Trace) - 1; t >= 0; t-- {
-		a.move(p, a.phase1Trace[t].Entry)
-		if a.minBag() < a.label {
-			return // abort as soon as at a node
-		}
-	}
-	budget := a.phase2Budget(e, a.label)
-	for a.rvCount < budget {
-		port, ok := a.rv.Next(a.curDeg, a.rvEntry)
-		if !ok {
-			a.failure = "phase2: RV schedule exhausted (impossible)"
-			return
-		}
-		obs := a.move(p, port)
-		a.rvCount++
-		a.rvEntry = obs.Entry
-		if a.minBag() < a.label {
-			return
-		}
-	}
-}
-
-// phase3 finishes the algorithm: seekers find their token and park or
-// adopt its output; the minimum-label agent sweeps, completes its bag,
-// and broadcasts it.
-func (a *agent) phase3(p *sched.Proc, e int) {
-	if a.minBag() < a.label {
-		a.seekToken(p, e)
-		return
-	}
-	// This agent believes it is m: sweep R(E(n), s) collecting every
-	// parked agent, declare the bag complete, and sweep back
-	// broadcasting. The extra bounce before backtracking re-triggers the
-	// meeting with any ghost co-located at the sweep's far end: the
-	// discrete contact-episode model only exchanges payloads when a
-	// contact STARTS, whereas the paper's continuous agents can transmit
-	// during an ongoing co-location.
-	seq := a.cat.Seq(e)
-	rec := make([]esst.MoveRec, 0, len(seq))
-	entry := 0
-	for _, x := range seq {
-		port := (entry + x) % a.curDeg
-		obs := a.move(p, port)
-		rec = append(rec, esst.MoveRec{Exit: port, Entry: obs.Entry})
-		entry = obs.Entry
-	}
-	a.final = true
-	if len(rec) > 0 {
-		last := rec[len(rec)-1]
-		obs := a.move(p, last.Entry) // bounce out
-		a.move(p, obs.Entry)         // and back, refreshing the contact
-	}
-	for t := len(rec) - 1; t >= 0; t-- {
-		a.move(p, rec[t].Entry)
-	}
-	a.setOutput()
-}
-
-// seekToken walks R(E(n), s) until it meets its token, then parks (or
-// adopts the token's output if the token has already finished).
-func (a *agent) seekToken(p *sched.Proc, e int) {
-	if !a.withToken {
-		seq := a.cat.Seq(e)
-		entry := 0
-		found := false
-		for _, x := range seq {
-			port := (entry + x) % a.curDeg
-			obs := a.move(p, port)
-			entry = obs.Entry
-			if a.tokenSighted {
-				found = true
-				break
-			}
-		}
-		if !found {
-			a.failure = "phase3: token not found during R(E(n)) sweep"
-			return
-		}
-	}
-	if a.tokenHasOutput {
-		a.setOutput()
-		return
-	}
-	a.state = StateGhost
-	if a.final && !a.hasOutput {
-		a.setOutput()
-	}
 }
 
 // AgentReport is one agent's outcome.
@@ -548,13 +375,15 @@ type Config struct {
 	// Observer, if non-nil, receives execution events, including each
 	// agent's state and phase transitions.
 	Observer sched.Observer
-	// ForceBlocking runs the agents on the scheduler's goroutine core
-	// instead of the direct-dispatch fast path (sched.Config).
-	ForceBlocking bool
 }
 
 // Run executes Algorithm SGL and reports every agent's outcome.
-func Run(cfg Config) (*Result, error) {
+func Run(cfg Config) (*Result, error) { return run(cfg, nil) }
+
+// run is Run with a replaceable agent program: program, when non-nil,
+// wraps each agent into the sched.Agent the runner drives (the package
+// tests substitute the blocking reference program).
+func run(cfg Config, program func(*agent) sched.Agent) (*Result, error) {
 	k := len(cfg.Labels)
 	if k < 2 {
 		return nil, fmt.Errorf("sgl: SGL requires at least 2 agents (k > 1): %w", rverr.ErrInvalidScenario)
@@ -599,6 +428,9 @@ func Run(cfg Config) (*Result, error) {
 	for i := range agents {
 		agents[i] = newAgent(cfg.Labels[i], values[i], cfg.Env, budget)
 		schedAgents[i] = agents[i]
+		if program != nil {
+			schedAgents[i] = program(agents[i])
+		}
 	}
 	awake := cfg.InitiallyAwake
 	if awake == nil {
@@ -621,9 +453,8 @@ func Run(cfg Config) (*Result, error) {
 			}
 			return true
 		},
-		Context:       cfg.Context,
-		Observer:      cfg.Observer,
-		ForceBlocking: cfg.ForceBlocking,
+		Context:  cfg.Context,
+		Observer: cfg.Observer,
 	}, adv)
 	if err != nil {
 		return nil, fmt.Errorf("sgl: %w", err)

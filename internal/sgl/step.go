@@ -5,11 +5,10 @@ import (
 	"meetpoly/internal/sched"
 )
 
-// stepState is the direct-dispatch program counter of an SGL agent:
-// the states of agent.Step, which realizes the same program as the
-// blocking agent.Run as an explicit resumable state machine. Every
-// emitting state names the state that processes the emitted move's
-// arrival, mirroring the esst.Machine convention.
+// stepState is the program counter of agent.Step, which realizes
+// Algorithm SGL as an explicit resumable state machine. Every emitting
+// state names the state that processes the emitted move's arrival,
+// mirroring the esst.Machine convention.
 type stepState uint8
 
 const (
@@ -33,18 +32,14 @@ const (
 	ssHalted
 )
 
-var _ sched.Stepper = (*agent)(nil)
-
-// halt ends the agent's program on the direct-dispatch core, mirroring
-// the finalState-recording defer of Run.
+// halt ends the agent's program.
 func (a *agent) halt() sched.Action {
-	a.finalState = a.state
 	a.ss = ssHalted
 	return sched.Action{Halt: true}
 }
 
 // emit hands one move to the runner, resetting the per-move token flags
-// exactly like the blocking core's move helper does at move start.
+// at move start.
 func (a *agent) emit(port int, arr stepState) sched.Action {
 	a.lastExit = port
 	a.ss = arr
@@ -60,9 +55,9 @@ func (a *agent) enterPhase1(p *sched.Proc) {
 	a.ss = ssP1
 }
 
-// Step implements sched.Stepper: the SGL state machine, program-
-// equivalent to the blocking Run (the differential campaign pins the
-// two against each other through both execution cores).
+// Step implements sched.Agent: the SGL state machine. The package tests
+// keep the blocking rendering of the same program as the reference
+// TestStepMatchesRun pins Step against, move for move.
 func (a *agent) Step(p *sched.Proc, o sched.Observation) sched.Action {
 	a.curDeg = o.Degree
 	for {
@@ -95,8 +90,7 @@ func (a *agent) Step(p *sched.Proc, o sched.Observation) sched.Action {
 			port, ok := a.rv.Next(a.curDeg, a.rvEntry)
 			if !ok {
 				a.failure = "traveller: RV schedule exhausted (impossible)"
-				// Mirror Run: a failed traveller still walks the
-				// explorer phases.
+				// A failed traveller still walks the explorer phases.
 				a.enterPhase1(p)
 				continue
 			}
@@ -180,8 +174,12 @@ func (a *agent) Step(p *sched.Proc, o sched.Observation) sched.Action {
 			if a.sweepIdx == len(a.sweepSeq) {
 				a.final = true
 				if len(a.sweepRec) > 0 {
-					// Bounce out and back to refresh the contact with a
-					// ghost parked at the sweep's far end (see phase3).
+					// Bounce out and back before backtracking: this
+					// re-triggers the meeting with any ghost co-located
+					// at the sweep's far end. The discrete contact-episode
+					// model only exchanges payloads when a contact
+					// STARTS, whereas the paper's continuous agents can
+					// transmit during an ongoing co-location.
 					last := a.sweepRec[len(a.sweepRec)-1]
 					return a.emit(last.Entry, ssBounceArr1)
 				}

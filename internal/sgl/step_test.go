@@ -1,62 +1,106 @@
 package sgl
 
 import (
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"meetpoly/internal/graph"
 	"meetpoly/internal/labels"
 	"meetpoly/internal/sched"
+	"meetpoly/internal/sched/schedtest"
+	"meetpoly/internal/uxs"
 )
 
+// stepMatrix is the team instance family of TestStepMatchesRun: the
+// graph shapes a sweep draws (path 3-5, ring 3-5, star 4-5, clique 4,
+// random tree 4-5, random graph 5), each with a two-agent and a
+// three-agent placement.
+func stepMatrix() []stepCase {
+	graphs := []*graph.Graph{
+		graph.Path(3), graph.Path(4), graph.Path(5),
+		graph.Ring(3), graph.Ring(4), graph.Ring(5),
+		graph.Star(4), graph.Star(5),
+		graph.Complete(4),
+		graph.RandomTree(4, uxs.DefaultTreeSeed(4)),
+		graph.RandomTree(5, uxs.DefaultTreeSeed(5)),
+		graph.RandomConnected(5, uxs.DefaultRandomP, uxs.DefaultRandomSeed(5)),
+	}
+	var cases []stepCase
+	for _, g := range graphs {
+		n := g.N()
+		cases = append(cases,
+			stepCase{g: g, starts: []int{0, n - 1}, labs: []labels.Label{2, 5}},
+			stepCase{g: g, starts: []int{n - 1, (n - 1) / 2, 0}, labs: []labels.Label{6, 3, 9}})
+	}
+	return cases
+}
+
+type stepCase struct {
+	g      *graph.Graph
+	starts []int
+	labs   []labels.Label
+}
+
 // TestStepMatchesRun is the package-level differential proof that the
-// state-machine program (agent.Step, direct-dispatch core) and the
-// blocking program (agent.Run, goroutine core) are the same algorithm:
-// identical instances driven through both cores must produce identical
-// reports and scheduler summaries, including traversal counts.
+// state-machine program (agent.Step) and the blocking reference program
+// (agent.Run in program_test.go) are the same algorithm: identical
+// instances run with either program must produce identical reports and
+// scheduler summaries, including traversal counts. Every instance runs
+// under three adversaries with a 200,000-event budget, which every
+// instance completes within except the oriented rings under the
+// deterministic adversaries (the agents co-rotate forever: the
+// symmetry phenomenon of examples/ringmeet), and again cut off by a
+// 3,000-event budget mid-program.
 func TestStepMatchesRun(t *testing.T) {
 	env := testEnv(t)
-	cases := []struct {
-		name   string
-		g      *graph.Graph
-		starts []int
-		labs   []labels.Label
-		adv    func() sched.Adversary
-	}{
-		{"path4/rr", graph.Path(4), []int{0, 3}, []labels.Label{2, 5}, func() sched.Adversary { return &sched.RoundRobin{} }},
-		{"ring5/random", graph.Ring(5), []int{0, 2, 4}, []labels.Label{3, 1, 6}, func() sched.Adversary { return sched.NewRandom(5) }},
-		{"star5/biased", graph.Star(5), []int{1, 2, 3}, []labels.Label{7, 4, 2}, func() sched.Adversary { return &sched.Biased{Weights: []int{1, 5, 9}} }},
-		{"clique4/avoider", graph.Complete(4), []int{0, 1, 2, 3}, []labels.Label{9, 3, 5, 1}, func() sched.Adversary { return &sched.Avoider{} }},
+	advs := map[string]func() sched.Adversary{
+		"round-robin": func() sched.Adversary { return &sched.RoundRobin{} },
+		"avoider":     func() sched.Adversary { return &sched.Avoider{} },
+		"random":      func() sched.Adversary { return sched.NewRandom(5) },
 	}
-	for _, tc := range cases {
-		run := func(force bool) *Result {
-			res, err := Run(Config{
-				Graph:         tc.g,
-				Starts:        tc.starts,
-				Labels:        tc.labs,
-				Env:           env,
-				Adversary:     tc.adv(),
-				MaxSteps:      20_000_000,
-				ForceBlocking: force,
-			})
+	reference := func(a *agent) sched.Agent {
+		return blockingAgent{agent: a, step: schedtest.Blocking(t, a.Run)}
+	}
+	check := func(id string, cfg Config, adv func() sched.Adversary, complete bool) {
+		t.Helper()
+		run := func(program func(*agent) sched.Agent) *Result {
+			cfg.Adversary = adv()
+			res, err := run(cfg, program)
 			if err != nil {
-				t.Fatalf("%s: %v", tc.name, err)
+				t.Fatalf("%s: %v", id, err)
 			}
 			return res
 		}
-		fast, slow := run(false), run(true)
-		if !reflect.DeepEqual(fast.Summary, slow.Summary) {
-			t.Fatalf("%s: summaries diverge:\nfast %+v\nslow %+v", tc.name, fast.Summary, slow.Summary)
+		step, ref := run(nil), run(reference)
+		if !reflect.DeepEqual(step.Summary, ref.Summary) {
+			t.Fatalf("%s: summaries diverge:\nstep %+v\nrun  %+v", id, step.Summary, ref.Summary)
 		}
-		if !reflect.DeepEqual(fast.Agents, slow.Agents) {
-			t.Fatalf("%s: agent reports diverge:\nfast %+v\nslow %+v", tc.name, fast.Agents, slow.Agents)
+		if !reflect.DeepEqual(step.Agents, ref.Agents) {
+			t.Fatalf("%s: agent reports diverge:\nstep %+v\nrun  %+v", id, step.Agents, ref.Agents)
 		}
-		if fast.AllOutput != slow.AllOutput || fast.TotalCost != slow.TotalCost {
-			t.Fatalf("%s: outcomes diverge: fast (%v, %d) slow (%v, %d)",
-				tc.name, fast.AllOutput, fast.TotalCost, slow.AllOutput, slow.TotalCost)
+		if step.AllOutput != ref.AllOutput || step.TotalCost != ref.TotalCost {
+			t.Fatalf("%s: outcomes diverge: step (%v, %d) run (%v, %d)",
+				id, step.AllOutput, step.TotalCost, ref.AllOutput, ref.TotalCost)
 		}
-		if !fast.AllOutput {
-			t.Fatalf("%s: SGL incomplete on both cores", tc.name)
+		if complete && !step.AllOutput {
+			t.Fatalf("%s: SGL incomplete with both programs", id)
 		}
 	}
+	for _, tc := range stepMatrix() {
+		for name, mk := range advs {
+			symmetric := strings.HasPrefix(tc.g.String(), "ring") && name != "random"
+			for _, budget := range []int{200_000, 3_000} {
+				cfg := Config{Graph: tc.g, Starts: tc.starts, Labels: tc.labs, Env: env, MaxSteps: budget}
+				check(fmt.Sprintf("%s/starts%v/%s/budget%d", tc.g, tc.starts, name, budget), cfg, mk,
+					budget > 3_000 && !symmetric)
+			}
+		}
+	}
+	// Skewed speeds and a four-agent clique.
+	check("star5/biased", Config{Graph: graph.Star(5), Starts: []int{1, 2, 3}, Labels: []labels.Label{7, 4, 2},
+		Env: env, MaxSteps: 20_000_000}, func() sched.Adversary { return &sched.Biased{Weights: []int{1, 5, 9}} }, true)
+	check("clique4/avoider", Config{Graph: graph.Complete(4), Starts: []int{0, 1, 2, 3}, Labels: []labels.Label{9, 3, 5, 1},
+		Env: env, MaxSteps: 20_000_000}, advs["avoider"], true)
 }

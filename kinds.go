@@ -52,7 +52,7 @@ func (rc *ScenarioRunContext) Observer() Observer { return rc.Engine.obs }
 
 // schedOpts bundles the run options the internal scheduler consumes.
 func (rc *ScenarioRunContext) schedOpts() sched.RunOpts {
-	return sched.RunOpts{Ctx: rc.Context, Observer: rc.Engine.obs, ForceBlocking: rc.Engine.forceBlocking}
+	return sched.RunOpts{Ctx: rc.Context, Observer: rc.Engine.obs}
 }
 
 // Finish maps a scheduler-level outcome to the engine's typed
@@ -347,16 +347,15 @@ func runESSTKind(rc *ScenarioRunContext) (*Result, error) {
 func runSGLKind(rc *ScenarioRunContext) (*Result, error) {
 	e, sc := rc.Engine, rc.Scenario
 	r, err := sgl.Run(sgl.Config{
-		Graph:         rc.Graph,
-		Starts:        sc.Starts,
-		Labels:        sc.Labels,
-		Values:        sc.Values,
-		Env:           e.env,
-		Adversary:     rc.Adversary,
-		MaxSteps:      sc.Budget,
-		Context:       rc.Context,
-		Observer:      e.obs,
-		ForceBlocking: e.forceBlocking,
+		Graph:     rc.Graph,
+		Starts:    sc.Starts,
+		Labels:    sc.Labels,
+		Values:    sc.Values,
+		Env:       e.env,
+		Adversary: rc.Adversary,
+		MaxSteps:  sc.Budget,
+		Context:   rc.Context,
+		Observer:  e.obs,
 	})
 	if err != nil {
 		return nil, err
