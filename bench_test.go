@@ -87,8 +87,8 @@ func BenchmarkE4Rendezvous(b *testing.B) {
 				cost := 0
 				for i := 0; i < b.N; i++ {
 					adv := sched.Strategies(2)[advName]()
-					res, err := core.Rendezvous(in.Graph, in.S1, in.S2, in.L1, in.L2,
-						env, adv, 500_000)
+					res, err := core.Rendezvous(sched.RunOpts{}, in.Graph, in.S1, in.S2, in.L1, in.L2,
+						core.NewStepper(in.L1, env), core.NewStepper(in.L2, env), nil, adv, 500_000)
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -110,8 +110,10 @@ func BenchmarkE4Baseline(b *testing.B) {
 		b.Run(in.Name, func(b *testing.B) {
 			cost := 0
 			for i := 0; i < b.N; i++ {
-				res, err := baseline.Rendezvous(in.Graph, in.S1, in.S2, in.L1, in.L2,
-					env, &sched.RoundRobin{}, 500_000)
+				n := in.Graph.N()
+				res, err := core.Rendezvous(sched.RunOpts{}, in.Graph, in.S1, in.S2, in.L1, in.L2,
+					baseline.NewStepper(env, n, in.L1), baseline.NewStepper(env, n, in.L2), nil,
+					&sched.RoundRobin{}, 500_000)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -128,13 +130,13 @@ func BenchmarkE4Baseline(b *testing.B) {
 func BenchmarkE5ESST(b *testing.B) {
 	cat := uxs.NewVerified(uxs.DefaultFamily(8), 1)
 	for _, in := range experiments.DefaultESSTInstances() {
-		if !cat.Covers(in.Graph) {
+		if !cat.CoversEqual(in.Graph) {
 			cat.Extend(in.Graph)
 		}
 		b.Run(in.Name, func(b *testing.B) {
 			cost, phase := 0, 0
 			for i := 0; i < b.N; i++ {
-				res, err := esst.Explore(in.Graph, in.Explorer, in.Tok, cat,
+				res, err := esst.Explore(sched.RunOpts{}, in.Graph, in.Explorer, in.Tok, cat,
 					&sched.RoundRobin{}, 50_000_000)
 				if err != nil {
 					b.Fatal(err)
@@ -259,8 +261,8 @@ func BenchmarkAblationAdversary(b *testing.B) {
 			cost := 0
 			for i := 0; i < b.N; i++ {
 				adv := sched.Strategies(2)[name]()
-				res, err := core.Rendezvous(in.Graph, in.S1, in.S2, in.L1, in.L2,
-					env, adv, 500_000)
+				res, err := core.Rendezvous(sched.RunOpts{}, in.Graph, in.S1, in.S2, in.L1, in.L2,
+					core.NewStepper(in.L1, env), core.NewStepper(in.L2, env), nil, adv, 500_000)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -359,7 +361,8 @@ func BenchmarkRunnerThroughput(b *testing.B) {
 	env := benchEnv(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := core.Rendezvous(g, 0, 3, 1, 3, env, &sched.RoundRobin{}, 100_000)
+		res, err := core.Rendezvous(sched.RunOpts{}, g, 0, 3, 1, 3,
+			core.NewStepper(1, env), core.NewStepper(3, env), nil, &sched.RoundRobin{}, 100_000)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -413,44 +413,36 @@ func (e *Engine) runPrepared(ctx context.Context, sc Scenario, g *Graph, adv Adv
 	})
 }
 
-// masterStepper returns the rendezvous master trajectory for (start,
-// label): a cached route replay when the graph has a route book, a
-// fresh composite stepper otherwise.
-func (e *Engine) masterStepper(routes *trajectory.RouteBook, g *Graph, start int, l Label) trajectory.Stepper {
-	if routes == nil {
-		if e.tele != nil {
-			e.tele.routeFresh.Inc()
+// routeStepper returns the trajectory of route kind 'R' (the rendezvous
+// master trajectory) or 'B' (the exponential baseline's at graph size n)
+// for (start, label): a cached route replay when the graph has a route
+// book, a fresh stepper otherwise.
+func (e *Engine) routeStepper(routes *trajectory.RouteBook, n int, kind byte, start int, l Label) trajectory.Stepper {
+	fresh := func() trajectory.Stepper {
+		if kind == 'B' {
+			return baseline.NewStepper(e.env, n, l)
 		}
 		return core.NewStepper(l, e.env)
 	}
-	if e.tele != nil {
-		e.tele.routeReplay.Inc()
-	}
-	return routes.Stepper(trajectory.RouteKey{Start: start, Kind: 'R', Param: uint64(l)},
-		func() trajectory.Stepper { return core.NewStepper(l, e.env) })
-}
-
-// baselineStepper is masterStepper for the exponential baseline
-// trajectory (which additionally depends on the graph size — fixed per
-// route book, so the same key shape works).
-func (e *Engine) baselineStepper(routes *trajectory.RouteBook, g *Graph, start int, l Label) trajectory.Stepper {
 	if routes == nil {
 		if e.tele != nil {
 			e.tele.routeFresh.Inc()
 		}
-		return baseline.NewStepper(e.env, g.N(), l)
+		return fresh()
 	}
 	if e.tele != nil {
 		e.tele.routeReplay.Inc()
 	}
-	n := g.N()
-	return routes.Stepper(trajectory.RouteKey{Start: start, Kind: 'B', Param: uint64(l)},
-		func() trajectory.Stepper { return baseline.NewStepper(e.env, n, l) })
+	return routes.Stepper(trajectory.RouteKey{Start: start, Kind: kind, Param: uint64(l)}, fresh)
 }
 
-// masterRoute materializes the first moves of the cached master
-// trajectory as a node route for the certifier.
-func (e *Engine) masterRoute(routes *trajectory.RouteBook, start int, l Label, moves int) []int {
+// masterRoute materializes the first moves of the master trajectory as
+// a node route for the certifier: from the route book when the graph has
+// one, derived afresh otherwise.
+func (e *Engine) masterRoute(routes *trajectory.RouteBook, g *Graph, start int, l Label, moves int) []int {
+	if routes == nil {
+		return core.Route(g, start, l, e.env, moves)
+	}
 	return routes.NodeRoute(trajectory.RouteKey{Start: start, Kind: 'R', Param: uint64(l)},
 		func() trajectory.Stepper { return core.NewStepper(l, e.env) }, moves)
 }
@@ -647,12 +639,6 @@ func (e *Engine) SweepStreamRange(ctx context.Context, spec SweepSpec, lo, hi in
 	return e.sweepSeq(ctx, spec, lo, hi, e.defaultOracles)
 }
 
-// SweepStreamRangeWithOracles is SweepStreamRange with an explicit
-// oracle suite.
-func (e *Engine) SweepStreamRangeWithOracles(ctx context.Context, spec SweepSpec, lo, hi int, oracles ...SweepOracle) iter.Seq2[SweepCellResult, error] {
-	return e.sweepSeq(ctx, spec, lo, hi, func() []SweepOracle { return oracles })
-}
-
 // sweepToEnd marks an unbounded upper range limit: sweepSeq clamps it
 // to the spec's cell count.
 const sweepToEnd = int(^uint(0) >> 1)
@@ -695,8 +681,8 @@ func (e *Engine) sweepPrepass(spec SweepSpec) {
 	}
 }
 
-// sweepSeq is the streaming sweep pipeline behind Sweep, SweepStream,
-// SweepStreamRange and their WithOracles variants: cells of [lo, hi)
+// sweepSeq is the streaming sweep pipeline behind Sweep, SweepStream
+// (each with a WithOracles variant) and SweepStreamRange: cells of [lo, hi)
 // are expanded one at a time into a bounded channel, each worker
 // prepares (through the prepared-scenario cache), executes and
 // oracle-judges its cell inline, and the judged results are yielded to

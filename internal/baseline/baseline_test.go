@@ -4,6 +4,7 @@ import (
 	"math/big"
 	"testing"
 
+	"meetpoly/internal/core"
 	"meetpoly/internal/graph"
 	"meetpoly/internal/labels"
 	"meetpoly/internal/sched"
@@ -62,7 +63,10 @@ func TestBaselineRendezvousMeets(t *testing.T) {
 			"round-robin": func() sched.Adversary { return &sched.RoundRobin{} },
 			"late-wake":   func() sched.Adversary { return &sched.LateWake{Primary: 0, Hold: 100} },
 		} {
-			res, err := Rendezvous(tc.g, tc.s1, tc.s2, tc.l1, tc.l2, env, mk(), 2_000_000)
+			n := tc.g.N()
+			bound := new(big.Int).Add(CostBound(env, n, tc.l1), CostBound(env, n, tc.l2))
+			res, err := core.Rendezvous(sched.RunOpts{}, tc.g, tc.s1, tc.s2, tc.l1, tc.l2,
+				NewStepper(env, n, tc.l1), NewStepper(env, n, tc.l2), bound, mk(), 2_000_000)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -125,7 +129,8 @@ func TestCertifiedBaselineMeeting(t *testing.T) {
 
 func TestBaselineRejectsEqualLabels(t *testing.T) {
 	env := testEnv(t)
-	if _, err := Rendezvous(graph.Path(2), 0, 1, 3, 3, env, &sched.RoundRobin{}, 10); err == nil {
+	if _, err := core.Rendezvous(sched.RunOpts{}, graph.Path(2), 0, 1, 3, 3,
+		NewStepper(env, 2, 3), NewStepper(env, 2, 3), nil, &sched.RoundRobin{}, 10); err == nil {
 		t.Error("equal labels accepted")
 	}
 }

@@ -476,8 +476,8 @@ func (x *expander) cell(meta registry.KindMeta, gp GraphParams, sp, lp int, adve
 	// Instance derivation is keyed on the graph cell and the sp/lp
 	// axis indices — NOT on the cell index — so cells that differ
 	// only in kind, label pair or adversary run the SAME placement
-	// (and, per placement, the same labels). That is what makes the
-	// ByAdversary and ByKind groupings compare like against like,
+	// (and, per placement, the same labels). That is what lets cells
+	// of different kinds or adversaries compare like against like,
 	// and what the s<sp>/l<lp> components of the cell ID assert.
 	s := x.starts(gp, sp)
 	c.Starts = []int{s[0], s[1]}

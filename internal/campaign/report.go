@@ -31,22 +31,6 @@ type GroupKey func(Cell) string
 // default report shape.
 func ByKindGraph(c Cell) string { return c.Kind + "/" + c.Graph.axisLabel() }
 
-// ByKind groups results by scenario kind only.
-func ByKind(c Cell) string { return c.Kind }
-
-// ByAdversary groups results by scenario kind and adversary family (the
-// spec string up to any ':' argument).
-func ByAdversary(c Cell) string {
-	adv := c.Adversary
-	if i := strings.IndexByte(adv, ':'); i >= 0 {
-		adv = adv[:i]
-	}
-	if adv == "" {
-		adv = "roundrobin"
-	}
-	return c.Kind + "/" + adv
-}
-
 // GroupStats aggregates the cells of one bucket.
 type GroupStats struct {
 	Group     string `json:"group"`

@@ -115,13 +115,6 @@ func NewStepper(l labels.Label, env *trajectory.Env) trajectory.Stepper {
 	})
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // PiBound returns Π(n, min(|L1|, |L2|)) for the environment's catalog:
 // the Theorem 3.1 guarantee on the number of edge traversals either agent
 // performs before the meeting is certain.
@@ -129,52 +122,30 @@ func PiBound(env *trajectory.Env, n int, l1, l2 labels.Label) *big.Int {
 	m := costmodel.New(func(k int) *big.Int {
 		return big.NewInt(int64(env.Catalog().P(k)))
 	})
-	mLen := l1.Len()
-	if l2.Len() < mLen {
-		mLen = l2.Len()
-	}
-	return m.Pi(n, mLen)
+	return m.Pi(n, min(l1.Len(), l2.Len()))
 }
 
-// Result summarizes one rendezvous execution.
+// Result summarizes one walker-pair execution.
 type Result struct {
 	Met     bool
 	Meeting *sched.Meeting // first meeting, nil if none within budget
 	Summary sched.Summary
-	Bound   *big.Int // Π guarantee for this instance
+	Bound   *big.Int // the caller's cost guarantee for this instance
 }
 
-// Rendezvous runs Algorithm RV-asynch-poly for two agents under the given
-// adversary, stopping at the first meeting or after budget adversary
-// events. Labels must be distinct and starts different; both agents are
-// woken immediately unless the adversary's schedule says otherwise — the
-// paper lets the adversary delay an agent arbitrarily, which the budget
-// models as pre-meeting freezing, so both are marked initially awake and
-// the adversary chooses who actually moves.
-func Rendezvous(g *graph.Graph, start1, start2 int, l1, l2 labels.Label,
-	env *trajectory.Env, adv sched.Adversary, budget int) (*Result, error) {
-	return RendezvousWith(sched.RunOpts{}, g, start1, start2, l1, l2, env, adv, budget)
-}
-
-// RendezvousWith is Rendezvous with cross-cutting execution options: a
-// context whose cancellation aborts the scheduler between events
-// (reported in Result.Summary.Canceled) and an observer receiving the
-// execution's events.
-func RendezvousWith(opts sched.RunOpts, g *graph.Graph, start1, start2 int, l1, l2 labels.Label,
-	env *trajectory.Env, adv sched.Adversary, budget int) (*Result, error) {
-	return RendezvousSteppers(opts, g, start1, start2, l1, l2, env, adv, budget,
-		NewStepper(l1, env), NewStepper(l2, env))
-}
-
-// RendezvousSteppers is RendezvousWith with the two agents' trajectory
-// steppers supplied by the caller. The steppers must emit exactly the
-// master trajectories of l1 and l2 — the engine passes cached route
-// replays here (trajectory.RouteBook), which are deterministic renditions
-// of the same walks, so repeated instances skip trajectory re-derivation.
-// bound, when non-nil, is the precomputed Π(n, min label length) for the
-// instance (the engine memoizes it across a sweep); nil derives it here.
-func RendezvousSteppers(opts sched.RunOpts, g *graph.Graph, start1, start2 int, l1, l2 labels.Label,
-	env *trajectory.Env, adv sched.Adversary, budget int, s1, s2 trajectory.Stepper, bound ...*big.Int) (*Result, error) {
+// Rendezvous runs two label-carrying walkers under the given adversary,
+// stopping at the first meeting or after budget adversary events. s1
+// and s2 are the agents' trajectories from start1 and start2 — the
+// master trajectories of NewStepper, the exponential baseline's, or
+// cached route replays of either — and bound is the instance's cost
+// guarantee the caller derived, reported as Result.Bound. Labels must
+// be distinct. Both agents are woken immediately: the paper lets the
+// adversary delay an agent arbitrarily, which the budget models as
+// pre-meeting freezing, so the adversary chooses who actually moves.
+// Cancelling opts.Ctx aborts the run between events (reported in
+// Result.Summary.Canceled); opts.Observer receives its events.
+func Rendezvous(opts sched.RunOpts, g *graph.Graph, start1, start2 int, l1, l2 labels.Label,
+	s1, s2 trajectory.Stepper, bound *big.Int, adv sched.Adversary, budget int) (*Result, error) {
 	if l1 == l2 {
 		return nil, fmt.Errorf("core: agents must have distinct labels: %w", rverr.ErrInvalidScenario)
 	}
@@ -195,17 +166,12 @@ func RendezvousSteppers(opts sched.RunOpts, g *graph.Graph, start1, start2 int, 
 	}
 	defer r.Close()
 	sum := r.Run()
-	res := &Result{
+	return &Result{
 		Met:     sum.FirstMeeting != nil,
 		Meeting: sum.FirstMeeting,
 		Summary: sum,
-	}
-	if len(bound) > 0 && bound[0] != nil {
-		res.Bound = bound[0]
-	} else {
-		res.Bound = PiBound(env, g.N(), l1, l2)
-	}
-	return res, nil
+		Bound:   bound,
+	}, nil
 }
 
 // Route materializes the first moves of the master trajectory of label l
@@ -217,37 +183,4 @@ func Route(g *graph.Graph, start int, l labels.Label, env *trajectory.Env, moves
 	route = append(route, start)
 	route = append(route, tr.Nodes...)
 	return route
-}
-
-// CertifyInstance runs the exhaustive adversary on the two agents' route
-// prefixes of the given length: the exact worst case over every schedule
-// (DESIGN.md §2.2). Forced=true certifies that NO adversary can prevent
-// the meeting within these prefixes.
-func CertifyInstance(g *graph.Graph, start1, start2 int, l1, l2 labels.Label,
-	env *trajectory.Env, moves int) (sched.CertResult, error) {
-	return CertifyInstanceWith(sched.RunOpts{}, g, start1, start2, l1, l2, env, moves)
-}
-
-// CertifyInstanceWith is CertifyInstance with cross-cutting execution
-// options; cancellation aborts the lattice sweep mid-run with an error
-// wrapping rverr.ErrCanceled.
-func CertifyInstanceWith(opts sched.RunOpts, g *graph.Graph, start1, start2 int, l1, l2 labels.Label,
-	env *trajectory.Env, moves int) (sched.CertResult, error) {
-	if l1 == l2 {
-		return sched.CertResult{}, fmt.Errorf("core: agents must have distinct labels: %w", rverr.ErrInvalidScenario)
-	}
-	ra := Route(g, start1, l1, env, moves)
-	rb := Route(g, start2, l2, env, moves)
-	return sched.CertifyCtx(opts.Ctx, ra, rb)
-}
-
-// CertifyRoutes runs the exhaustive adversary on two pre-materialized
-// route prefixes (same shape as Route's result). The engine uses it
-// with cached routes so sweeps re-derive each certify route once per
-// (graph, start, label) instead of once per cell.
-func CertifyRoutes(opts sched.RunOpts, ra, rb []int, l1, l2 labels.Label) (sched.CertResult, error) {
-	if l1 == l2 {
-		return sched.CertResult{}, fmt.Errorf("core: agents must have distinct labels: %w", rverr.ErrInvalidScenario)
-	}
-	return sched.CertifyCtx(opts.Ctx, ra, rb)
 }

@@ -138,7 +138,9 @@ func TestRendezvousAcrossGraphsAndAdversaries(t *testing.T) {
 	}
 	for _, tc := range cases {
 		for name, mk := range strategies {
-			res, err := Rendezvous(tc.g, tc.s1, tc.s2, tc.l1, tc.l2, env, mk(), 3_000_000)
+			res, err := Rendezvous(sched.RunOpts{}, tc.g, tc.s1, tc.s2, tc.l1, tc.l2,
+				NewStepper(tc.l1, env), NewStepper(tc.l2, env), PiBound(env, tc.g.N(), tc.l1, tc.l2),
+				mk(), 3_000_000)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -158,7 +160,8 @@ func TestRendezvousAcrossGraphsAndAdversaries(t *testing.T) {
 
 func TestRendezvousRejectsEqualLabels(t *testing.T) {
 	env := testEnv(t)
-	if _, err := Rendezvous(graph.Path(2), 0, 1, 5, 5, env, &sched.RoundRobin{}, 10); err == nil {
+	if _, err := Rendezvous(sched.RunOpts{}, graph.Path(2), 0, 1, 5, 5,
+		NewStepper(5, env), NewStepper(5, env), nil, &sched.RoundRobin{}, 10); err == nil {
 		t.Error("equal labels accepted")
 	}
 }
@@ -255,7 +258,8 @@ func TestLemma31NeedsIntegrality(t *testing.T) {
 // for n = 4 (see the cost tables of experiment E3).
 func TestOrientedRingSymmetryDodges(t *testing.T) {
 	env := testEnv(t)
-	res, err := Rendezvous(graph.Ring(4), 0, 2, 1, 3, env, &sched.RoundRobin{}, 200_000)
+	res, err := Rendezvous(sched.RunOpts{}, graph.Ring(4), 0, 2, 1, 3,
+		NewStepper(1, env), NewStepper(3, env), nil, &sched.RoundRobin{}, 200_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +292,7 @@ func TestCertifiedWorstCase(t *testing.T) {
 	prefix := 4000
 	forced := 0
 	for _, in := range instances {
-		res, err := CertifyInstance(in.g, in.s1, in.s2, in.l1, in.l2, env, prefix)
+		res, err := sched.Certify(Route(in.g, in.s1, in.l1, env, prefix), Route(in.g, in.s2, in.l2, env, prefix))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -301,7 +305,8 @@ func TestCertifiedWorstCase(t *testing.T) {
 			"round-robin": func() sched.Adversary { return &sched.RoundRobin{} },
 			"avoider":     func() sched.Adversary { return &sched.Avoider{} },
 		} {
-			r, err := Rendezvous(in.g, in.s1, in.s2, in.l1, in.l2, env, mk(), 10*prefix)
+			r, err := Rendezvous(sched.RunOpts{}, in.g, in.s1, in.s2, in.l1, in.l2,
+				NewStepper(in.l1, env), NewStepper(in.l2, env), nil, mk(), 10*prefix)
 			if err != nil {
 				t.Fatal(err)
 			}

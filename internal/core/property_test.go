@@ -42,7 +42,9 @@ func TestRendezvousOnRandomTreesProperty(t *testing.T) {
 		if s1 == s2 {
 			return true
 		}
-		res, err := Rendezvous(g, s1, s2, l1, l2, env, &sched.RoundRobin{}, 2_000_000)
+		res, err := Rendezvous(sched.RunOpts{}, g, s1, s2, l1, l2,
+			NewStepper(l1, env), NewStepper(l2, env), PiBound(env, g.N(), l1, l2),
+			&sched.RoundRobin{}, 2_000_000)
 		if err != nil {
 			return false
 		}

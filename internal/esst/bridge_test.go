@@ -52,7 +52,7 @@ func TestTESSTDominatesMeasured(t *testing.T) {
 		if !cat.Covers(g) {
 			cat.Extend(g)
 		}
-		res, err := Explore(g, tc.explorer, tc.token, cat, nil2(), 50_000_000)
+		res, err := Explore(sched.RunOpts{}, g, tc.explorer, tc.token, cat, nil2(), 50_000_000)
 		if err != nil {
 			t.Fatal(err)
 		}

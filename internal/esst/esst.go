@@ -159,21 +159,15 @@ type Result struct {
 // Explore runs Procedure ESST in g with the explorer starting at
 // startExplorer and the token parked at startToken, under the given
 // adversary. Coverage of all edges is verified by replaying the
-// explorer's port trace.
-func Explore(g *graph.Graph, startExplorer, startToken int, cat uxs.Catalog,
-	adv sched.Adversary, maxSteps int) (*Result, error) {
-	return ExploreWith(sched.RunOpts{}, g, startExplorer, startToken, cat, adv, maxSteps)
-}
-
-// ExploreWith is Explore with cross-cutting execution options: context
-// cancellation (reported in Result.Summary.Canceled) and an observer
-// that additionally receives "esst: phase i" phase-change events.
-func ExploreWith(opts sched.RunOpts, g *graph.Graph, startExplorer, startToken int, cat uxs.Catalog,
+// explorer's port trace. Cancelling opts.Ctx aborts the run between
+// events (reported in Result.Summary.Canceled); opts.Observer
+// additionally receives "esst: phase i" phase-change events.
+func Explore(opts sched.RunOpts, g *graph.Graph, startExplorer, startToken int, cat uxs.Catalog,
 	adv sched.Adversary, maxSteps int) (*Result, error) {
 	return explore(opts, g, startExplorer, startToken, cat, adv, maxSteps, nil)
 }
 
-// explore is ExploreWith with a replaceable explorer program: program,
+// explore is Explore with a replaceable explorer program: program,
 // when non-nil, wraps the Explorer into the agent the runner drives
 // (the package tests substitute the blocking reference).
 func explore(opts sched.RunOpts, g *graph.Graph, startExplorer, startToken int, cat uxs.Catalog,

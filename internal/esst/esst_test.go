@@ -39,7 +39,7 @@ func TestESSTTheorem21(t *testing.T) {
 		}
 		for _, startTok := range []int{0, g.N() - 1} {
 			startEx := (startTok + 1) % g.N()
-			res, err := Explore(g, startEx, startTok, cat, &sched.RoundRobin{}, 50_000_000)
+			res, err := Explore(sched.RunOpts{}, g, startEx, startTok, cat, &sched.RoundRobin{}, 50_000_000)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -67,7 +67,7 @@ func TestESSTTheorem21(t *testing.T) {
 func TestESSTDeterministic(t *testing.T) {
 	cat := testCat(t, 5)
 	run := func() *Result {
-		res, err := Explore(graph.Ring(5), 1, 3, cat, &sched.RoundRobin{}, 10_000_000)
+		res, err := Explore(sched.RunOpts{}, graph.Ring(5), 1, 3, cat, &sched.RoundRobin{}, 10_000_000)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -91,7 +91,7 @@ func TestESSTAdversaryIndependent(t *testing.T) {
 		"random":      func() sched.Adversary { return sched.NewRandom(11) },
 		"avoider":     func() sched.Adversary { return &sched.Avoider{} },
 	} {
-		res, err := Explore(g, 1, 0, cat, mk(), 10_000_000)
+		res, err := Explore(sched.RunOpts{}, g, 1, 0, cat, mk(), 10_000_000)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -118,7 +118,7 @@ func TestESSTPhaseGrowsWithDegree(t *testing.T) {
 	if !ext.Covers(g) {
 		ext.Extend(g)
 	}
-	res, err := Explore(g, 1, 0, cat, &sched.RoundRobin{}, 50_000_000)
+	res, err := Explore(sched.RunOpts{}, g, 1, 0, cat, &sched.RoundRobin{}, 50_000_000)
 	if err != nil {
 		t.Fatal(err)
 	}

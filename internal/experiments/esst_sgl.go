@@ -45,10 +45,8 @@ func E5ESST(cat uxs.Catalog, instances []ESSTInstance, budget int) *Table {
 		},
 	}
 	for _, in := range instances {
-		if v, ok := cat.(*uxs.Verified); ok && !v.Covers(in.Graph) {
-			v.Extend(in.Graph)
-		}
-		res, err := esst.Explore(in.Graph, in.Explorer, in.Tok, cat, &sched.RoundRobin{}, budget)
+		cover(cat, in.Graph)
+		res, err := esst.Explore(sched.RunOpts{}, in.Graph, in.Explorer, in.Tok, cat, &sched.RoundRobin{}, budget)
 		if err != nil {
 			t.AddRow(in.Name, in.Graph.N(), in.Graph.M(), "error: "+err.Error(),
 				"-", "-", "-", "-", "-")
@@ -65,6 +63,16 @@ func E5ESST(cat uxs.Catalog, instances []ESSTInstance, budget int) *Table {
 	t.Notes = append(t.Notes,
 		"phase <= 9n+3 and full coverage are Theorem 2.1's claims; E(n) = cost+1 is the size bound SGL consumes")
 	return t
+}
+
+// cover extends a verified catalog to g unless its family already holds
+// a structurally equal graph — the engine's coverage rule, which keeps
+// rebuilt family members from growing the family and re-deriving every
+// sequence.
+func cover(cat uxs.Catalog, g *graph.Graph) {
+	if v, ok := cat.(*uxs.Verified); ok && !v.CoversEqual(g) {
+		v.Extend(g)
+	}
 }
 
 // SGLInstance is one multi-agent workload.
@@ -97,6 +105,7 @@ func E8SGL(env *trajectory.Env, instances []SGLInstance, budget int) *Table {
 		},
 	}
 	for _, in := range instances {
+		cover(env.Catalog(), in.Graph)
 		res, err := sgl.Run(sgl.Config{
 			Graph:    in.Graph,
 			Starts:   in.Starts,

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"meetpoly/internal/costmodel"
+	"meetpoly/internal/graph"
 	"meetpoly/internal/trajectory"
 	"meetpoly/internal/uxs"
 )
@@ -143,6 +144,53 @@ func TestE5Table(t *testing.T) {
 			t.Errorf("instance %s: coverage %s", r[0], r[8])
 		}
 	}
+}
+
+// TestMeasuredTablesCoverStructurally: E5 and E8 extend a verified
+// catalog the way the engine does — only for a graph with no
+// structurally equal family member — so after both tables run, every
+// instance graph is covered and no graph they appended is structurally
+// equal to another family member (rebuilt members are not appended
+// again). The families are the ones esstsim -table and sglsim -table
+// use.
+func TestMeasuredTablesCoverStructurally(t *testing.T) {
+	if testing.Short() {
+		t.Skip("measured tables are slow")
+	}
+	check := func(name string, v *uxs.Verified, base int, gs []*graph.Graph) {
+		t.Helper()
+		for _, g := range gs {
+			if !v.CoversEqual(g) {
+				t.Errorf("%s: instance graph %s not covered", name, g)
+			}
+		}
+		fam := v.Family()
+		for i := base; i < len(fam); i++ {
+			for j := range fam {
+				if j != i && graph.Equal(fam[i], fam[j]) {
+					t.Errorf("%s: appended %s is structurally equal to family member %s", name, fam[i], fam[j])
+					break
+				}
+			}
+		}
+	}
+	cat := uxs.NewVerified(uxs.DefaultFamily(8), 1)
+	base := len(cat.Family())
+	var gs []*graph.Graph
+	for _, in := range DefaultESSTInstances() {
+		gs = append(gs, in.Graph)
+	}
+	E5ESST(cat, DefaultESSTInstances(), 50_000_000)
+	check("E5", cat, base, gs)
+
+	env := testEnv(t)
+	v := env.Catalog().(*uxs.Verified)
+	base, gs = len(v.Family()), nil
+	for _, in := range DefaultSGLInstances() {
+		gs = append(gs, in.Graph)
+	}
+	E8SGL(env, DefaultSGLInstances(), 40_000_000)
+	check("E8", v, base, gs)
 }
 
 func TestE8Table(t *testing.T) {

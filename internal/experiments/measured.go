@@ -54,7 +54,8 @@ func E4Measured(env *trajectory.Env, instances []RVInstance, budget int) *Table 
 		bound := core.PiBound(env, in.Graph.N(), in.L1, in.L2)
 		for _, name := range names {
 			adv := sched.Strategies(2)[name]()
-			res, err := core.Rendezvous(in.Graph, in.S1, in.S2, in.L1, in.L2, env, adv, budget)
+			res, err := core.Rendezvous(sched.RunOpts{}, in.Graph, in.S1, in.S2, in.L1, in.L2,
+				core.NewStepper(in.L1, env), core.NewStepper(in.L2, env), bound, adv, budget)
 			if err != nil {
 				t.AddRow(in.Name, in.Graph.N(), labelPair(in), name, "error: "+err.Error(), "-", "-", "-")
 				continue
@@ -98,14 +99,15 @@ func E6Certified(env *trajectory.Env, instances []RVInstance, prefix int) *Table
 		},
 	}
 	for _, in := range instances {
-		res, err := core.CertifyInstance(in.Graph, in.S1, in.S2, in.L1, in.L2, env, prefix)
+		res, err := sched.Certify(core.Route(in.Graph, in.S1, in.L1, env, prefix),
+			core.Route(in.Graph, in.S2, in.L2, env, prefix))
 		if err != nil {
 			t.AddRow(in.Name, "error: "+err.Error(), "-", "-", "-")
 			continue
 		}
 		measured := "-"
-		r, err := core.Rendezvous(in.Graph, in.S1, in.S2, in.L1, in.L2, env,
-			&sched.Avoider{}, 8*prefix)
+		r, err := core.Rendezvous(sched.RunOpts{}, in.Graph, in.S1, in.S2, in.L1, in.L2,
+			core.NewStepper(in.L1, env), core.NewStepper(in.L2, env), nil, &sched.Avoider{}, 8*prefix)
 		if err == nil && r.Met {
 			measured = fmt.Sprint(r.Meeting.Cost)
 		}
@@ -179,7 +181,8 @@ func E4Symmetry(env *trajectory.Env, budget int) *Table {
 	}{{oriented, "oriented"}, {shuffled, "shuffled"}} {
 		for _, name := range []string{"round-robin", "avoider"} {
 			adv := sched.Strategies(2)[name]()
-			res, err := core.Rendezvous(tc.g, 0, 2, 1, 3, env, adv, budget)
+			res, err := core.Rendezvous(sched.RunOpts{}, tc.g, 0, 2, 1, 3,
+				core.NewStepper(1, env), core.NewStepper(3, env), nil, adv, budget)
 			if err != nil {
 				t.AddRow("ring4", tc.ports, name, "error", "-")
 				continue

@@ -1,6 +1,7 @@
 package sgl
 
 import (
+	"meetpoly/internal/core"
 	"meetpoly/internal/esst"
 	"meetpoly/internal/sched"
 )
@@ -32,7 +33,7 @@ func (a *agent) move(mv func(int) sched.Observation, port int) sched.Observation
 // Run is the blocking SGL program.
 func (a *agent) Run(p *sched.Proc, start sched.Observation, mv func(int) sched.Observation) {
 	a.curDeg = start.Degree
-	a.rv = a.newRV()
+	a.rv = core.NewStepper(a.label, a.env)
 	p.Phase("sgl: traveller")
 	a.runTraveller(mv)
 	if a.state == StateGhost {

@@ -34,7 +34,6 @@ package sgl
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
 	"math/big"
@@ -259,42 +258,6 @@ func (a *agent) minBag() labels.Label {
 	return min
 }
 
-func (a *agent) newRV() trajectory.Stepper {
-	// Import cycle note: the master RV schedule lives in package core;
-	// sgl reimplements the same flattened loop to avoid core->sgl->core
-	// cycles. The structure is pinned against core.Schedule by tests.
-	bits := a.label.Modified()
-	s := len(bits)
-	k, i, phase := 1, 1, 0
-	return trajectory.Chain(func(int) trajectory.Stepper {
-		m := k
-		if s < m {
-			m = s
-		}
-		switch phase {
-		case 0, 1:
-			phase++
-			if bits[i-1] == 1 {
-				return a.env.B(2 * k)
-			}
-			return a.env.A(4 * k)
-		default:
-			phase = 0
-			defer func() {
-				i++
-				if i > m {
-					i = 1
-					k++
-				}
-			}()
-			if i < m {
-				return a.env.K(k)
-			}
-			return a.env.Omega(k)
-		}
-	})
-}
-
 // decideTraveller applies the traveller transition rules of Algorithm
 // SGL to one meeting snapshot; true when the agent changed state.
 func (a *agent) decideTraveller(enc encounterRec) bool {
@@ -488,78 +451,6 @@ func run(cfg Config, program func(*agent) sched.Agent) (*Result, error) {
 			res.AllOutput = false
 		}
 		res.Agents = append(res.Agents, rep)
-	}
-	return res, nil
-}
-
-// TeamSize solves the team size problem: every agent's count of
-// participating agents. It returns the (unanimous) count.
-func TeamSize(cfg Config) (int, error) {
-	res, err := runComplete(cfg)
-	if err != nil {
-		return 0, err
-	}
-	return res.Agents[0].TeamSize, nil
-}
-
-// LeaderElection returns the unanimously elected leader (the smallest
-// label).
-func LeaderElection(cfg Config) (labels.Label, error) {
-	res, err := runComplete(cfg)
-	if err != nil {
-		return 0, err
-	}
-	return res.Agents[0].Leader, nil
-}
-
-// PerfectRenaming returns the new name (in {1..k}) adopted by each agent,
-// indexed as cfg.Labels.
-func PerfectRenaming(cfg Config) ([]int, error) {
-	res, err := runComplete(cfg)
-	if err != nil {
-		return nil, err
-	}
-	names := make([]int, len(res.Agents))
-	for i, a := range res.Agents {
-		names[i] = a.NewName
-	}
-	return names, nil
-}
-
-// Gossip returns every agent's view of all initial values, keyed by
-// label, indexed as cfg.Labels.
-func Gossip(cfg Config) ([]map[labels.Label]string, error) {
-	res, err := runComplete(cfg)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]map[labels.Label]string, len(res.Agents))
-	for i, a := range res.Agents {
-		out[i] = a.Values
-	}
-	return out, nil
-}
-
-// runComplete runs SGL and errors unless every agent produced an output
-// and all outputs agree.
-func runComplete(cfg Config) (*Result, error) {
-	res, err := Run(cfg)
-	if err != nil {
-		return nil, err
-	}
-	if !res.AllOutput {
-		return nil, fmt.Errorf("sgl: not all agents output within %d steps", cfg.MaxSteps)
-	}
-	first := res.Agents[0].Output
-	for _, a := range res.Agents[1:] {
-		if len(a.Output) != len(first) {
-			return nil, errors.New("sgl: agents disagree on the label set")
-		}
-		for i := range first {
-			if a.Output[i] != first[i] {
-				return nil, errors.New("sgl: agents disagree on the label set")
-			}
-		}
 	}
 	return res, nil
 }

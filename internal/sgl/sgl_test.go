@@ -2,6 +2,7 @@ package sgl
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 
 	"meetpoly/internal/graph"
@@ -115,52 +116,45 @@ func TestSGLTheorem41(t *testing.T) {
 	}
 }
 
-// TestSGLApplications checks the four derived solutions on one instance.
+// TestSGLApplications checks the four derived solutions on one run:
+// every agent outputs, all agents agree on the label set and the gossip
+// values, and each agent's report carries the team size, the leader and
+// its new name.
 func TestSGLApplications(t *testing.T) {
 	env := testEnv(t)
-	labs := []labels.Label{6, 2, 9}
-	mkCfg := func() Config {
-		return Config{
-			Graph:    graph.Star(5),
-			Starts:   []int{0, 2, 4},
-			Labels:   labs,
-			Values:   []string{"valA", "valB", "valC"},
-			Env:      env,
-			MaxSteps: 40_000_000,
-		}
-	}
-	size, err := TeamSize(mkCfg())
+	res, err := Run(Config{
+		Graph:    graph.Star(5),
+		Starts:   []int{0, 2, 4},
+		Labels:   []labels.Label{6, 2, 9},
+		Values:   []string{"valA", "valB", "valC"},
+		Env:      env,
+		MaxSteps: 40_000_000,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if size != 3 {
-		t.Errorf("TeamSize = %d, want 3", size)
+	if !res.AllOutput {
+		t.Fatal("not all agents output")
 	}
-	leader, err := LeaderElection(mkCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if leader != 2 {
-		t.Errorf("Leader = %d, want 2", leader)
-	}
-	names, err := PerfectRenaming(mkCfg())
-	if err != nil {
-		t.Fatal(err)
+	first := res.Agents[0]
+	if first.Values[6] != "valA" || first.Values[2] != "valB" || first.Values[9] != "valC" {
+		t.Errorf("gossip view 0 = %v", first.Values)
 	}
 	// labels 6,2,9 -> sorted 2,6,9 -> ranks: 6->2, 2->1, 9->3.
 	wantNames := []int{2, 1, 3}
-	for i := range wantNames {
-		if names[i] != wantNames[i] {
-			t.Errorf("NewName[%d] = %d, want %d", i, names[i], wantNames[i])
+	for i, a := range res.Agents {
+		if !reflect.DeepEqual(a.Output, first.Output) || !reflect.DeepEqual(a.Values, first.Values) {
+			t.Errorf("agent %d disagrees with agent 0: output %v values %v, want %v %v",
+				i, a.Output, a.Values, first.Output, first.Values)
 		}
-	}
-	gossip, err := Gossip(mkCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, view := range gossip {
-		if view[6] != "valA" || view[2] != "valB" || view[9] != "valC" {
-			t.Errorf("gossip view %d = %v", i, view)
+		if a.TeamSize != 3 {
+			t.Errorf("agent %d: TeamSize = %d, want 3", i, a.TeamSize)
+		}
+		if a.Leader != 2 {
+			t.Errorf("agent %d: Leader = %d, want 2", i, a.Leader)
+		}
+		if a.NewName != wantNames[i] {
+			t.Errorf("agent %d: NewName = %d, want %d", i, a.NewName, wantNames[i])
 		}
 	}
 }

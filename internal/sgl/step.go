@@ -1,6 +1,7 @@
 package sgl
 
 import (
+	"meetpoly/internal/core"
 	"meetpoly/internal/esst"
 	"meetpoly/internal/sched"
 )
@@ -63,7 +64,7 @@ func (a *agent) Step(p *sched.Proc, o sched.Observation) sched.Action {
 	for {
 		switch a.ss {
 		case ssInit:
-			a.rv = a.newRV()
+			a.rv = core.NewStepper(a.label, a.env)
 			p.Phase("sgl: traveller")
 			a.ss = ssTravDecide
 

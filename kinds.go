@@ -3,6 +3,7 @@ package meetpoly
 import (
 	"context"
 	"fmt"
+	"math/big"
 	"sync"
 
 	"meetpoly/internal/baseline"
@@ -219,13 +220,13 @@ func init() {
 		Kind: ScenarioRendezvous, Labeled: true, UsesAdversary: true, UsesBudget: true,
 		Validate: validateTwoAgentBudgeted,
 		Run:      runRendezvousKind,
-		Outcome:  outcomeRendezvous,
+		Outcome:  outcomeWalkers,
 	})
 	mustRegisterKind(ScenarioKindDef{
 		Kind: ScenarioBaseline, Labeled: true, UsesAdversary: true, UsesBudget: true,
 		Validate: validateTwoAgentBudgeted,
 		Run:      runBaselineKind,
-		Outcome:  outcomeBaseline,
+		Outcome:  outcomeWalkers,
 	})
 	mustRegisterKind(ScenarioKindDef{
 		Kind: ScenarioESST, Labeled: false, UsesAdversary: true, UsesBudget: true,
@@ -307,35 +308,38 @@ func validateSGL(s Scenario, g *Graph) error {
 // --- built-in runners (the arms of the former runPrepared switch) ---
 
 func runRendezvousKind(rc *ScenarioRunContext) (*Result, error) {
-	e, sc, g := rc.Engine, rc.Scenario, rc.Graph
-	s1 := e.masterStepper(rc.routes, g, sc.Starts[0], sc.Labels[0])
-	s2 := e.masterStepper(rc.routes, g, sc.Starts[1], sc.Labels[1])
-	r, err := core.RendezvousSteppers(rc.schedOpts(), g, sc.Starts[0], sc.Starts[1],
-		sc.Labels[0], sc.Labels[1], e.env, rc.Adversary, sc.Budget, s1, s2,
-		e.piBound(g.N(), sc.Labels[0], sc.Labels[1]))
+	sc := rc.Scenario
+	r, err := rc.runWalkers('R', rc.Engine.piBound(rc.Graph.N(), sc.Labels[0], sc.Labels[1]))
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{Scenario: sc, Rendezvous: r}
-	return res, rc.Finish(r.Summary, r.Met, "no meeting")
+	return &Result{Scenario: sc, Rendezvous: r}, rc.Finish(r.Summary, r.Met, "no meeting")
 }
 
 func runBaselineKind(rc *ScenarioRunContext) (*Result, error) {
-	e, sc, g := rc.Engine, rc.Scenario, rc.Graph
-	s1 := e.baselineStepper(rc.routes, g, sc.Starts[0], sc.Labels[0])
-	s2 := e.baselineStepper(rc.routes, g, sc.Starts[1], sc.Labels[1])
-	r, err := baseline.RendezvousSteppers(rc.schedOpts(), g, sc.Starts[0], sc.Starts[1],
-		sc.Labels[0], sc.Labels[1], e.env, rc.Adversary, sc.Budget, s1, s2)
+	env, n, sc := rc.Engine.env, rc.Graph.N(), rc.Scenario
+	r, err := rc.runWalkers('B', new(big.Int).Add(
+		baseline.CostBound(env, n, sc.Labels[0]), baseline.CostBound(env, n, sc.Labels[1])))
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{Scenario: sc, Baseline: r}
-	return res, rc.Finish(r.Summary, r.Met, "no meeting")
+	return &Result{Scenario: sc, Baseline: r}, rc.Finish(r.Summary, r.Met, "no meeting")
+}
+
+// runWalkers runs the scenario's two agents through core.Rendezvous on
+// the trajectories of the given route kind ('R' master, 'B' baseline),
+// reporting bound as the instance's guarantee.
+func (rc *ScenarioRunContext) runWalkers(kind byte, bound *big.Int) (*core.Result, error) {
+	e, sc, n := rc.Engine, rc.Scenario, rc.Graph.N()
+	s1 := e.routeStepper(rc.routes, n, kind, sc.Starts[0], sc.Labels[0])
+	s2 := e.routeStepper(rc.routes, n, kind, sc.Starts[1], sc.Labels[1])
+	return core.Rendezvous(rc.schedOpts(), rc.Graph, sc.Starts[0], sc.Starts[1], sc.Labels[0], sc.Labels[1],
+		s1, s2, bound, rc.Adversary, sc.Budget)
 }
 
 func runESSTKind(rc *ScenarioRunContext) (*Result, error) {
 	e, sc := rc.Engine, rc.Scenario
-	r, err := esst.ExploreWith(rc.schedOpts(), rc.Graph, sc.Starts[0], sc.Starts[1],
+	r, err := esst.Explore(rc.schedOpts(), rc.Graph, sc.Starts[0], sc.Starts[1],
 		e.env.Catalog(), rc.Adversary, sc.Budget)
 	if err != nil {
 		return nil, err
@@ -366,20 +370,11 @@ func runSGLKind(rc *ScenarioRunContext) (*Result, error) {
 
 func runCertifyKind(rc *ScenarioRunContext) (*Result, error) {
 	e, sc := rc.Engine, rc.Scenario
-	if rc.routes != nil {
-		// The certifier consumes the same master trajectories the
-		// rendezvous agents walk, as node-route prefixes; the cached
-		// routes serve both.
-		ra := e.masterRoute(rc.routes, sc.Starts[0], sc.Labels[0], sc.Moves)
-		rb := e.masterRoute(rc.routes, sc.Starts[1], sc.Labels[1], sc.Moves)
-		r, err := core.CertifyRoutes(rc.schedOpts(), ra, rb, sc.Labels[0], sc.Labels[1])
-		if err != nil {
-			return nil, err
-		}
-		return &Result{Scenario: sc, Cert: &r}, nil
-	}
-	r, err := core.CertifyInstanceWith(rc.schedOpts(), rc.Graph, sc.Starts[0], sc.Starts[1],
-		sc.Labels[0], sc.Labels[1], e.env, sc.Moves)
+	// The certifier consumes the same master trajectories the
+	// rendezvous agents walk, as node-route prefixes.
+	r, err := sched.CertifyCtx(rc.Context,
+		e.masterRoute(rc.routes, rc.Graph, sc.Starts[0], sc.Labels[0], sc.Moves),
+		e.masterRoute(rc.routes, rc.Graph, sc.Starts[1], sc.Labels[1], sc.Moves))
 	if err != nil {
 		return nil, err
 	}
@@ -397,20 +392,13 @@ func fillOutcomeSummary(o *SweepOutcome, sum Summary) {
 	o.Committed = sum.Account.Committed
 }
 
-func outcomeRendezvous(res *Result, runErr error, o *SweepOutcome) {
+// outcomeWalkers classifies the walker-pair kinds (rendezvous and
+// baseline), whichever of the two results the run filled.
+func outcomeWalkers(res *Result, runErr error, o *SweepOutcome) {
 	r := res.Rendezvous
 	if r == nil {
-		return
+		r = res.Baseline
 	}
-	fillOutcomeSummary(o, r.Summary)
-	if r.Met && runErr == nil {
-		o.Met = true
-		o.Cost = r.Meeting.Cost
-	}
-}
-
-func outcomeBaseline(res *Result, runErr error, o *SweepOutcome) {
-	r := res.Baseline
 	if r == nil {
 		return
 	}

@@ -72,7 +72,6 @@ package meetpoly
 import (
 	"math/big"
 
-	"meetpoly/internal/baseline"
 	"meetpoly/internal/core"
 	"meetpoly/internal/costmodel"
 	"meetpoly/internal/esst"
@@ -102,7 +101,7 @@ type Adversary = sched.Adversary
 type RendezvousResult = core.Result
 
 // BaselineResult reports an exponential-baseline rendezvous execution.
-type BaselineResult = baseline.Result
+type BaselineResult = core.Result
 
 // SGLResult reports an SGL run.
 type SGLResult = sgl.Result

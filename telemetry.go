@@ -108,7 +108,7 @@ func newEngineMetrics(e *Engine, reg *Metrics) *engineMetrics {
 	m.routeReplay = reg.Counter("meetpoly_engine_route_replays_total",
 		"Deterministic trajectories served through a cached route book.")
 	m.routeFresh = reg.Counter("meetpoly_engine_route_fresh_total",
-		"Deterministic trajectories derived without a route book (cache off or instance graphs).")
+		"Deterministic trajectories derived without a route book (GraphInstance scenarios).")
 
 	for i, v := range [...]string{"met", "exhausted", "canceled", "invalid", "other"} {
 		m.verdicts[i] = reg.Counter("meetpoly_engine_cell_verdicts_total",
