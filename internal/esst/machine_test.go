@@ -31,8 +31,8 @@ func machineMatrix() []*graph.Graph {
 // TestMachineMatchesProcedure is the runner-level differential proof
 // that the pull-based Machine (Explorer.Step) and the blocking
 // Procedure realize the same ESST program: the same instance run with
-// either program must produce identical results and scheduler
-// summaries. The matrix spans the graph family, four adversaries, two
+// either program must produce identical results, scheduler summaries
+// and meeting streams. The matrix spans the graph family, four adversaries, two
 // start placements, and both a full budget and a 3,000-event budget
 // that cuts most explorations off mid-walk.
 func TestMachineMatchesProcedure(t *testing.T) {
@@ -55,20 +55,28 @@ func TestMachineMatchesProcedure(t *testing.T) {
 			for name, mk := range advs {
 				for _, budget := range []int{5_000_000, 3_000} {
 					id := fmt.Sprintf("%s/starts%v/%s/budget%d", g, starts, name, budget)
-					run := func(program func(*Explorer) sched.Agent) *Result {
-						res, err := explore(sched.RunOpts{}, g, starts[0], starts[1], cat, mk(), budget, program)
+					run := func(program func(*Explorer) sched.Agent) (*Result, []sched.Meeting) {
+						var meetings []sched.Meeting
+						opts := sched.RunOpts{Observer: &sched.FuncObserver{
+							Meeting: func(m sched.Meeting) { meetings = append(meetings, m) },
+						}}
+						res, err := explore(opts, g, starts[0], starts[1], cat, mk(), budget, program)
 						if err != nil {
 							t.Fatal(err)
 						}
-						return res
+						return res, meetings
 					}
-					mach, ref := run(nil), run(reference)
+					mach, machMeetings := run(nil)
+					ref, refMeetings := run(reference)
 					if mach.Done != ref.Done || mach.Phase != ref.Phase || mach.Cost != ref.Cost ||
 						mach.EUpper != ref.EUpper || mach.Covered != ref.Covered {
 						t.Fatalf("%s: programs diverge: machine %+v, procedure %+v", id, mach, ref)
 					}
 					if !reflect.DeepEqual(mach.Summary, ref.Summary) {
 						t.Fatalf("%s: summaries diverge:\nmachine   %+v\nprocedure %+v", id, mach.Summary, ref.Summary)
+					}
+					if !reflect.DeepEqual(machMeetings, refMeetings) {
+						t.Fatalf("%s: meeting streams diverge:\nmachine   %+v\nprocedure %+v", id, machMeetings, refMeetings)
 					}
 					if budget > 3_000 && !mach.Done {
 						t.Fatalf("%s: ESST did not terminate", id)

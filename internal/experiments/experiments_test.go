@@ -1,6 +1,9 @@
 package experiments
 
 import (
+	"flag"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -20,6 +23,32 @@ func render(t *testing.T, tab *Table) string {
 	var sb strings.Builder
 	tab.Render(&sb)
 	return sb.String()
+}
+
+var update = flag.Bool("update", false, "rewrite the golden tables under testdata/")
+
+// checkGolden compares a measured table's rendering byte for byte with
+// testdata/<name>.golden. The shape checks beside it only catch a table
+// that breaks outright; the golden file also catches a change in the
+// rendezvous, ESST or SGL meeting semantics that moves a cost.
+// Regenerate with: go test ./internal/experiments -run <test> -update
+func checkGolden(t *testing.T, name string, tab *Table) {
+	t.Helper()
+	got := render(t, tab)
+	path := filepath.Join("testdata", name+".golden")
+	if *update {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		t.Errorf("table differs from %s:\ngot:\n%s\nwant:\n%s", path, got, want)
+	}
 }
 
 func TestE1E2Shapes(t *testing.T) {
@@ -95,6 +124,7 @@ func TestE4AndE6Measured(t *testing.T) {
 	if met == 0 {
 		t.Error("no instance met under any strategy in E4")
 	}
+	checkGolden(t, "e4-measured", e4)
 	e6 := E6Certified(env, instances[:2], 3000)
 	forced := 0
 	for _, r := range e6.Rows {
@@ -105,6 +135,7 @@ func TestE4AndE6Measured(t *testing.T) {
 	if forced == 0 {
 		t.Error("no instance certified forced in E6")
 	}
+	checkGolden(t, "e6-certified", e6)
 }
 
 func TestE4SymmetryTable(t *testing.T) {
@@ -128,6 +159,7 @@ func TestE4SymmetryTable(t *testing.T) {
 	if !shuffledMet {
 		t.Error("shuffled ring never met; port shuffling should break the symmetry")
 	}
+	checkGolden(t, "e4-symmetry", tab)
 }
 
 func TestE5Table(t *testing.T) {
@@ -144,6 +176,7 @@ func TestE5Table(t *testing.T) {
 			t.Errorf("instance %s: coverage %s", r[0], r[8])
 		}
 	}
+	checkGolden(t, "e5-esst", tab)
 }
 
 // TestMeasuredTablesCoverStructurally: E5 and E8 extend a verified
@@ -204,6 +237,7 @@ func TestE8Table(t *testing.T) {
 			t.Errorf("instance %s: all-output = %s", r[0], r[3])
 		}
 	}
+	checkGolden(t, "e8-sgl", tab)
 }
 
 func TestF1to4Renders(t *testing.T) {

@@ -59,24 +59,76 @@ func (a *fuzzAdv) Next(v *View) (Event, bool) {
 	return ev, true
 }
 
+// peerRecorder is a Walker that keeps a copy of every peer list it is
+// delivered: the runner reuses its peer buffers, so only a copy taken
+// inside OnMeet shows what the agent actually saw.
+type peerRecorder struct {
+	Walker
+	delivered [][]Peer // peer lists since the checker last looked
+}
+
+func (w *peerRecorder) OnMeet(e Encounter) {
+	w.Walker.OnMeet(e)
+	w.delivered = append(w.delivered, append([]Peer(nil), e.Peers...))
+}
+
 // invariantChecker verifies, between consecutive adversary views, the
 // half-step semantics of the package doc: only the evented agent moves,
 // an agent at a node can only enter the edge its committed port names,
 // an agent strictly inside an edge can only arrive at its far endpoint
 // (never teleport), and meetings fire exactly when a pair of agents
 // comes newly into contact — at a shared node, or inside a shared edge
-// in opposite directions.
+// in opposite directions. At every meeting it also checks what each
+// participant was delivered: exactly the other participants, in
+// ascending ID order, each with its own payload.
 type invariantChecker struct {
 	t        *testing.T
 	g        *graph.Graph
+	agents   []*peerRecorder
 	prev     []AgentView
 	prevOK   bool
 	contacts map[[2]int]bool
-	meetings []Meeting
+	meetings []Meeting // since the previous view
+	stream   []Meeting // the whole run's
 	adv      *fuzzAdv
 }
 
-func (c *invariantChecker) onMeeting(m Meeting) { c.meetings = append(c.meetings, m) }
+func (c *invariantChecker) onMeeting(m Meeting) {
+	c.meetings = append(c.meetings, m)
+	c.stream = append(c.stream, m)
+	in := make(map[int]bool, len(m.Participants))
+	for _, id := range m.Participants {
+		in[id] = true
+	}
+	for id, a := range c.agents {
+		if !in[id] {
+			if len(a.delivered) != 0 {
+				c.t.Fatalf("agent %d was delivered %v outside meeting %+v", id, a.delivered, m)
+			}
+			continue
+		}
+		if len(a.delivered) != 1 {
+			c.t.Fatalf("agent %d was delivered %d encounters for meeting %+v", id, len(a.delivered), m)
+		}
+		var want []int
+		for other := range c.agents {
+			if other != id && in[other] {
+				want = append(want, other)
+			}
+		}
+		got := a.delivered[0]
+		if len(got) != len(want) {
+			c.t.Fatalf("agent %d got peers %v at meeting %+v, want IDs %v", id, got, m, want)
+		}
+		for i, p := range got {
+			if p.ID != want[i] || p.Payload != c.agents[want[i]].Payload {
+				c.t.Fatalf("agent %d got peers %v at meeting %+v, want IDs %v with their own payloads",
+					id, got, m, want)
+			}
+		}
+		a.delivered = a.delivered[:0]
+	}
+}
 
 func (c *invariantChecker) contactsOf(agents []AgentView) map[[2]int]bool {
 	cur := make(map[[2]int]bool)
@@ -180,16 +232,19 @@ func (c *invariantChecker) snapshot(v *View) []AgentView {
 	return c.prev
 }
 
-// runFuzzSchedule executes one fuzzed schedule and returns its summary.
-func runFuzzSchedule(t *testing.T, data []byte) Summary {
+// runFuzzSchedule executes one fuzzed schedule and returns its summary
+// and meeting stream.
+func runFuzzSchedule(t *testing.T, data []byte) (Summary, []Meeting) {
 	g := graph.Ring(5)
-	agents := []Agent{
-		&Walker{Stepper: &fuzzWalk{data: data, off: 0, limit: 40}},
-		&Walker{Stepper: &fuzzWalk{data: data, off: 7, limit: 40}},
-		&Walker{Stepper: &fuzzWalk{data: data, off: 19, limit: 40}},
+	var recs []*peerRecorder
+	var agents []Agent
+	for _, off := range []int{0, 7, 19} {
+		w := &peerRecorder{Walker: Walker{Stepper: &fuzzWalk{data: data, off: off, limit: 40}, Payload: new(int)}}
+		recs = append(recs, w)
+		agents = append(agents, w)
 	}
 	adv := &fuzzAdv{data: data}
-	chk := &invariantChecker{t: t, g: g, adv: adv}
+	chk := &invariantChecker{t: t, g: g, agents: recs, adv: adv}
 	adv.check = chk.check
 	r, err := NewRunner(Config{
 		Graph:          g,
@@ -203,15 +258,16 @@ func runFuzzSchedule(t *testing.T, data []byte) Summary {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	return r.Run()
+	return r.Run(), chk.stream
 }
 
 // FuzzAdversaryEvents feeds arbitrary event streams into Runner.apply
 // through a synthetic adversary and asserts the half-step invariants of
-// the package doc on every event. Each schedule runs twice: the second
+// the package doc on every event, and at every meeting the peer list
+// each participant was delivered. Each schedule runs twice: the second
 // runner draws the first one's recycled scratch from the pool, and the
-// two summaries must agree — no state may leak from one tenant into
-// the next.
+// two summaries and meeting streams must agree — no state may leak from
+// one tenant into the next.
 func FuzzAdversaryEvents(f *testing.F) {
 	f.Add([]byte{1, 3, 0, 255, 17, 4, 4, 9, 2, 88, 13, 5})
 	f.Add(bytes.Repeat([]byte{0}, 48))
@@ -221,10 +277,14 @@ func FuzzAdversaryEvents(f *testing.F) {
 		if len(data) == 0 {
 			return
 		}
-		first := runFuzzSchedule(t, data)
-		second := runFuzzSchedule(t, data)
+		first, firstMeetings := runFuzzSchedule(t, data)
+		second, secondMeetings := runFuzzSchedule(t, data)
 		if !reflect.DeepEqual(first, second) {
 			t.Fatalf("runs diverge on the same schedule:\nfirst  %+v\nsecond %+v", first, second)
+		}
+		if !reflect.DeepEqual(firstMeetings, secondMeetings) {
+			t.Fatalf("meeting streams diverge on the same schedule:\nfirst  %+v\nsecond %+v",
+				firstMeetings, secondMeetings)
 		}
 	})
 }

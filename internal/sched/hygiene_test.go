@@ -22,8 +22,8 @@ func (b *badPort) Next(deg, entry int) (int, bool) {
 var _ trajectory.Stepper = (*badPort)(nil)
 
 // scrubbedRunScratch asserts the pooled scratch retains no references
-// to a previous tenant's agents over its FULL capacity — the live
-// prefix and the capacity tail beyond it alike.
+// to a previous tenant's agents or payloads over its FULL capacity —
+// the live prefix and the capacity tail beyond it alike.
 func scrubbedRunScratch(t *testing.T, s *runScratch) {
 	t.Helper()
 	for i, st := range s.states[:cap(s.states)] {
@@ -36,20 +36,26 @@ func scrubbedRunScratch(t *testing.T, s *runScratch) {
 			t.Errorf("pooled scratch ptrs[%d] retains an agent-state pointer", i)
 		}
 	}
+	for i, p := range s.meetBuf[:cap(s.meetBuf)] {
+		if p.Payload != nil {
+			t.Errorf("pooled scratch meetBuf[%d] retains a payload", i)
+		}
+	}
 }
 
-// TestCloseScrubsScratch runs a three-agent simulation and checks that
-// Close zeroes every agent reference in the pooled scratch — including
-// capacity beyond the next tenant's live prefix, where a stale pointer
-// would silently pin agents (and everything they reference) in memory.
+// TestCloseScrubsScratch runs a three-agent simulation with a meeting
+// and checks that Close zeroes every agent and payload reference in
+// the pooled scratch — including capacity beyond the next tenant's
+// live prefix, where a stale pointer would silently pin agents (and
+// everything they reference) in memory.
 func TestCloseScrubsScratch(t *testing.T) {
 	r, err := NewRunner(Config{
 		Graph:  graph.Ring(6),
 		Starts: []int{0, 2, 4},
 		Agents: []Agent{
-			&Walker{Stepper: script(0, 0)},
-			&Walker{Stepper: script(0, 0)},
-			&Walker{Stepper: script(0, 0)},
+			&Walker{Stepper: script(0, 0), Payload: new(int)},
+			&Walker{Stepper: script(0, 0), Payload: new(int)},
+			&Walker{Stepper: script(1, 1), Payload: new(int)},
 		},
 		InitiallyAwake: []int{0, 1, 2},
 		MaxSteps:       50,
@@ -58,7 +64,9 @@ func TestCloseScrubsScratch(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := r.scratch
-	r.Run()
+	if sum := r.Run(); sum.FirstMeeting == nil {
+		t.Fatal("no meeting: the meeting buffer went unused")
+	}
 	r.Close()
 	scrubbedRunScratch(t, s)
 }

@@ -17,7 +17,7 @@ type Observer interface {
 	// OnTraversal fires when agent completes an edge traversal
 	// (arriving at node to, having left node from).
 	OnTraversal(agent, from, to int)
-	// OnMeeting fires for every recorded meeting.
+	// OnMeeting fires for every meeting.
 	OnMeeting(m Meeting)
 	// OnPhase fires when an agent announces an algorithm phase change.
 	OnPhase(agent int, phase string)

@@ -42,9 +42,13 @@ type Peer struct {
 
 // Encounter describes one meeting from one participant's point of view.
 type Encounter struct {
-	Step   int    // scheduler step at which the meeting happened
-	InEdge bool   // true for a crossing meeting inside an edge
-	Peers  []Peer // the other participants' published payloads
+	Step   int  // scheduler step at which the meeting happened
+	InEdge bool // true for a crossing meeting inside an edge
+	// Peers are the other participants' published payloads, in ascending
+	// ID order. The slice is the runner's scratch and is valid only
+	// during OnMeet: an agent that keeps peers copies them (it may keep
+	// the payloads themselves, which never change).
+	Peers []Peer
 }
 
 // Agent is a participant in a simulation.
@@ -62,9 +66,15 @@ type Encounter struct {
 // synchronization.
 type Agent interface {
 	Step(p *Proc, o Observation) Action
-	// Publish returns the payload shared with peers at a meeting.
+	// Publish returns the payload shared with peers at a meeting. Peers
+	// may keep it past their OnMeet, so a value Publish returned must
+	// not change afterwards: an agent whose shared state changes
+	// publishes a new value (for example a pointer to a fresh
+	// snapshot). Returning a pointer or a stored interface value keeps
+	// the meeting path allocation-free.
 	Publish() any
-	// OnMeet delivers a meeting. It runs before the agent's next Step.
+	// OnMeet delivers a meeting. It runs before the agent's next Step;
+	// e.Peers is valid only until it returns.
 	OnMeet(e Encounter)
 }
 
@@ -158,7 +168,8 @@ type Event struct {
 	Agent int
 }
 
-// Meeting is a recorded meeting for the execution log.
+// Meeting is the record of one meeting: Summary.FirstMeeting and the
+// observer's OnMeeting event.
 type Meeting struct {
 	Step         int
 	Participants []int
@@ -187,7 +198,7 @@ type Config struct {
 	StopWhen func(r *Runner) bool
 	// StopAtFirstMeeting ends the run once any meeting has fired: the
 	// rendezvous-shaped StopWhen, as a field so the hot loop tests a
-	// flag and a length instead of calling a closure per event.
+	// flag instead of calling a closure per event.
 	StopAtFirstMeeting bool
 	// MaxSteps bounds the number of adversary events (safety net).
 	MaxSteps int
@@ -204,8 +215,11 @@ type Runner struct {
 	agents []*agentState
 	adv    Adversary
 
-	steps    int
-	meetings []Meeting
+	steps int
+	// met reports that a meeting has fired; first is its record
+	// (Summary.FirstMeeting). Later meetings reach only the observer.
+	met   bool
+	first Meeting
 
 	// Maintained aggregates: how many agents are still dormant and how
 	// many hold an uncommitted move. They turn the per-event liveness
@@ -234,6 +248,7 @@ type Runner struct {
 	edgeTouched []int32     // edge indices written in edgeGroup this check
 	groups      []meetGroup // group slot pool
 	nGroups     int
+	meetBuf     []Peer // a firing meeting's payloads, then one member's peers
 }
 
 // runScratch is the pooled per-run buffer set. Runners acquire one in
@@ -250,6 +265,7 @@ type runScratch struct {
 	edgeGroup   []int32
 	edgeTouched []int32
 	groups      []meetGroup
+	meetBuf     []Peer
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(runScratch) }}
@@ -360,6 +376,7 @@ func NewRunner(cfg Config, adv Adversary) (*Runner, error) {
 	r.edgeGroup = s.edgeGroup
 	r.edgeTouched = s.edgeTouched[:0]
 	r.groups = s.groups
+	r.meetBuf = s.meetBuf
 	r.viewBuf = View{g: r.g, dormant: &r.dormantCount, agents: r.agents}
 	return r, nil
 }
@@ -388,7 +405,7 @@ func (r *Runner) Run() Summary {
 			r.canceled = true
 			break
 		}
-		if r.stopAtMeet && len(r.meetings) > 0 {
+		if r.stopAtMeet && r.met {
 			break
 		}
 		if r.stopWhen != nil && r.stopWhen(r) {
@@ -419,8 +436,8 @@ func (r *Runner) Run() Summary {
 
 // Close releases the runner's pooled buffers. Safe to call many times.
 // A closed runner's Summary values remain valid (they are copies), but
-// the live accessors (Traversals, TotalCost, Meetings) must not be
-// called after Close.
+// the live accessors (Traversals, TotalCost) must not be called after
+// Close.
 func (r *Runner) Close() {
 	s := r.scratch
 	if s == nil {
@@ -439,12 +456,15 @@ func (r *Runner) Close() {
 	s.contacts, s.curContacts, s.grouped = r.contacts, r.curContacts, r.grouped
 	s.edgeGroup, s.edgeTouched = r.edgeGroup, r.edgeTouched
 	s.groups = r.groups
+	s.meetBuf = r.meetBuf
 	clear(s.states[:cap(s.states)])
 	clear(s.ptrs[:cap(s.ptrs)])
+	clear(s.meetBuf[:cap(s.meetBuf)])
 	r.agents = nil
 	r.viewBuf = View{}
 	r.contacts, r.curContacts, r.grouped = nil, nil, nil
 	r.edgeGroup, r.edgeTouched, r.groups = nil, nil, nil
+	r.meetBuf = nil
 }
 
 // anyActionable reports whether some agent is dormant or has a pending move.
@@ -729,21 +749,63 @@ func (r *Runner) detectMeetings() {
 }
 
 // fireMeeting publishes payloads, delivers OnMeet to every participant
-// and wakes dormant ones.
+// and wakes dormant ones. Every member's payload is published before
+// any OnMeet runs, so each sees the others' pre-meeting state. The
+// payloads and each member's peer list live in the runner-owned
+// meetBuf, which is why Encounter.Peers is valid only during OnMeet,
+// and the Meeting record is built only when something reads it.
+//
+//rvlint:hotpath
 func (r *Runner) fireMeeting(members []int, inEdge bool, node int, edge [2]int) {
-	payloads := make([]Peer, len(members))
+	n := len(members)
+	buf := r.meetBuffer(n)
+	payloads, peers := buf[:n], buf[n:]
 	for idx, id := range members {
 		payloads[idx] = Peer{ID: id, Payload: r.agents[id].agent.Publish()}
 	}
-	for idx, id := range members {
-		peers := make([]Peer, 0, len(members)-1)
-		for j, p := range payloads {
-			if j != idx {
-				peers = append(peers, p)
+	// Peers are listed in ascending ID order. Node groups are already
+	// ascending; a crossing group of three or more may not be.
+	for i := 1; i < n; i++ {
+		for j := i; j > 0 && payloads[j].ID < payloads[j-1].ID; j-- {
+			payloads[j], payloads[j-1] = payloads[j-1], payloads[j]
+		}
+	}
+	for _, id := range members {
+		k := 0
+		for _, p := range payloads {
+			if p.ID != id {
+				peers[k] = p
+				k++
 			}
 		}
 		r.agents[id].agent.OnMeet(Encounter{Step: r.steps, InEdge: inEdge, Peers: peers})
 	}
+	if !r.met || r.obs != nil {
+		r.recordMeeting(members, inEdge, node, edge)
+	}
+	// A dormant agent is woken by an agent visiting its start node.
+	for _, id := range members {
+		if r.agents[id].status == StatusDormant {
+			r.wake(id)
+		}
+	}
+}
+
+// meetBuffer returns meetBuf sized for a meeting of n agents: n
+// payloads followed by one member's n-1 peers. It allocates only when a
+// meeting is larger than every earlier one on this scratch.
+func (r *Runner) meetBuffer(n int) []Peer {
+	if cap(r.meetBuf) < 2*n-1 {
+		r.meetBuf = make([]Peer, 2*n-1)
+	}
+	return r.meetBuf[:2*n-1]
+}
+
+// recordMeeting builds the Meeting record of a fired group, with its own
+// Participants copy: the run's first meeting (Summary.FirstMeeting), and
+// every meeting when an observer is attached. It is fireMeeting's cold
+// path, kept out of its allocation-free body.
+func (r *Runner) recordMeeting(members []int, inEdge bool, node int, edge [2]int) {
 	committed := 0
 	for _, st := range r.agents {
 		if st.pos.Kind == InEdge {
@@ -755,15 +817,11 @@ func (r *Runner) fireMeeting(members []int, inEdge bool, node int, edge [2]int) 
 		InEdge: inEdge, Node: node, Edge: edge,
 		Cost: r.TotalCost(), Committed: r.TotalCost() + committed,
 	}
-	r.meetings = append(r.meetings, m)
+	if !r.met {
+		r.met, r.first = true, m
+	}
 	if r.obs != nil {
 		r.obs.OnMeeting(m)
-	}
-	// A dormant agent is woken by an agent visiting its start node.
-	for _, id := range members {
-		if r.agents[id].status == StatusDormant {
-			r.wake(id)
-		}
 	}
 }
 
@@ -782,9 +840,6 @@ func appendUnique(s []int, v int) []int {
 	}
 	return append(s, v)
 }
-
-// Meetings returns the meetings recorded so far.
-func (r *Runner) Meetings() []Meeting { return r.meetings }
 
 // Steps returns the number of adversary events executed.
 func (r *Runner) Steps() int { return r.steps }
@@ -819,7 +874,6 @@ type CostAccount struct {
 // Summary is the result of a run.
 type Summary struct {
 	Steps        int
-	Meetings     []Meeting
 	Traversals   []int
 	TotalCost    int
 	FirstMeeting *Meeting // nil if none
@@ -835,7 +889,6 @@ type Summary struct {
 func (r *Runner) summary() Summary {
 	s := Summary{
 		Steps:     r.steps,
-		Meetings:  append([]Meeting(nil), r.meetings...),
 		TotalCost: r.TotalCost(),
 		Canceled:  r.canceled,
 		Exhausted: !r.canceled && r.steps >= r.maxSteps,
@@ -851,8 +904,8 @@ func (r *Runner) summary() Summary {
 		}
 	}
 	s.Account.Committed = s.TotalCost + inFlight
-	if len(r.meetings) > 0 {
-		m := r.meetings[0]
+	if r.met {
+		m := r.first
 		s.FirstMeeting = &m
 	}
 	return s

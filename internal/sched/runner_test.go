@@ -44,7 +44,7 @@ func TestNodeMeetingOnPath(t *testing.T) {
 	r := mustRunner(t, Config{
 		Graph: g, Starts: []int{0, 2}, Agents: []Agent{a, b},
 		InitiallyAwake: []int{0, 1}, MaxSteps: 100,
-		StopWhen: func(r *Runner) bool { return len(r.Meetings()) > 0 },
+		StopAtFirstMeeting: true,
 	}, &RoundRobin{})
 	sum := r.Run()
 	if sum.FirstMeeting == nil {
@@ -205,7 +205,7 @@ func TestBiasedSpeedSkew(t *testing.T) {
 	r := mustRunner(t, Config{
 		Graph: g, Starts: []int{0, 4}, Agents: []Agent{a, b},
 		InitiallyAwake: []int{0, 1}, MaxSteps: 600,
-		StopWhen: func(r *Runner) bool { return len(r.Meetings()) > 0 },
+		StopAtFirstMeeting: true,
 	}, &Biased{Weights: []int{1, 9}})
 	sum := r.Run()
 	if sum.Traversals[1] < 4*sum.Traversals[0] {

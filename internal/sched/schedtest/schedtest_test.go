@@ -138,10 +138,14 @@ func TestBlockingNoLeak(t *testing.T) {
 // TestBlockingMatchesStepper runs one route as a native Walker and as
 // the same program written blocking, alone and in a mixed team, under
 // a random adversary: the adapter must reproduce the native execution
-// exactly, summary for summary.
+// exactly, summary for summary and meeting for meeting.
 func TestBlockingMatchesStepper(t *testing.T) {
 	ports := []int{0, 1, 0, 1, 0, 0, 1, 0}
-	run := func(blocking ...bool) sched.Summary {
+	type execution struct {
+		sum      sched.Summary
+		meetings []sched.Meeting
+	}
+	run := func(blocking ...bool) execution {
 		agents := make([]sched.Agent, len(blocking))
 		for i, b := range blocking {
 			route := &script{ports: ports}
@@ -151,26 +155,28 @@ func TestBlockingMatchesStepper(t *testing.T) {
 				agents[i] = &sched.Walker{Stepper: route}
 			}
 		}
+		var meetings []sched.Meeting
 		r, err := sched.NewRunner(sched.Config{
 			Graph: graph.Ring(5), Starts: []int{0, 2}, Agents: agents,
 			InitiallyAwake: []int{0, 1}, MaxSteps: 10_000,
+			Observer: &sched.FuncObserver{Meeting: func(m sched.Meeting) { meetings = append(meetings, m) }},
 		}, sched.NewRandom(3))
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer r.Close()
-		return r.Run()
+		return execution{r.Run(), meetings}
 	}
 	ref := run(false, false)
-	if ref.TotalCost == 0 {
-		t.Fatalf("reference run moved nobody: %+v", ref)
+	if ref.sum.TotalCost == 0 {
+		t.Fatalf("reference run moved nobody: %+v", ref.sum)
 	}
-	for name, sum := range map[string]sched.Summary{
+	for name, ex := range map[string]execution{
 		"blocking": run(true, true),
 		"mixed":    run(false, true),
 	} {
-		if !reflect.DeepEqual(sum, ref) {
-			t.Errorf("%s team diverges from the native one:\n%+v\nvs\n%+v", name, sum, ref)
+		if !reflect.DeepEqual(ex, ref) {
+			t.Errorf("%s team diverges from the native one:\n%+v\nvs\n%+v", name, ex, ref)
 		}
 	}
 }

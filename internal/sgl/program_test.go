@@ -55,13 +55,9 @@ func (a *agent) Run(p *sched.Proc, start sched.Observation, mv func(int) sched.O
 // runTraveller executes RV-asynch-poly until a transition fires.
 func (a *agent) runTraveller(mv func(int) sched.Observation) {
 	for {
-		for len(a.pending) > 0 {
-			enc := a.pending[0]
-			a.pending = a.pending[1:]
-			if a.decideTraveller(enc) {
-				a.pending = nil
-				return
-			}
+		a.drainPending()
+		if a.state != StateTraveller {
+			return
 		}
 		port, ok := a.rv.Next(a.curDeg, a.rvEntry)
 		if !ok {
@@ -96,12 +92,12 @@ func (a *agent) phase1(mv func(int) sched.Observation) int {
 // phase2 backtracks the Phase 1 walk and resumes RV-asynch-poly until
 // the budget is exhausted or a smaller label is heard.
 func (a *agent) phase2(mv func(int) sched.Observation, e int) {
-	if a.minBag() < a.label {
+	if a.minLabel < a.label {
 		return // abort immediately; Phase 3 starts here
 	}
 	for t := len(a.phase1Trace) - 1; t >= 0; t-- {
 		a.move(mv, a.phase1Trace[t].Entry)
-		if a.minBag() < a.label {
+		if a.minLabel < a.label {
 			return // abort as soon as at a node
 		}
 	}
@@ -115,7 +111,7 @@ func (a *agent) phase2(mv func(int) sched.Observation, e int) {
 		obs := a.move(mv, port)
 		a.rvCount++
 		a.rvEntry = obs.Entry
-		if a.minBag() < a.label {
+		if a.minLabel < a.label {
 			return
 		}
 	}
@@ -125,7 +121,7 @@ func (a *agent) phase2(mv func(int) sched.Observation, e int) {
 // adopt its output; the minimum-label agent sweeps, completes its bag,
 // and broadcasts it.
 func (a *agent) phase3(mv func(int) sched.Observation, e int) {
-	if a.minBag() < a.label {
+	if a.minLabel < a.label {
 		a.seekToken(mv, e)
 		return
 	}

@@ -72,12 +72,23 @@ func (s State) String() string {
 	}
 }
 
+// BagEntry is one label an agent has heard of, with its gossip value.
+type BagEntry struct {
+	Label labels.Label
+	Value string
+}
+
 // Payload is the information an SGL agent shares at a meeting: its
-// pre-meeting snapshot, per the model's simultaneous exchange.
+// pre-meeting snapshot, per the model's simultaneous exchange. An agent
+// publishes a *Payload and never changes it afterwards, so peers keep
+// the pointer instead of copying the snapshot.
 type Payload struct {
 	Label labels.Label
 	State State
-	Bag   map[labels.Label]string
+	// Bag is sorted by label, so Bag[0] holds the smallest label the
+	// agent has heard of. A label's value is the one its owner
+	// started with, whichever bag it travelled through.
+	Bag []BagEntry
 	// Final marks the bag as the complete set of all labels.
 	Final     bool
 	HasOutput bool
@@ -121,7 +132,7 @@ func FaithfulBudget(cat uxs.Catalog) Phase2Budget {
 // encounterRec is a queued meeting snapshot awaiting the traveller's
 // decision rules.
 type encounterRec struct {
-	peers  []Payload
+	peers  []*Payload // a window of the agent's peerBuf
 	inEdge bool
 }
 
@@ -134,18 +145,26 @@ type agent struct {
 
 	phase2Budget Phase2Budget
 
-	state     State
-	bag       map[labels.Label]string
+	state State
+	// bag is sorted by label and never mutated: a bag that grows is a
+	// fresh slice, so a published snapshot can share it.
+	bag       []BagEntry
+	minLabel  labels.Label // bag[0].Label
 	final     bool
 	hasOutput bool
 	output    map[labels.Label]string
+	pub       *Payload // the last published snapshot
 
 	rv      trajectory.Stepper
 	rvCount int
 	rvEntry int
 	curDeg  int
 
+	// pending queues a traveller's encounters for Step's decision
+	// rules; peerBuf holds their peers' snapshots. Step empties both
+	// once it has drained the queue.
 	pending []encounterRec
+	peerBuf []*Payload
 
 	tokenAssigned  bool
 	tokenLabel     labels.Label
@@ -179,37 +198,44 @@ func newAgent(l labels.Label, value string, env *trajectory.Env, budget Phase2Bu
 		cat:          env.Catalog(),
 		phase2Budget: budget,
 		state:        StateTraveller,
-		bag:          map[labels.Label]string{l: value},
+		bag:          []BagEntry{{Label: l, Value: value}},
+		minLabel:     l,
 		rv:           nil, // created lazily at wake (stepper is stateful)
 	}
 }
 
-// Publish implements sched.Agent.
+// Publish implements sched.Agent. It returns the cached snapshot until
+// the bag, state, final or hasOutput changes. Bags only grow, so the
+// bag's length tells whether it changed.
 func (a *agent) Publish() any {
-	bag := make(map[labels.Label]string, len(a.bag))
-	for l, v := range a.bag {
-		bag[l] = v
+	p := a.pub
+	if p == nil || len(p.Bag) != len(a.bag) || p.State != a.state ||
+		p.Final != a.final || p.HasOutput != a.hasOutput {
+		p = &Payload{
+			Label:     a.label,
+			State:     a.state,
+			Bag:       a.bag,
+			Final:     a.final,
+			HasOutput: a.hasOutput,
+		}
+		a.pub = p
 	}
-	return Payload{
-		Label:     a.label,
-		State:     a.state,
-		Bag:       bag,
-		Final:     a.final,
-		HasOutput: a.hasOutput,
-	}
+	return p
 }
 
 // OnMeet implements sched.Agent. It runs between two Step calls: bags
-// union immediately; travellers additionally queue the snapshot for
+// union immediately; travellers additionally queue the snapshots for
 // their transition rules.
 func (a *agent) OnMeet(e sched.Encounter) {
-	peers := make([]Payload, 0, len(e.Peers))
+	from := len(a.peerBuf)
 	for _, p := range e.Peers {
-		pl, ok := p.Payload.(Payload)
+		pl, ok := p.Payload.(*Payload)
 		if !ok {
 			continue
 		}
-		peers = append(peers, pl)
+		if a.state == StateTraveller {
+			a.peerBuf = append(a.peerBuf, pl)
+		}
 		if a.tokenAssigned && pl.Label == a.tokenLabel {
 			a.tokenSighted = true
 			if !e.InEdge {
@@ -222,16 +248,11 @@ func (a *agent) OnMeet(e sched.Encounter) {
 		if pl.Final {
 			a.final = true
 		}
-	}
-	for _, pl := range peers {
-		for l, v := range pl.Bag {
-			if _, ok := a.bag[l]; !ok {
-				a.bag[l] = v
-			}
-		}
+		a.learn(pl.Bag)
 	}
 	if a.state == StateTraveller {
-		a.pending = append(a.pending, encounterRec{peers: peers, inEdge: e.InEdge})
+		to := len(a.peerBuf)
+		a.pending = append(a.pending, encounterRec{peers: a.peerBuf[from:to:to], inEdge: e.InEdge})
 	}
 	// A parked ghost outputs the moment it learns its bag is complete.
 	if a.state == StateGhost && a.final && !a.hasOutput {
@@ -239,23 +260,65 @@ func (a *agent) OnMeet(e sched.Encounter) {
 	}
 }
 
+// learn unions a peer's bag into the agent's by a sorted merge. The
+// agent's bag is replaced, never mutated: by the peer's own bag when
+// that holds every label the agent's does, else by a fresh merge.
+func (a *agent) learn(bag []BagEntry) {
+	added := 0
+	for i, j := 0, 0; j < len(bag); j++ {
+		for i < len(a.bag) && a.bag[i].Label < bag[j].Label {
+			i++
+		}
+		if i == len(a.bag) || a.bag[i].Label != bag[j].Label {
+			added++
+		}
+	}
+	switch {
+	case added == 0:
+		return
+	case len(a.bag)+added == len(bag):
+		a.bag = bag
+	default:
+		merged := make([]BagEntry, 0, len(a.bag)+added)
+		i, j := 0, 0
+		for i < len(a.bag) && j < len(bag) {
+			switch l, m := a.bag[i].Label, bag[j].Label; {
+			case l < m:
+				merged = append(merged, a.bag[i])
+				i++
+			case m < l:
+				merged = append(merged, bag[j])
+				j++
+			default: // the same label, with the same value
+				merged = append(merged, a.bag[i])
+				i, j = i+1, j+1
+			}
+		}
+		merged = append(merged, a.bag[i:]...)
+		a.bag = append(merged, bag[j:]...)
+	}
+	a.minLabel = a.bag[0].Label
+}
+
 func (a *agent) setOutput() {
 	a.hasOutput = true
 	a.final = true
 	a.output = make(map[labels.Label]string, len(a.bag))
-	for l, v := range a.bag {
-		a.output[l] = v
+	for _, e := range a.bag {
+		a.output[e.Label] = e.Value
 	}
 }
 
-func (a *agent) minBag() labels.Label {
-	min := a.label
-	for l := range a.bag {
-		if l < min {
-			min = l
+// drainPending applies the traveller rules to the queued encounters in
+// arrival order, stopping at the first state change, and empties the
+// queue.
+func (a *agent) drainPending() {
+	for _, enc := range a.pending {
+		if a.decideTraveller(enc) {
+			break
 		}
 	}
-	return min
+	a.pending, a.peerBuf = a.pending[:0], a.peerBuf[:0]
 }
 
 // decideTraveller applies the traveller transition rules of Algorithm
@@ -263,18 +326,15 @@ func (a *agent) minBag() labels.Label {
 func (a *agent) decideTraveller(enc encounterRec) bool {
 	// Rule 1: someone has heard of a smaller label -> ghost.
 	for _, pl := range enc.peers {
-		for l := range pl.Bag {
-			if l < a.label {
-				a.state = StateGhost
-				return true
-			}
+		if pl.Bag[0].Label < a.label {
+			a.state = StateGhost
+			return true
 		}
 	}
 	// Rule 2: a non-explorer present -> become explorer; the smallest
 	// non-explorer becomes this explorer's token.
 	var tok *Payload
-	for idx := range enc.peers {
-		pl := &enc.peers[idx]
+	for _, pl := range enc.peers {
 		if pl.State != StateExplorer {
 			if tok == nil || pl.Label < tok.Label {
 				tok = pl

@@ -69,14 +69,7 @@ func (a *agent) Step(p *sched.Proc, o sched.Observation) sched.Action {
 			a.ss = ssTravDecide
 
 		case ssTravDecide:
-			for len(a.pending) > 0 {
-				enc := a.pending[0]
-				a.pending = a.pending[1:]
-				if a.decideTraveller(enc) {
-					a.pending = nil
-					break
-				}
-			}
+			a.drainPending()
 			if a.state == StateGhost {
 				p.Phase("sgl: ghost")
 				if a.final && !a.hasOutput {
@@ -110,7 +103,7 @@ func (a *agent) Step(p *sched.Proc, o sched.Observation) sched.Action {
 			a.eBound = a.mach.Cost + 1
 			a.phase1Trace = a.mach.Trace
 			p.Phase("sgl: explorer phase 2 (resume RV)")
-			if a.minBag() < a.label {
+			if a.minLabel < a.label {
 				a.ss = ssP3Start // abort immediately; phase 3 starts here
 				continue
 			}
@@ -128,7 +121,7 @@ func (a *agent) Step(p *sched.Proc, o sched.Observation) sched.Action {
 			return a.emit(port, ssP2BackArr)
 
 		case ssP2BackArr:
-			if a.minBag() < a.label {
+			if a.minLabel < a.label {
 				a.ss = ssP3Start // abort as soon as at a node
 				continue
 			}
@@ -150,7 +143,7 @@ func (a *agent) Step(p *sched.Proc, o sched.Observation) sched.Action {
 		case ssP2RVArr:
 			a.rvCount++
 			a.rvEntry = o.Entry
-			if a.minBag() < a.label {
+			if a.minLabel < a.label {
 				a.ss = ssP3Start
 				continue
 			}
@@ -160,7 +153,7 @@ func (a *agent) Step(p *sched.Proc, o sched.Observation) sched.Action {
 			p.Phase("sgl: explorer phase 3 (seek/sweep)")
 			a.sweepSeq = a.cat.Seq(a.eBound)
 			a.sweepIdx, a.sweepEntry = 0, 0
-			if a.minBag() < a.label {
+			if a.minLabel < a.label {
 				if a.withToken {
 					a.ss = ssSeekFound
 					continue

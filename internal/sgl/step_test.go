@@ -46,8 +46,8 @@ type stepCase struct {
 // TestStepMatchesRun is the package-level differential proof that the
 // state-machine program (agent.Step) and the blocking reference program
 // (agent.Run in program_test.go) are the same algorithm: identical
-// instances run with either program must produce identical reports and
-// scheduler summaries, including traversal counts. Every instance runs
+// instances run with either program must produce identical reports,
+// scheduler summaries (including traversal counts) and meeting streams. Every instance runs
 // under three adversaries with a 200,000-event budget, which every
 // instance completes within except the oriented rings under the
 // deterministic adversaries (the agents co-rotate forever: the
@@ -65,17 +65,23 @@ func TestStepMatchesRun(t *testing.T) {
 	}
 	check := func(id string, cfg Config, adv func() sched.Adversary, complete bool) {
 		t.Helper()
-		run := func(program func(*agent) sched.Agent) *Result {
+		run := func(program func(*agent) sched.Agent) (*Result, []sched.Meeting) {
+			var meetings []sched.Meeting
 			cfg.Adversary = adv()
+			cfg.Observer = &sched.FuncObserver{Meeting: func(m sched.Meeting) { meetings = append(meetings, m) }}
 			res, err := run(cfg, program)
 			if err != nil {
 				t.Fatalf("%s: %v", id, err)
 			}
-			return res
+			return res, meetings
 		}
-		step, ref := run(nil), run(reference)
+		step, stepMeetings := run(nil)
+		ref, refMeetings := run(reference)
 		if !reflect.DeepEqual(step.Summary, ref.Summary) {
 			t.Fatalf("%s: summaries diverge:\nstep %+v\nrun  %+v", id, step.Summary, ref.Summary)
+		}
+		if !reflect.DeepEqual(stepMeetings, refMeetings) {
+			t.Fatalf("%s: meeting streams diverge: step %d meetings, run %d", id, len(stepMeetings), len(refMeetings))
 		}
 		if !reflect.DeepEqual(step.Agents, ref.Agents) {
 			t.Fatalf("%s: agent reports diverge:\nstep %+v\nrun  %+v", id, step.Agents, ref.Agents)
