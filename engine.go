@@ -141,6 +141,20 @@ func (pg *preparedGraph) book(e *Engine) *trajectory.RouteBook {
 	}
 }
 
+// routeBytes sums the published bytes of the current epoch's route
+// books: the memory the engine's route cache holds live.
+func (e *Engine) routeBytes() int64 {
+	epoch := e.catalogEpoch.Load()
+	var n int64
+	e.prepCache.Range(func(_, v any) bool {
+		if re := v.(*preparedGraph).routes.Load(); re != nil && re.epoch == epoch {
+			n += re.book.Bytes()
+		}
+		return true
+	})
+	return n
+}
+
 // prepKey is the content address of one prepared-scenario cache entry:
 // the declarative spec plus the registered kind's builder fingerprint,
 // so two builder revisions that accept the same spec fields can never
@@ -345,27 +359,21 @@ func (e *Engine) prepare(sc Scenario) (*Graph, Adversary, *trajectory.RouteBook,
 		if pg.buildErr != nil {
 			return nil, nil, nil, pg.buildErr
 		}
-		if err := sc.validateWith(pg.g); err != nil {
+		adv, err := sc.validateWith(pg.g)
+		if err != nil {
 			return nil, nil, nil, err
 		}
 		if err := pg.cover(e, sc.Graph); err != nil {
 			return nil, nil, nil, err
 		}
-		adv, err := sc.resolveAdversary()
-		if err != nil {
-			return nil, nil, nil, err
-		}
 		return pg.g, adv, pg.book(e), nil
 	}
 	g := sc.GraphInstance
-	if err := sc.validateWith(g); err != nil {
+	adv, err := sc.validateWith(g)
+	if err != nil {
 		return nil, nil, nil, err
 	}
 	if err := e.ensureCovered(g, g.String()); err != nil {
-		return nil, nil, nil, err
-	}
-	adv, err := sc.resolveAdversary()
-	if err != nil {
 		return nil, nil, nil, err
 	}
 	return g, adv, nil, nil

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -415,6 +416,60 @@ func TestBareBiasedAdversary(t *testing.T) {
 	}
 	if !res.Rendezvous.Met {
 		t.Error("biased schedule should still meet on the path")
+	}
+}
+
+// countedParses counts the parses of the "testcountparse" adversary
+// family registered below.
+var countedParses atomic.Int64
+
+func init() {
+	if err := RegisterAdversary(AdversaryDef{
+		Name: "testcountparse",
+		Parse: func(AdversaryArgs) (Adversary, error) {
+			countedParses.Add(1)
+			return RoundRobin(), nil
+		},
+	}); err != nil {
+		panic(err)
+	}
+}
+
+// TestEngineRunParsesAdversaryOnce pins that preparing a scenario
+// parses its adversary spec once: validation resolves the adversary the
+// run then uses, for declarative and caller-built graphs alike.
+func TestEngineRunParsesAdversaryOnce(t *testing.T) {
+	eng := NewEngine(WithMaxN(4), WithSeed(1))
+	sc := Scenario{
+		Kind:      ScenarioRendezvous,
+		Graph:     GraphSpec{Kind: "path", N: 4},
+		Starts:    []int{0, 3},
+		Labels:    []Label{2, 5},
+		Adversary: "testcountparse",
+		Budget:    2_000_000,
+	}
+	inst := sc
+	g, err := sc.BuildGraph()
+	if err != nil {
+		t.Fatal(err)
+	}
+	inst.GraphInstance = g
+	for _, c := range []struct {
+		name string
+		sc   Scenario
+	}{{"declarative", sc}, {"instance", inst}} {
+		name, sc := c.name, c.sc
+		before := countedParses.Load()
+		res, err := eng.Run(context.Background(), sc)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !res.Rendezvous.Met {
+			t.Errorf("%s: round-robin run on the path did not meet", name)
+		}
+		if n := countedParses.Load() - before; n != 1 {
+			t.Errorf("%s: Engine.Run parsed the adversary %d times, want 1", name, n)
+		}
 	}
 }
 

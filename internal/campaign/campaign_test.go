@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"fmt"
+	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
@@ -141,6 +142,51 @@ func TestInstanceSharingAcrossAxes(t *testing.T) {
 	}
 	if len(distinct) <= len(starts)/2 {
 		t.Fatalf("start derivation suspiciously uniform: %v", starts)
+	}
+}
+
+// TestExpanderReseedMatchesFreshSource pins the expander's one shared
+// random source to the per-key fresh sources it replaces: re-seeding,
+// even a partly consumed stream, draws exactly what rand.NewSource
+// draws, so start and label derivations are unchanged.
+func TestExpanderReseedMatchesFreshSource(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for i, seed := range []int64{0, 1, 42, hash64("unit-seed/path4/start0"), 1<<63 - 1} {
+		for j := 0; j < 3*i; j++ {
+			rng.Int63() // leave the stream partly consumed
+		}
+		rng.Seed(seed)
+		fresh := rand.New(rand.NewSource(seed))
+		for k := 0; k < 200; k++ {
+			if a, b := rng.Intn(64), fresh.Intn(64); a != b {
+				t.Fatalf("seed %d: draw %d after re-seeding = %d, fresh source draws %d", seed, k, a, b)
+			}
+		}
+	}
+
+	x := &expander{spec: testSpec(), rng: rand.New(rand.NewSource(0)),
+		startMemo: make(map[string][2]int), labelMemo: make(map[string][2]uint64)}
+	for _, gp := range []GraphParams{{Kind: "path", N: 4, Nodes: 4}, {Kind: "ring", N: 9, Nodes: 9}} {
+		for sp := 0; sp < 3; sp++ {
+			fresh := rand.New(rand.NewSource(hash64(fmt.Sprintf("unit-seed/%s/start%d", gp.axisLabel(), sp))))
+			s1, s2 := fresh.Intn(gp.Nodes), fresh.Intn(gp.Nodes-1)
+			if s2 >= s1 {
+				s2++
+			}
+			if got := x.starts(gp, sp); got != [2]int{s1, s2} {
+				t.Errorf("%s sp=%d: starts %v, fresh source draws %v", gp.axisLabel(), sp, got, [2]int{s1, s2})
+			}
+			for lp := 0; lp < 3; lp++ {
+				fresh := rand.New(rand.NewSource(hash64(fmt.Sprintf("unit-seed/%s/start%d/label%d", gp.axisLabel(), sp, lp))))
+				l1, l2 := uint64(1+fresh.Intn(64)), uint64(1+fresh.Intn(63))
+				if l2 >= l1 {
+					l2++
+				}
+				if got := x.labels(gp, sp, lp); got != [2]uint64{l1, l2} {
+					t.Errorf("%s sp=%d lp=%d: labels %v, fresh source draws %v", gp.axisLabel(), sp, lp, got, [2]uint64{l1, l2})
+				}
+			}
+		}
 	}
 }
 

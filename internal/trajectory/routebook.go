@@ -16,11 +16,12 @@ import (
 // execution layer.
 //
 // RouteBook caches those routes per graph: the first run per (start,
-// trajectory key) materializes its exit-port prefix lazily, in batches,
-// as far as the run actually walks; every later run replays the flat
-// array. Replay turns the per-move cost from a descent through the
-// composite trajectory algebra (Chain → Repeat → Mirror → Interleave →
-// UXS, with allocation churn at every excursion) into one slice read.
+// trajectory key) materializes its exit-port prefix lazily, in growing
+// batches, about as far as the run actually walks; every later run
+// replays the flat array. Replay turns the per-move cost from a descent
+// through the composite trajectory algebra (Chain → Repeat → Mirror →
+// Interleave → UXS, with allocation churn at every excursion) into one
+// slice read.
 
 // RouteKey identifies one deterministic trajectory in a RouteBook's
 // graph. Kind tags the trajectory family ('R' for the rendezvous master
@@ -41,6 +42,8 @@ type RouteBook struct {
 	g  *graph.Graph
 	mu sync.Mutex
 	m  map[RouteKey]*Route
+
+	bytes atomic.Int64 // published port bytes over every route
 }
 
 // NewRouteBook returns an empty route cache over g.
@@ -51,13 +54,17 @@ func NewRouteBook(g *graph.Graph) *RouteBook {
 // Graph returns the graph the book's routes are walked in.
 func (b *RouteBook) Graph() *graph.Graph { return b.g }
 
+// Bytes returns the size of the book's published routes: 4 bytes per
+// materialized move, summed over every route.
+func (b *RouteBook) Bytes() int64 { return b.bytes.Load() }
+
 // route returns the cached route for key, creating it (with gen as the
 // trajectory generator factory) on first use.
 func (b *RouteBook) route(key RouteKey, gen func() Stepper) *Route {
 	b.mu.Lock()
 	r, ok := b.m[key]
 	if !ok {
-		r = &Route{g: b.g, cur: key.Start, mkGen: gen}
+		r = &Route{book: b, cur: key.Start, mkGen: gen}
 		r.state.Store(&routeState{})
 		b.m[key] = r
 	}
@@ -76,17 +83,17 @@ func (b *RouteBook) Stepper(key RouteKey, gen func() Stepper) Stepper {
 // NodeRoute returns the node sequence of the route's first moves
 // (length moves+1 including the start, shorter if the trajectory
 // completes first) — the shape the exhaustive certifier consumes.
+// Routes store exit ports only; the nodes are rebuilt by walking the
+// prefix's ports from key.Start.
 func (b *RouteBook) NodeRoute(key RouteKey, gen func() Stepper, moves int) []int {
-	r := b.route(key, gen)
-	st := r.extendTo(moves)
-	n := moves
-	if len(st.nodes) < n {
-		n = len(st.nodes)
-	}
-	out := make([]int, 0, n+1)
-	out = append(out, key.Start)
-	for _, v := range st.nodes[:n] {
-		out = append(out, int(v))
+	st := b.route(key, gen).extendTo(moves)
+	ports := st.ports[:min(moves, len(st.ports))]
+	out := make([]int, 0, len(ports)+1)
+	v := key.Start
+	out = append(out, v)
+	for _, p := range ports {
+		v, _ = b.g.Succ(v, int(p))
+		out = append(out, v)
 	}
 	return out
 }
@@ -95,7 +102,7 @@ func (b *RouteBook) NodeRoute(key RouteKey, gen func() Stepper, moves int) []int
 // state snapshot; the extender appends under the route lock and
 // publishes a fresh snapshot.
 type Route struct {
-	g     *graph.Graph
+	book  *RouteBook
 	mkGen func() Stepper
 
 	state atomic.Pointer[routeState]
@@ -107,22 +114,27 @@ type Route struct {
 }
 
 // routeState is an immutable published prefix: ports[i] is the exit
-// port of move i, nodes[i] the node reached by it. done means the
-// trajectory completed (or got stuck on a degree-0 node) at len(ports)
-// moves.
+// port of move i. done means the trajectory completed (or got stuck on
+// a degree-0 node) at len(ports) moves.
 type routeState struct {
 	ports []int32
-	nodes []int32
 	done  bool
 }
 
-// extendBatch bounds how much route is generated per lock acquisition:
-// enough to amortize locking and snapshot publication, small enough
-// that short runs don't materialize far past what they walk.
-const extendBatch = 1024
+// An extension grows a route by its current length, clamped to
+// [minExtend, maxExtend] moves: 64 moves on first use, doubling up to
+// 1,024, then 1,024 per extension. Most routes are walked only a few
+// dozen moves, so a small first batch keeps short runs from
+// materializing far past what they walk; the cap bounds the overshoot
+// of long runs while still amortizing locking and snapshot publication.
+const (
+	minExtend = 64
+	maxExtend = 1024
+)
 
 // extendTo returns a state holding at least n moves (or the completed
-// route, whichever is shorter).
+// route, whichever is shorter). It is the only place a route grows, so
+// it keeps the book's byte count.
 func (r *Route) extendTo(n int) *routeState {
 	st := r.state.Load()
 	if st.done || len(st.ports) >= n {
@@ -137,17 +149,16 @@ func (r *Route) extendTo(n int) *routeState {
 	if r.gen == nil {
 		r.gen = r.mkGen()
 	}
-	target := len(st.ports) + extendBatch
-	if target < n {
-		target = n
-	}
-	// Append onto copies: published snapshots are immutable, so growth
-	// copies the prefix at most O(log) times over a route's lifetime.
+	target := max(n, len(st.ports)+min(max(len(st.ports), minExtend), maxExtend))
+	// Append onto a copy: published snapshots are immutable, so every
+	// extension copies the prefix. Doubling keeps that linear up to
+	// maxExtend moves; past it, a route of L moves has copied
+	// O(L²/maxExtend) ports over its lifetime.
+	g := r.book.g
 	ports := append(make([]int32, 0, target), st.ports...)
-	nodes := append(make([]int32, 0, target), st.nodes...)
 	done := false
 	for len(ports) < target {
-		deg := r.g.Degree(r.cur)
+		deg := g.Degree(r.cur)
 		if deg == 0 {
 			done = true // stuck forever: a degree-0 start makes no moves
 			break
@@ -157,12 +168,12 @@ func (r *Route) extendTo(n int) *routeState {
 			done = true
 			break
 		}
-		to, entry := r.g.Succ(r.cur, port)
+		to, entry := g.Succ(r.cur, port)
 		ports = append(ports, int32(port))
-		nodes = append(nodes, int32(to))
 		r.cur, r.entry = to, entry
 	}
-	next := &routeState{ports: ports, nodes: nodes, done: done}
+	next := &routeState{ports: ports, done: done}
+	r.book.bytes.Add(4 * int64(len(ports)-len(st.ports)))
 	r.state.Store(next)
 	return next
 }
@@ -179,7 +190,7 @@ type routeStepper struct {
 //rvlint:hotpath
 func (s *routeStepper) Next(deg, entry int) (int, bool) {
 	if s.st == nil || s.idx >= len(s.st.ports) {
-		s.st = s.rt.extendTo(s.idx + 1) // extendTo itself over-shoots by a batch
+		s.st = s.rt.extendTo(s.idx + 1) // extendTo grows by a batch of up to maxExtend
 		if s.idx >= len(s.st.ports) {
 			return 0, false
 		}

@@ -71,7 +71,8 @@ func TestRouteBookFiniteTrajectory(t *testing.T) {
 
 // TestRouteBookConcurrentReplay races many replayers of one route (and
 // its lazy extension) under -race, all of which must observe the same
-// walk.
+// walk, alongside NodeRoute readers rebuilding nodes from the ports
+// while replays extend the route.
 func TestRouteBookConcurrentReplay(t *testing.T) {
 	env := routeTestEnv()
 	g := graph.Grid(2, 3)
@@ -81,7 +82,7 @@ func TestRouteBookConcurrentReplay(t *testing.T) {
 	want, _ := Run(g, 1, env.Y(3), 4000)
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
-		wg.Add(1)
+		wg.Add(2)
 		go func(limit int) {
 			defer wg.Done()
 			got, _ := Run(g, 1, book.Stepper(key, gen), limit)
@@ -92,13 +93,96 @@ func TestRouteBookConcurrentReplay(t *testing.T) {
 				}
 			}
 		}(500 + 500*w)
+		go func(moves int) {
+			defer wg.Done()
+			route := book.NodeRoute(key, gen, moves)
+			if len(route) != min(moves, want.Moves())+1 || route[0] != 1 {
+				t.Errorf("concurrent NodeRoute(%d) has %d nodes", moves, len(route))
+				return
+			}
+			for i, v := range route[1:] {
+				if v != want.Nodes[i] {
+					t.Errorf("concurrent NodeRoute(%d) diverges at move %d", moves, i)
+					return
+				}
+			}
+		}(300 + 450*w)
 	}
 	wg.Wait()
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
+// materialized returns the moves published over every route in b.
+func materialized(b *RouteBook) int {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	n := 0
+	for _, r := range b.m {
+		n += len(r.state.Load().ports)
 	}
-	return b
+	return n
+}
+
+// TestRouteBookGrowth pins the growth rule: a fresh route replayed
+// k ≤ 1,024 moves materializes at most max(64, 2k) moves, and a longer
+// one at most k+1,024. Bytes reads 4 bytes per published move.
+func TestRouteBookGrowth(t *testing.T) {
+	env := routeTestEnv()
+	g := graph.ShufflePorts(graph.Complete(5), 3)
+	gen := func() Stepper { return env.B(2) }
+	for _, k := range []int{1, 10, 63, 64, 65, 100, 513, 1000, 1024, 1025, 2500, 5000} {
+		book := NewRouteBook(g)
+		key := RouteKey{Start: 2, Kind: 'B', Param: 2}
+		if book.Bytes() != 0 {
+			t.Fatalf("fresh book holds %d bytes", book.Bytes())
+		}
+		got, completed := Run(g, 2, book.Stepper(key, gen), k)
+		if completed || got.Moves() != k {
+			t.Fatalf("k=%d: replay made %d moves (completed=%v), want an unfinished %d", k, got.Moves(), completed, k)
+		}
+		limit := max(64, 2*k)
+		if k > 1024 {
+			limit = k + 1024
+		}
+		moves := int(book.Bytes() / 4)
+		if moves < k || moves > limit {
+			t.Errorf("k=%d: materialized %d moves, want within [%d, %d]", k, moves, k, limit)
+		}
+		if book.Bytes() != 4*int64(materialized(book)) {
+			t.Errorf("k=%d: Bytes() = %d, want 4 × %d published moves", k, book.Bytes(), materialized(book))
+		}
+	}
+}
+
+// TestNodeRouteMatchesGenerator pins NodeRoute, which rebuilds nodes
+// from the stored ports, to the generator's node sequence on an
+// unfinished trajectory: for prefixes on both sides of every batch
+// boundary, before and after replays extend the route.
+func TestNodeRouteMatchesGenerator(t *testing.T) {
+	env := routeTestEnv()
+	for _, g := range []*graph.Graph{graph.Grid(2, 3), graph.ShufflePorts(graph.Complete(5), 3)} {
+		const start = 1
+		want, completed := Run(g, start, env.B(2), 6000)
+		if completed {
+			t.Fatal("B(2) completed within 6000 moves (test needs an unfinished trajectory)")
+		}
+		book := NewRouteBook(g)
+		key := RouteKey{Start: start, Kind: 'B', Param: 2}
+		gen := func() Stepper { return env.B(2) }
+		check := func(when string) {
+			for _, moves := range []int{1, 63, 64, 65, 1023, 1025, 3000} {
+				route := book.NodeRoute(key, gen, moves)
+				if len(route) != moves+1 || route[0] != start {
+					t.Fatalf("%v %s: NodeRoute(%d) has %d nodes from %d", g, when, moves, len(route), route[0])
+				}
+				for i, v := range route[1:] {
+					if v != want.Nodes[i] {
+						t.Fatalf("%v %s: NodeRoute(%d)[%d] = %d, want %d", g, when, moves, i+1, v, want.Nodes[i])
+					}
+				}
+			}
+		}
+		check("fresh")
+		Run(g, start, book.Stepper(key, gen), 5000) // replay past every prefix
+		check("after replay")
+	}
 }

@@ -274,18 +274,6 @@ func (s Scenario) BuildGraph() (*Graph, error) {
 	return s.Graph.Build()
 }
 
-// resolveAdversary returns the scenario's adversary strategy. The spec
-// string is parsed with the scenario's agent count in scope, so family
-// parsers can apply agent-dependent defaults (bare "biased" becomes the
-// 1:5:9:... skew) and validate agent-dependent parameters (weight
-// counts, latewake agent indices) that ParseAdversary alone cannot.
-func (s Scenario) resolveAdversary() (Adversary, error) {
-	if s.AdversaryInstance != nil {
-		return s.AdversaryInstance, nil
-	}
-	return parseAdversarySpec(s.Adversary, len(s.Starts))
-}
-
 // Validate checks the scenario against the model's requirements. All
 // failures wrap ErrInvalidScenario.
 func (s Scenario) Validate() error {
@@ -293,46 +281,56 @@ func (s Scenario) Validate() error {
 	if err != nil {
 		return err
 	}
-	return s.validateWith(g)
+	_, err = s.validateWith(g)
+	return err
 }
 
 // validateWith is Validate against an already-built graph, so callers
-// that need the graph anyway (the engine) build it exactly once. The
-// generic model requirements (starts in range and distinct, a
-// resolvable adversary) are checked here; everything kind-specific is
-// the registered kind's validator.
-func (s Scenario) validateWith(g *Graph) error {
+// that need the graph anyway (the engine) build it exactly once. It
+// returns the adversary it resolved, so the engine parses the spec once
+// per run. The generic model requirements (starts in range and
+// distinct, a resolvable adversary) are checked here; everything
+// kind-specific is the registered kind's validator.
+func (s Scenario) validateWith(g *Graph) (Adversary, error) {
 	seen := make(map[int]bool, len(s.Starts))
 	for _, v := range s.Starts {
 		if v < 0 || v >= g.N() {
-			return scenarioFail(s, "start node %d out of range [0,%d)", v, g.N())
+			return nil, scenarioFail(s, "start node %d out of range [0,%d)", v, g.N())
 		}
 		if seen[v] {
-			return scenarioFail(s, "duplicate start node %d", v)
+			return nil, scenarioFail(s, "duplicate start node %d", v)
 		}
 		seen[v] = true
 	}
-	adv, err := s.resolveAdversary()
-	if err != nil {
-		return err
-	}
-	// Spec-string adversaries validate agent-dependent parameters in
-	// their parsers; a caller-supplied instance bypasses parsing, so
-	// the one mismatch that would panic inside the runner (it is a
-	// programming error there) is re-checked here.
-	if s.AdversaryInstance != nil {
-		if b, ok := adv.(*sched.Biased); ok && len(b.Weights) != len(s.Starts) {
-			return scenarioFail(s, "biased adversary has %d weights for %d agents", len(b.Weights), len(s.Starts))
+	// The spec string is parsed with the scenario's agent count in
+	// scope, so family parsers can apply agent-dependent defaults (bare
+	// "biased" becomes the 1:5:9:... skew) and validate agent-dependent
+	// parameters (weight counts, latewake agent indices) that
+	// ParseAdversary alone cannot. A caller-supplied instance bypasses
+	// parsing, so the one mismatch that would panic inside the runner
+	// (it is a programming error there) is re-checked here.
+	adv := s.AdversaryInstance
+	var err error
+	if adv == nil {
+		if adv, err = parseAdversarySpec(s.Adversary, len(s.Starts)); err != nil {
+			return nil, err
 		}
+	} else if b, ok := adv.(*sched.Biased); ok && len(b.Weights) != len(s.Starts) {
+		return nil, scenarioFail(s, "biased adversary has %d weights for %d agents", len(b.Weights), len(s.Starts))
 	}
 	def, ok := lookupScenarioKind(s.Kind)
 	if !ok {
-		return scenarioFail(s, "unknown kind %q", s.Kind)
+		return nil, scenarioFail(s, "unknown kind %q", s.Kind)
 	}
 	if def.Validate != nil {
-		return def.Validate(s, g)
+		err = def.Validate(s, g)
+	} else {
+		err = defaultKindValidate(def, s)
 	}
-	return defaultKindValidate(def, s)
+	if err != nil {
+		return nil, err
+	}
+	return adv, nil
 }
 
 // JSON renders the scenario as indented JSON.

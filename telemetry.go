@@ -102,6 +102,9 @@ func newEngineMetrics(e *Engine, reg *Metrics) *engineMetrics {
 	reg.GaugeFunc("meetpoly_engine_catalog_epoch",
 		"Catalog extension epoch; a bump expires every cached route book.",
 		e.catalogEpoch.Load)
+	reg.GaugeFunc("meetpoly_engine_route_bytes",
+		"Bytes of materialized routes (4 per move) held by the current epoch's route books.",
+		e.routeBytes)
 
 	m.cellWall = reg.Histogram("meetpoly_engine_cell_wall_ns",
 		"Wall time of one sweep cell (prepare + run + judging), in nanoseconds.")

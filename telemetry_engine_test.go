@@ -218,6 +218,50 @@ func TestEngineMetricsCacheConsistency(t *testing.T) {
 	}
 }
 
+// routeBytesGauge reads meetpoly_engine_route_bytes from reg.
+func routeBytesGauge(t *testing.T, reg *Metrics) int64 {
+	t.Helper()
+	for _, p := range reg.Snapshot() {
+		if p.Name == "meetpoly_engine_route_bytes" {
+			return int64(p.Value)
+		}
+	}
+	t.Fatal("no meetpoly_engine_route_bytes series")
+	return 0
+}
+
+// TestEngineRouteBytesGauge pins the route-memory gauge: 0 on a fresh
+// engine, and after a sweep the sum of the current epoch's route-book
+// sizes (RouteBook.Bytes, 4 bytes per materialized move). Books of an
+// expired epoch no longer count.
+func TestEngineRouteBytesGauge(t *testing.T) {
+	reg := NewMetrics()
+	eng := NewEngine(WithTelemetry(reg))
+	if got := routeBytesGauge(t, reg); got != 0 {
+		t.Fatalf("fresh engine: route bytes = %d, want 0", got)
+	}
+	if _, err := eng.Sweep(context.Background(), cacheTestSpec()); err != nil {
+		t.Fatal(err)
+	}
+	var want int64
+	books := 0
+	eng.prepCache.Range(func(_, v any) bool {
+		if re := v.(*preparedGraph).routes.Load(); re != nil {
+			want += re.book.Bytes()
+			books++
+		}
+		return true
+	})
+	got := routeBytesGauge(t, reg)
+	if books == 0 || got <= 0 || got%4 != 0 || got != want {
+		t.Errorf("after a sweep: route bytes = %d, want %d > 0 (a multiple of 4) over %d books", got, want, books)
+	}
+	eng.catalogEpoch.Add(1)
+	if got := routeBytesGauge(t, reg); got != 0 {
+		t.Errorf("after an epoch bump: route bytes = %d, want 0", got)
+	}
+}
+
 // TestTelemetryNowMonotonic pins the clock the engine timings ride on.
 func TestTelemetryNowMonotonic(t *testing.T) {
 	a := telemetry.Now()
