@@ -153,11 +153,13 @@ func BenchmarkE5ESST(b *testing.B) {
 }
 
 // BenchmarkE6Certifier measures the exhaustive lattice adversary itself:
-// grid cells processed per second over growing prefixes.
+// ns/op is one certification of two route prefixes, reported with the
+// lattice's cell count and whether the meeting is forced. Prefix 60 is
+// the wide campaigns' Moves.
 func BenchmarkE6Certifier(b *testing.B) {
 	env := benchEnv(b)
 	g := graph.Path(3)
-	for _, prefix := range []int{500, 2000, 8000} {
+	for _, prefix := range []int{60, 500, 2000, 8000, 32000} {
 		b.Run(fmt.Sprintf("prefix=%d", prefix), func(b *testing.B) {
 			ra := core.Route(g, 0, 1, env, prefix)
 			rb := core.Route(g, 2, 2, env, prefix)

@@ -349,6 +349,41 @@ func TestOracles(t *testing.T) {
 	}
 }
 
+// TestLemmasVerdictsSharedAcrossSuites: the lemma verdicts live on the
+// cost model, so every suite DefaultOracles builds over one model (a
+// fleet worker builds one per lease) judges alike, and a fresh suite over
+// a warm model computes nothing: its check allocates no more than
+// building the oracle does.
+func TestLemmasVerdictsSharedAcrossSuites(t *testing.T) {
+	model := costmodel.New(costmodel.PLinear(1))
+	lemmas := func(suite []Oracle) Oracle {
+		for _, o := range suite {
+			if o.Name() == "lemmas" {
+				return o
+			}
+		}
+		t.Fatal("the default suite has no lemmas oracle")
+		return nil
+	}
+	first, second := lemmas(DefaultOracles(model)), lemmas(DefaultOracles(model))
+	for _, n := range []int{2, 4, 7} {
+		for _, labels := range [][]uint64{{1, 2}, {2, 5}, {9, 1000}} {
+			c := Cell{Kind: KindRendezvous, Labels: labels}
+			o := metOutcome(n, n, 10, 5)
+			a, b := first.Check(c, o), second.Check(c, o)
+			if a != nil || b != nil {
+				t.Errorf("n=%d labels %v: lemmas failed: %v / %v", n, labels, a, b)
+			}
+			build := testing.AllocsPerRun(20, func() { _ = lemmas(DefaultOracles(model)) })
+			check := testing.AllocsPerRun(20, func() { _ = lemmas(DefaultOracles(model)).Check(c, o) })
+			if check != build {
+				t.Errorf("n=%d labels %v: a fresh suite's lemma check allocates %.0f times, building it %.0f",
+					n, labels, check, build)
+			}
+		}
+	}
+}
+
 func TestReportAggregationAndTable(t *testing.T) {
 	spec := Spec{Name: "agg", Seed: "agg-seed"}
 	// Distinct cells need distinct indices: the aggregator dedupes

@@ -2,7 +2,6 @@ package campaign
 
 import (
 	"fmt"
-	"sync"
 
 	"meetpoly/internal/costmodel"
 )
@@ -172,29 +171,17 @@ func Bound(m *costmodel.Model) Oracle {
 
 // Lemmas returns the oracle asserting that every counting inequality of
 // Lemmas 3.2-3.6 and Theorem 3.1 holds at each (n, ℓ) combination a
-// labeled cell touches. Verdicts are cached per combination, so a sweep
-// pays for each (n, ℓ) once.
+// labeled cell touches. The model caches verdicts per combination, so
+// every suite over one model (one catalog epoch) pays for each (n, ℓ)
+// once.
 func Lemmas(m *costmodel.Model) Oracle {
-	var mu sync.Mutex
-	type key struct{ n, l int }
-	seen := make(map[key]string)
 	return OracleFunc{ID: "lemmas", F: func(c Cell, o Outcome) error {
 		if len(c.Labels) == 0 || o.Invalid || o.N < 2 {
 			return nil
 		}
-		k := key{o.N, costmodel.ModifiedLen(minLabelLen(c.Labels))}
-		mu.Lock()
-		defer mu.Unlock()
-		fail, ok := seen[k]
-		if !ok {
-			holds, name := m.LemmasHold(k.n, k.l)
-			if !holds {
-				fail = name
-			}
-			seen[k] = fail
-		}
-		if fail != "" {
-			return fmt.Errorf("lemma inequality %q fails at n=%d l=%d", fail, k.n, k.l)
+		n, l := o.N, costmodel.ModifiedLen(minLabelLen(c.Labels))
+		if holds, name := m.LemmasHold(n, l); !holds {
+			return fmt.Errorf("lemma inequality %q fails at n=%d l=%d", name, n, l)
 		}
 		return nil
 	}}

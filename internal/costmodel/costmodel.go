@@ -63,10 +63,17 @@ func PTable(lens []int) PFunc {
 type Model struct {
 	p PFunc
 
-	mu       sync.Mutex
-	memo     map[key]*big.Int
-	prefixHi map[byte]int        // highest index with a computed prefix sum
-	piMemo   map[[2]int]*big.Int // Pi cached per (n, mLen): oracles re-ask per run
+	mu        sync.Mutex
+	memo      map[key]*big.Int
+	prefixHi  map[byte]int            // highest index with a computed prefix sum
+	piMemo    map[[2]int]*big.Int     // Pi cached per (n, mLen): oracles re-ask per run
+	lemmaMemo map[[2]int]lemmaVerdict // LemmasHold cached per (n, l), for the same reason
+}
+
+// lemmaVerdict is one memoized LemmasHold result.
+type lemmaVerdict struct {
+	holds bool
+	fail  string
 }
 
 type key struct {
@@ -77,10 +84,11 @@ type key struct {
 // New returns a Model over the given exploration length polynomial.
 func New(p PFunc) *Model {
 	return &Model{
-		p:        p,
-		memo:     make(map[key]*big.Int),
-		prefixHi: make(map[byte]int),
-		piMemo:   make(map[[2]int]*big.Int),
+		p:         p,
+		memo:      make(map[key]*big.Int),
+		prefixHi:  make(map[byte]int),
+		piMemo:    make(map[[2]int]*big.Int),
+		lemmaMemo: make(map[[2]int]lemmaVerdict),
 	}
 }
 

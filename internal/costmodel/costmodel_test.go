@@ -184,6 +184,24 @@ func TestCheckLemmasHold(t *testing.T) {
 	}
 }
 
+// TestLemmasHoldMemoized: LemmasHold is CheckLemmas collapsed to a
+// verdict, and after its first call a combination's verdict comes from
+// the model's memo without allocating.
+func TestLemmasHoldMemoized(t *testing.T) {
+	m := New(PLinear(2))
+	for _, c := range [][2]int{{2, 4}, {5, 8}, {8, 12}} {
+		n, l := c[0], c[1]
+		holds, name := m.LemmasHold(n, l)
+		if holds != AllHold(m.CheckLemmas(n, l)) || holds != (name == "") {
+			t.Errorf("LemmasHold(%d, %d) = %v, %q; CheckLemmas says %v",
+				n, l, holds, name, AllHold(m.CheckLemmas(n, l)))
+		}
+		if allocs := testing.AllocsPerRun(100, func() { m.LemmasHold(n, l) }); allocs != 0 {
+			t.Errorf("LemmasHold(%d, %d) allocates %.0f times after its first call", n, l, allocs)
+		}
+	}
+}
+
 func TestCheckLemmasProperty(t *testing.T) {
 	m := New(PLinear(2))
 	f := func(nRaw, lRaw uint8) bool {

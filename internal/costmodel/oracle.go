@@ -74,11 +74,25 @@ func (m *Model) PiSlackLog2(n, mLen int, cost int64) float64 {
 // and Theorem 3.1 holds at graph size n and modified-label length l
 // (l = ModifiedLen(mLen) >= 4). It is CheckLemmas collapsed to the
 // verdict campaign oracles need, with the first failing inequality named.
+// Verdicts are cached per (n, l), like Pi: every oracle suite over this
+// model asks for the same handful of combinations once per executed run.
 func (m *Model) LemmasHold(n, l int) (bool, string) {
+	k := [2]int{n, l}
+	m.mu.Lock()
+	v, ok := m.lemmaMemo[k]
+	m.mu.Unlock()
+	if ok {
+		return v.holds, v.fail
+	}
+	v.holds = true
 	for _, iq := range m.CheckLemmas(n, l) {
 		if !iq.Holds {
-			return false, iq.Name
+			v = lemmaVerdict{fail: iq.Name}
+			break
 		}
 	}
-	return true, ""
+	m.mu.Lock()
+	m.lemmaMemo[k] = v
+	m.mu.Unlock()
+	return v.holds, v.fail
 }

@@ -138,6 +138,16 @@ func TestE4AndE6Measured(t *testing.T) {
 	checkGolden(t, "e6-certified", e6)
 }
 
+// TestE6AllInstances pins the whole E6 table at the 4,000-move prefix
+// rvsim renders, including the instances whose meeting is not forced
+// within it.
+func TestE6AllInstances(t *testing.T) {
+	if testing.Short() {
+		t.Skip("measured tables are slow")
+	}
+	checkGolden(t, "e6-certified-all", E6Certified(testEnv(t), DefaultRVInstances(), 4000))
+}
+
 func TestE4SymmetryTable(t *testing.T) {
 	if testing.Short() {
 		t.Skip("measured tables are slow")

@@ -1,11 +1,16 @@
 package sched
 
 import (
+	"context"
+	"errors"
+	"fmt"
 	"math/big"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"meetpoly/internal/graph"
+	"meetpoly/internal/rverr"
 	"meetpoly/internal/trajectory"
 )
 
@@ -154,6 +159,91 @@ func TestCertifyAgainstReference(t *testing.T) {
 			t.Fatalf("trial %d: Certify.Forced=%v, reference=%v\nA=%v\nB=%v",
 				trial, got.Forced, want, ra, rb)
 		}
+	}
+}
+
+// matchReference asserts that Certify and WorstSchedule agree with the
+// cell-by-cell reference on one route pair: every CertResult field, the
+// error, and the reconstructed schedule. It reports whether the meeting
+// is forced.
+func matchReference(t testing.TB, routeA, routeB []int) bool {
+	t.Helper()
+	got, err := Certify(routeA, routeB)
+	want, wantErr := referenceCertifyCtx(context.Background(), routeA, routeB)
+	if got != want || fmt.Sprint(err) != fmt.Sprint(wantErr) {
+		t.Fatalf("Certify = %+v, %v; reference = %+v, %v\nA=%v\nB=%v",
+			got, err, want, wantErr, routeA, routeB)
+	}
+	schedule, res, err := WorstSchedule(routeA, routeB)
+	wantSchedule, wantRes, wantErr := referenceWorstSchedule(routeA, routeB)
+	if !slices.Equal(schedule, wantSchedule) || res != wantRes || fmt.Sprint(err) != fmt.Sprint(wantErr) {
+		t.Fatalf("WorstSchedule = %v, %+v, %v; reference = %v, %+v, %v\nA=%v\nB=%v",
+			schedule, res, err, wantSchedule, wantRes, wantErr, routeA, routeB)
+	}
+	return err == nil
+}
+
+// TestCertifyMatchesReferenceDP compares the row fill with the
+// cell-by-cell reference on random walks over random connected graphs
+// with 2-7 nodes, and on rings, where walks that keep one direction let
+// the adversary escape. The two routes take their lengths independently
+// from a set whose 2*moves+1 cells per row straddle the 64-, 128- and
+// 256-bit word boundaries, including routes that never move.
+func TestCertifyMatchesReferenceDP(t *testing.T) {
+	moves := []int{0, 1, 2, 31, 32, 63, 64, 65, 100, 127, 128, 129, 200}
+	rng := rand.New(rand.NewSource(29))
+	forced, escaped := 0, 0
+	for trial := 0; trial < 600; trial++ {
+		var g *graph.Graph
+		if trial%3 == 2 {
+			g = graph.Ring(3 + rng.Intn(5))
+		} else {
+			g = graph.RandomConnected(2+rng.Intn(6), rng.Float64(), int64(trial))
+		}
+		// A walk picks uniform ports, the port after its entry port, or
+		// one fixed port; the last two settle into cycles.
+		walk := func(start, steps int) []int {
+			style, fixed := rng.Intn(3), rng.Intn(8)
+			r := []int{start}
+			cur, entry := start, -1
+			for i := 0; i < steps; i++ {
+				d := g.Degree(cur)
+				port := rng.Intn(d)
+				switch style {
+				case 1:
+					port = (entry + 1) % d
+				case 2:
+					port = fixed % d
+				}
+				cur, entry = g.Succ(cur, port)
+				r = append(r, cur)
+			}
+			return r
+		}
+		sa := rng.Intn(g.N())
+		sb := (sa + 1 + rng.Intn(g.N()-1)) % g.N()
+		ra := walk(sa, moves[rng.Intn(len(moves))])
+		rb := walk(sb, moves[rng.Intn(len(moves))])
+		if matchReference(t, ra, rb) {
+			forced++
+		} else {
+			escaped++
+		}
+	}
+	if forced == 0 || escaped == 0 {
+		t.Fatalf("forced %d, escaped %d: widen the generator", forced, escaped)
+	}
+	// Invalid inputs fail with the reference's errors, and so does a
+	// canceled context.
+	matchReference(t, nil, []int{0})
+	matchReference(t, []int{1, 0}, nil)
+	matchReference(t, []int{2, 0, 1}, []int{2, 1})
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	_, err := CertifyCtx(ctx, []int{0, 1, 0}, []int{2, 1, 2})
+	_, wantErr := referenceCertifyCtx(ctx, []int{0, 1, 0}, []int{2, 1, 2})
+	if err == nil || err.Error() != wantErr.Error() || !errors.Is(err, rverr.ErrCanceled) {
+		t.Errorf("canceled CertifyCtx = %v, reference %v", err, wantErr)
 	}
 }
 

@@ -288,3 +288,42 @@ func FuzzAdversaryEvents(f *testing.F) {
 		}
 	})
 }
+
+// FuzzCertifyMatchesReference compares the certifier's word-parallel row
+// fill, and WorstSchedule built on it, with the cell-by-cell reference.
+// The input names a small graph, both start nodes and each route's
+// length (up to 255 moves, so a row spans up to eight words); the exit
+// ports come from the remaining bytes, read cyclically, so a short input
+// still drives long routes across word boundaries.
+func FuzzCertifyMatchesReference(f *testing.F) {
+	graphs := []*graph.Graph{
+		graph.Path(2), graph.Path(3), graph.Ring(4), graph.Star(4),
+		graph.Complete(4), graph.ShufflePorts(graph.Ring(5), 5), graph.BinaryTree(6),
+	}
+	f.Add([]byte{0, 0, 1, 3, 3, 0})
+	f.Add([]byte{2, 0, 2, 64, 64, 0})    // co-rotation on a ring: an escape
+	f.Add([]byte{2, 1, 3, 32, 31, 0, 1}) // 65 and 63 cells per row
+	f.Add([]byte{4, 0, 3, 63, 129, 2, 1, 0, 3, 1})
+	f.Add([]byte{5, 1, 4, 128, 127, 7, 4, 9, 2, 88, 13, 5})
+	f.Add([]byte{6, 0, 5, 200, 0, 1, 1, 0})   // B never moves
+	f.Add([]byte{3, 1, 3, 0, 65, 3, 0, 2, 1}) // A never moves
+	f.Add([]byte{1, 2, 2, 5, 5, 0})           // the same start
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 6 {
+			return
+		}
+		g := graphs[int(data[0])%len(graphs)]
+		ports := data[5:]
+		walk := func(start, moves, off int) []int {
+			r := []int{start}
+			for i := 0; i < moves; i++ {
+				v := r[len(r)-1]
+				to, _ := g.Succ(v, int(ports[(off+i)%len(ports)])%g.Degree(v))
+				r = append(r, to)
+			}
+			return r
+		}
+		matchReference(t, walk(int(data[1])%g.N(), int(data[3]), 0),
+			walk(int(data[2])%g.N(), int(data[4]), len(ports)/2))
+	})
+}

@@ -1,8 +1,8 @@
 package sched
 
 import (
+	"context"
 	"errors"
-	"fmt"
 )
 
 // WorstSchedule reconstructs, from the same lattice game Certify solves,
@@ -13,104 +13,37 @@ import (
 // replaying the schedule through the runner must reproduce the certified
 // meeting cost exactly (asserted by tests).
 //
-// It returns the schedule and the certified result. An error is returned
-// when no meeting is forced within the prefixes (no worst case to
-// realize).
+// It runs Certify's row fill once, keeping every row, and walks back
+// from the first blocked cell of maximum completed cost in row-major
+// order, preferring agent 0 at each step. It returns the schedule and
+// the certified result. An error is returned when no meeting is forced
+// within the prefixes (no worst case to realize).
 func WorstSchedule(routeA, routeB []int) ([]int, CertResult, error) {
-	res, err := Certify(routeA, routeB)
+	l, err := fillLattice(context.Background(), routeA, routeB, true)
 	if err != nil {
 		return nil, CertResult{}, err
 	}
-	if !res.Forced {
-		return nil, res, errors.New("sched: no meeting forced within these prefixes")
+	if !l.res.Forced {
+		return nil, l.res, errors.New("sched: no meeting forced within these prefixes")
 	}
-	pb := 2 * (len(routeA) - 1)
-	qb := 2 * (len(routeB) - 1)
-
-	blocked := func(p, q int) bool {
-		if p%2 == 0 && q%2 == 0 {
-			return routeA[p/2] == routeB[q/2]
-		}
-		if p%2 == 1 && q%2 == 1 {
-			i, j := (p-1)/2, (q-1)/2
-			return routeA[i] == routeB[j+1] && routeA[i+1] == routeB[j]
-		}
-		return false
+	reached := func(p, q int) bool {
+		return p >= 0 && q >= 0 && l.rows[q*l.words+p/64]>>(uint(p)%64)&1 == 1
 	}
-
-	// Full reachability grid (Certify itself uses two rows; the
-	// reconstruction needs it all). One bit per cell.
-	w := pb + 1
-	h := qb + 1
-	reach := make([]uint64, (w*h+63)/64)
-	get := func(p, q int) bool {
-		idx := q*w + p
-		return reach[idx/64]>>(uint(idx)%64)&1 == 1
-	}
-	set := func(p, q int) {
-		idx := q*w + p
-		reach[idx/64] |= 1 << (uint(idx) % 64)
-	}
-	for q := 0; q <= qb; q++ {
-		for p := 0; p <= pb; p++ {
-			from := p == 0 && q == 0 ||
-				(p > 0 && get(p-1, q)) || (q > 0 && get(p, q-1))
-			if from && !blocked(p, q) {
-				set(p, q)
-			}
-		}
-	}
-
-	// The target: the blocked cell with the highest meeting cost that has
-	// a reachable predecessor.
-	bestP, bestQ, bestCost := -1, -1, -1
-	for q := 0; q <= qb; q++ {
-		for p := 0; p <= pb; p++ {
-			if !blocked(p, q) {
-				continue
-			}
-			if (p > 0 && get(p-1, q)) || (q > 0 && get(p, q-1)) {
-				if cost := p/2 + q/2; cost > bestCost {
-					bestP, bestQ, bestCost = p, q, cost
-				}
-			}
-		}
-	}
-	if bestCost != res.WorstCompleted {
-		// The two passes disagree only on a bug; fail loudly.
-		panic(fmt.Sprintf("sched: reconstruction found worst %d, certifier %d",
-			bestCost, res.WorstCompleted))
-	}
-
-	// Walk back from the target through reachable predecessors.
-	var rev []int
-	p, q := bestP, bestQ
-	// First, the final step into the blocked cell.
-	switch {
-	case p > 0 && get(p-1, q):
-		rev = append(rev, 0)
-		p--
-	case q > 0 && get(p, q-1):
-		rev = append(rev, 1)
-		q--
-	}
-	for p > 0 || q > 0 {
-		if p > 0 && get(p-1, q) {
-			rev = append(rev, 0)
+	p, q := l.tp, l.tq
+	schedule := make([]int, p+q)
+	for i := len(schedule) - 1; i >= 0; i-- {
+		switch {
+		case reached(p-1, q):
+			schedule[i] = 0
 			p--
-			continue
-		}
-		if q > 0 && get(p, q-1) {
-			rev = append(rev, 1)
+		case reached(p, q-1):
+			schedule[i] = 1
 			q--
-			continue
+		default:
+			panic("sched: broken predecessor chain in worst-case reconstruction")
 		}
-		panic("sched: broken predecessor chain in worst-case reconstruction")
 	}
-	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
-		rev[i], rev[j] = rev[j], rev[i]
-	}
-	return rev, res, nil
+	return schedule, l.res, nil
 }
 
 // ScheduleAdversary replays a fixed half-step schedule: schedule[i] is
