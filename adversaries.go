@@ -136,9 +136,9 @@ func RegisterAdversary(def AdversaryDef) error {
 //
 // Unknown or malformed specs wrap ErrInvalidScenario. Bare "biased"
 // needs an agent count and is therefore rejected here but accepted
-// inside a Scenario, where it defaults to the 1:5:9:... skew of
-// sched.Strategies — parsers see the scenario's agent count through
-// AdversaryArgs.Agents, which is 0 for this free-standing entry point.
+// inside a Scenario, where it defaults to the 1:5:9:... speed skew —
+// parsers see the scenario's agent count through AdversaryArgs.Agents,
+// which is 0 for this free-standing entry point.
 func ParseAdversary(spec string) (Adversary, error) {
 	return parseAdversarySpec(spec, 0)
 }

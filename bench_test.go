@@ -1,8 +1,10 @@
 package meetpoly
 
-// The benchmark harness: one bench per experiment of EXPERIMENTS.md
-// (tables E1-E8, figures F1-F4) plus the ablations called out in
-// DESIGN.md §8. Run with:
+// The benchmark harness: the cost-model tables E1-E3 and E7, the
+// certifier behind E6, the UXS-source ablation of DESIGN.md §8, the
+// engine and the runner layers. The measured tables E4, E5 and E8, the
+// figures and the adversary ablation run through the engine in
+// tables_bench_test.go. Run with:
 //
 //	go test -bench=. -benchmem
 //
@@ -15,14 +17,10 @@ import (
 	"fmt"
 	"testing"
 
-	"meetpoly/internal/baseline"
 	"meetpoly/internal/core"
 	"meetpoly/internal/costmodel"
-	"meetpoly/internal/esst"
-	"meetpoly/internal/experiments"
 	"meetpoly/internal/graph"
 	"meetpoly/internal/sched"
-	"meetpoly/internal/sgl"
 	"meetpoly/internal/trajectory"
 	"meetpoly/internal/uxs"
 )
@@ -76,82 +74,6 @@ func BenchmarkE3BaselineCost(b *testing.B) {
 	}
 }
 
-// BenchmarkE4Rendezvous regenerates table E4: measured meeting cost per
-// instance and adversary strategy.
-func BenchmarkE4Rendezvous(b *testing.B) {
-	env := benchEnv(b)
-	instances := experiments.DefaultRVInstances()[:6]
-	for _, in := range instances {
-		for _, advName := range []string{"round-robin", "avoider", "random"} {
-			b.Run(in.Name+"/"+advName, func(b *testing.B) {
-				cost := 0
-				for i := 0; i < b.N; i++ {
-					adv := sched.Strategies(2)[advName]()
-					res, err := core.Rendezvous(sched.RunOpts{}, in.Graph, in.S1, in.S2, in.L1, in.L2,
-						core.NewStepper(in.L1, env), core.NewStepper(in.L2, env), nil, adv, 500_000)
-					if err != nil {
-						b.Fatal(err)
-					}
-					if res.Met {
-						cost = res.Meeting.Cost
-					}
-				}
-				b.ReportMetric(float64(cost), "meet-cost")
-			})
-		}
-	}
-}
-
-// BenchmarkE4Baseline measures the exponential baseline on the same
-// instances for the head-to-head of table E3/E4.
-func BenchmarkE4Baseline(b *testing.B) {
-	env := benchEnv(b)
-	for _, in := range experiments.DefaultRVInstances()[:3] {
-		b.Run(in.Name, func(b *testing.B) {
-			cost := 0
-			for i := 0; i < b.N; i++ {
-				n := in.Graph.N()
-				res, err := core.Rendezvous(sched.RunOpts{}, in.Graph, in.S1, in.S2, in.L1, in.L2,
-					baseline.NewStepper(env, n, in.L1), baseline.NewStepper(env, n, in.L2), nil,
-					&sched.RoundRobin{}, 500_000)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if res.Met {
-					cost = res.Meeting.Cost
-				}
-			}
-			b.ReportMetric(float64(cost), "meet-cost")
-		})
-	}
-}
-
-// BenchmarkE5ESST regenerates table E5: exploration cost across graphs.
-func BenchmarkE5ESST(b *testing.B) {
-	cat := uxs.NewVerified(uxs.DefaultFamily(8), 1)
-	for _, in := range experiments.DefaultESSTInstances() {
-		if !cat.CoversEqual(in.Graph) {
-			cat.Extend(in.Graph)
-		}
-		b.Run(in.Name, func(b *testing.B) {
-			cost, phase := 0, 0
-			for i := 0; i < b.N; i++ {
-				res, err := esst.Explore(sched.RunOpts{}, in.Graph, in.Explorer, in.Tok, cat,
-					&sched.RoundRobin{}, 50_000_000)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if !res.Done {
-					b.Fatal("ESST did not terminate")
-				}
-				cost, phase = res.Cost, res.Phase
-			}
-			b.ReportMetric(float64(cost), "cost")
-			b.ReportMetric(float64(phase), "phase")
-		})
-	}
-}
-
 // BenchmarkE6Certifier measures the exhaustive lattice adversary itself:
 // ns/op is one certification of two route prefixes, reported with the
 // lattice's cell count and whether the meeting is forced. Prefix 60 is
@@ -195,43 +117,6 @@ func BenchmarkE7Lemmas(b *testing.B) {
 	}
 }
 
-// BenchmarkE8SGL regenerates table E8: full Strong Global Learning runs.
-func BenchmarkE8SGL(b *testing.B) {
-	env := benchEnv(b)
-	for _, in := range experiments.DefaultSGLInstances()[:3] {
-		b.Run(in.Name, func(b *testing.B) {
-			total := 0
-			for i := 0; i < b.N; i++ {
-				res, err := sgl.Run(sgl.Config{
-					Graph:    in.Graph,
-					Starts:   in.Starts,
-					Labels:   in.Labels,
-					Env:      env,
-					MaxSteps: 40_000_000,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if !res.AllOutput {
-					b.Fatal("SGL incomplete")
-				}
-				total = res.TotalCost
-			}
-			b.ReportMetric(float64(total), "total-cost")
-		})
-	}
-}
-
-// BenchmarkF1to4Figures regenerates the structural figures.
-func BenchmarkF1to4Figures(b *testing.B) {
-	env := benchEnv(b)
-	var out string
-	for i := 0; i < b.N; i++ {
-		out = experiments.F1to4(env, 3)
-	}
-	b.ReportMetric(float64(len(out)), "bytes")
-}
-
 // BenchmarkAblationUXSSource compares trajectory-prefix generation under
 // the verified compact catalog versus the cubic pseudorandom one
 // (DESIGN.md §8: UXS source ablation).
@@ -249,30 +134,6 @@ func BenchmarkAblationUXSSource(b *testing.B) {
 				_ = tr
 			}
 			b.ReportMetric(float64(env.Catalog().P(5)), "P(5)")
-		})
-	}
-}
-
-// BenchmarkAblationAdversary compares measured meeting cost across
-// adversary strengths on one instance (DESIGN.md §8).
-func BenchmarkAblationAdversary(b *testing.B) {
-	env := benchEnv(b)
-	in := experiments.DefaultRVInstances()[1] // path4
-	for _, name := range []string{"round-robin", "biased", "late-wake", "random", "avoider"} {
-		b.Run(name, func(b *testing.B) {
-			cost := 0
-			for i := 0; i < b.N; i++ {
-				adv := sched.Strategies(2)[name]()
-				res, err := core.Rendezvous(sched.RunOpts{}, in.Graph, in.S1, in.S2, in.L1, in.L2,
-					core.NewStepper(in.L1, env), core.NewStepper(in.L2, env), nil, adv, 500_000)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if res.Met {
-					cost = res.Meeting.Cost
-				}
-			}
-			b.ReportMetric(float64(cost), "meet-cost")
 		})
 	}
 }

@@ -48,15 +48,15 @@ func main() {
 	}
 
 	opts := []meetpoly.Option{meetpoly.WithMaxN(*famMax), meetpoly.WithSeed(*seed)}
+	if *table {
+		// The table engine carries no observer: -trace never enters a table.
+		experiments.E5ESST(meetpoly.NewEngine(opts...), experiments.DefaultESSTInstances(), *budget).Render(os.Stdout)
+		return
+	}
 	if *trace {
 		opts = append(opts, meetpoly.WithObserver(meetpoly.NewTraceObserver(os.Stdout)))
 	}
 	eng := meetpoly.NewEngine(opts...)
-
-	if *table {
-		experiments.E5ESST(eng.Env().Catalog(), experiments.DefaultESSTInstances(), *budget).Render(os.Stdout)
-		return
-	}
 
 	var sc meetpoly.Scenario
 	if *scenarioFile != "" {

@@ -71,20 +71,17 @@ func main() {
 	}
 
 	opts := []meetpoly.Option{meetpoly.WithMaxN(*famMax), meetpoly.WithSeed(*seed)}
-	if *trace {
-		opts = append(opts, meetpoly.WithObserver(meetpoly.NewTraceObserver(os.Stdout)))
-	}
-	eng := meetpoly.NewEngine(opts...)
-
 	if *table != "" {
+		// The table engine carries no observer: -trace never enters a table.
+		eng := meetpoly.NewEngine(opts...)
 		var t *experiments.Table
 		switch *table {
 		case "E4":
-			t = experiments.E4Measured(eng.Env(), experiments.DefaultRVInstances(), *budget)
+			t = experiments.E4Measured(eng, experiments.DefaultRVInstances(), *budget)
 		case "E4s":
-			t = experiments.E4Symmetry(eng.Env(), *budget)
+			t = experiments.E4Symmetry(eng, *budget)
 		case "E6":
-			t = experiments.E6Certified(eng.Env(), experiments.DefaultRVInstances(), 4000)
+			t = experiments.E6Certified(eng, experiments.DefaultRVInstances(), 4000)
 		default:
 			fmt.Fprintf(os.Stderr, "unknown table %q\n", *table)
 			os.Exit(2)
@@ -92,6 +89,10 @@ func main() {
 		t.Render(os.Stdout)
 		return
 	}
+	if *trace {
+		opts = append(opts, meetpoly.WithObserver(meetpoly.NewTraceObserver(os.Stdout)))
+	}
+	eng := meetpoly.NewEngine(opts...)
 
 	var sc meetpoly.Scenario
 	if *scenarioFile != "" {

@@ -63,15 +63,15 @@ func main() {
 	}
 
 	opts := []meetpoly.Option{meetpoly.WithMaxN(*famMax), meetpoly.WithSeed(*seed)}
+	if *table {
+		// The table engine carries no observer: -trace never enters a table.
+		experiments.E8SGL(meetpoly.NewEngine(opts...), experiments.DefaultSGLInstances(), *budget).Render(os.Stdout)
+		return
+	}
 	if *trace {
 		opts = append(opts, meetpoly.WithObserver(meetpoly.NewTraceObserver(os.Stdout)))
 	}
 	eng := meetpoly.NewEngine(opts...)
-
-	if *table {
-		experiments.E8SGL(eng.Env(), experiments.DefaultSGLInstances(), *budget).Render(os.Stdout)
-		return
-	}
 
 	var sc meetpoly.Scenario
 	if *scenarioFile != "" {

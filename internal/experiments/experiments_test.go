@@ -4,9 +4,11 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
+	"meetpoly"
 	"meetpoly/internal/costmodel"
 	"meetpoly/internal/graph"
 	"meetpoly/internal/trajectory"
@@ -112,9 +114,9 @@ func TestE4AndE6Measured(t *testing.T) {
 	if testing.Short() {
 		t.Skip("measured tables are slow")
 	}
-	env := testEnv(t)
+	eng := meetpoly.NewEngine()
 	instances := DefaultRVInstances()[:4]
-	e4 := E4Measured(env, instances, 300_000)
+	e4 := E4Measured(eng, instances, 300_000)
 	met := 0
 	for _, r := range e4.Rows {
 		if r[4] == "yes" {
@@ -125,7 +127,7 @@ func TestE4AndE6Measured(t *testing.T) {
 		t.Error("no instance met under any strategy in E4")
 	}
 	checkGolden(t, "e4-measured", e4)
-	e6 := E6Certified(env, instances[:2], 3000)
+	e6 := E6Certified(eng, instances[:2], 3000)
 	forced := 0
 	for _, r := range e6.Rows {
 		if r[1] == "yes" {
@@ -138,22 +140,42 @@ func TestE4AndE6Measured(t *testing.T) {
 	checkGolden(t, "e6-certified", e6)
 }
 
+// TestE4AllInstances pins the whole E4 table at rvsim -table E4's
+// defaults: catalog family 8, budget 2,000,000.
+func TestE4AllInstances(t *testing.T) {
+	if testing.Short() {
+		t.Skip("measured tables are slow")
+	}
+	checkGolden(t, "e4-measured-all", E4Measured(meetpoly.NewEngine(meetpoly.WithMaxN(8)), DefaultRVInstances(), 2_000_000))
+}
+
 // TestE6AllInstances pins the whole E6 table at the 4,000-move prefix
 // rvsim renders, including the instances whose meeting is not forced
-// within it.
+// within it, and checks the table's own note on every forced row: the
+// avoider met, at a cost no greater than the certified worst case.
 func TestE6AllInstances(t *testing.T) {
 	if testing.Short() {
 		t.Skip("measured tables are slow")
 	}
-	checkGolden(t, "e6-certified-all", E6Certified(testEnv(t), DefaultRVInstances(), 4000))
+	tab := E6Certified(meetpoly.NewEngine(), DefaultRVInstances(), 4000)
+	for _, r := range tab.Rows {
+		if r[1] != "yes" {
+			continue
+		}
+		worst, werr := strconv.Atoi(r[2])
+		measured, merr := strconv.Atoi(r[4])
+		if werr != nil || merr != nil || measured > worst {
+			t.Errorf("%s: avoider-measured %q vs certified-worst-cost %q", r[0], r[4], r[2])
+		}
+	}
+	checkGolden(t, "e6-certified-all", tab)
 }
 
 func TestE4SymmetryTable(t *testing.T) {
 	if testing.Short() {
 		t.Skip("measured tables are slow")
 	}
-	env := testEnv(t)
-	tab := E4Symmetry(env, 100_000)
+	tab := E4Symmetry(meetpoly.NewEngine(), 100_000)
 	var orientedMet, shuffledMet bool
 	for _, r := range tab.Rows {
 		if r[1] == "oriented" && r[3] == "yes" {
@@ -176,8 +198,7 @@ func TestE5Table(t *testing.T) {
 	if testing.Short() {
 		t.Skip("measured tables are slow")
 	}
-	cat := uxs.NewVerified(uxs.DefaultFamily(8), 1)
-	tab := E5ESST(cat, DefaultESSTInstances(), 50_000_000)
+	tab := E5ESST(meetpoly.NewEngine(meetpoly.WithMaxN(8)), DefaultESSTInstances(), 50_000_000)
 	for _, r := range tab.Rows {
 		if strings.HasPrefix(r[3], "error") || r[3] == "no-term" {
 			t.Errorf("instance %s: %s", r[0], r[3])
@@ -189,20 +210,27 @@ func TestE5Table(t *testing.T) {
 	checkGolden(t, "e5-esst", tab)
 }
 
-// TestMeasuredTablesCoverStructurally: E5 and E8 extend a verified
-// catalog the way the engine does — only for a graph with no
-// structurally equal family member — so after both tables run, every
-// instance graph is covered and no graph they appended is structurally
-// equal to another family member (rebuilt members are not appended
-// again). The families are the ones esstsim -table and sglsim -table
-// use.
+// TestMeasuredTablesCoverStructurally: E5 and E8 leave coverage to
+// the engine, which extends its verified catalog only for a graph with
+// no structurally equal family member. So after each table runs, every
+// instance graph is covered and no graph the engine appended is
+// structurally equal to another family member (rebuilt members are not
+// appended again). The families are the ones esstsim -table and sglsim
+// -table use.
 func TestMeasuredTablesCoverStructurally(t *testing.T) {
 	if testing.Short() {
 		t.Skip("measured tables are slow")
 	}
-	check := func(name string, v *uxs.Verified, base int, gs []*graph.Graph) {
+	check := func(name string, eng *meetpoly.Engine, table func(), specs []meetpoly.GraphSpec) {
 		t.Helper()
-		for _, g := range gs {
+		v := eng.Env().Catalog().(*uxs.Verified)
+		base := len(v.Family())
+		table()
+		for _, spec := range specs {
+			g, err := spec.Build()
+			if err != nil {
+				t.Fatal(err)
+			}
 			if !v.CoversEqual(g) {
 				t.Errorf("%s: instance graph %s not covered", name, g)
 			}
@@ -217,37 +245,42 @@ func TestMeasuredTablesCoverStructurally(t *testing.T) {
 			}
 		}
 	}
-	cat := uxs.NewVerified(uxs.DefaultFamily(8), 1)
-	base := len(cat.Family())
-	var gs []*graph.Graph
+	var specs []meetpoly.GraphSpec
 	for _, in := range DefaultESSTInstances() {
-		gs = append(gs, in.Graph)
+		specs = append(specs, in.Graph)
 	}
-	E5ESST(cat, DefaultESSTInstances(), 50_000_000)
-	check("E5", cat, base, gs)
+	e5 := meetpoly.NewEngine(meetpoly.WithMaxN(8))
+	check("E5", e5, func() { E5ESST(e5, DefaultESSTInstances(), 50_000_000) }, specs)
 
-	env := testEnv(t)
-	v := env.Catalog().(*uxs.Verified)
-	base, gs = len(v.Family()), nil
+	specs = nil
 	for _, in := range DefaultSGLInstances() {
-		gs = append(gs, in.Graph)
+		specs = append(specs, in.Graph)
 	}
-	E8SGL(env, DefaultSGLInstances(), 40_000_000)
-	check("E8", v, base, gs)
+	e8 := meetpoly.NewEngine()
+	check("E8", e8, func() { E8SGL(e8, DefaultSGLInstances(), 40_000_000) }, specs)
 }
 
 func TestE8Table(t *testing.T) {
 	if testing.Short() {
 		t.Skip("measured tables are slow")
 	}
-	env := testEnv(t)
-	tab := E8SGL(env, DefaultSGLInstances()[:3], 40_000_000)
+	tab := E8SGL(meetpoly.NewEngine(), DefaultSGLInstances()[:3], 40_000_000)
 	for _, r := range tab.Rows {
 		if r[3] != "yes" {
 			t.Errorf("instance %s: all-output = %s", r[0], r[3])
 		}
 	}
 	checkGolden(t, "e8-sgl", tab)
+}
+
+// TestE8AllInstances pins the whole E8 table at sglsim -table's
+// defaults: catalog family 6, budget 40,000,000. Its last instance,
+// rtree6/k4, is the only one whose graph extends the family.
+func TestE8AllInstances(t *testing.T) {
+	if testing.Short() {
+		t.Skip("measured tables are slow")
+	}
+	checkGolden(t, "e8-sgl-all", E8SGL(meetpoly.NewEngine(), DefaultSGLInstances(), 40_000_000))
 }
 
 func TestF1to4Renders(t *testing.T) {

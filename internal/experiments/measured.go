@@ -1,23 +1,29 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
-	"sort"
 
-	"meetpoly/internal/core"
+	"meetpoly"
 	"meetpoly/internal/costmodel"
 	"meetpoly/internal/graph"
-	"meetpoly/internal/labels"
-	"meetpoly/internal/sched"
 	"meetpoly/internal/trajectory"
 )
 
 // RVInstance is one rendezvous workload.
 type RVInstance struct {
 	Name   string
-	Graph  *graph.Graph
+	Graph  meetpoly.GraphSpec
 	S1, S2 int
-	L1, L2 labels.Label
+	L1, L2 meetpoly.Label
+}
+
+// Scenario returns the instance as a scenario of the given kind under
+// the adversary spec adv with an event budget. The certifier ranges over
+// every schedule, so a certify scenario takes neither and sets Moves.
+func (in RVInstance) Scenario(kind meetpoly.ScenarioKind, adv string, budget int) meetpoly.Scenario {
+	return meetpoly.Scenario{Name: in.Name, Kind: kind, Graph: in.Graph,
+		Starts: []int{in.S1, in.S2}, Labels: []meetpoly.Label{in.L1, in.L2}, Adversary: adv, Budget: budget}
 }
 
 // DefaultRVInstances returns the measured-rendezvous workload suite:
@@ -26,22 +32,35 @@ type RVInstance struct {
 // differing label bit — see EXPERIMENTS.md E4's notes).
 func DefaultRVInstances() []RVInstance {
 	return []RVInstance{
-		{"path2", graph.Path(2), 0, 1, 1, 2},
-		{"path4", graph.Path(4), 0, 3, 2, 5},
-		{"path6", graph.Path(6), 0, 5, 3, 4},
-		{"ring4shuf", graph.ShufflePorts(graph.Ring(4), 4), 0, 2, 1, 3},
-		{"ring5shuf", graph.ShufflePorts(graph.Ring(5), 5), 1, 4, 7, 4},
-		{"star4", graph.Star(4), 1, 3, 2, 3},
-		{"star6", graph.Star(6), 1, 5, 9, 2},
-		{"clique4", graph.Complete(4), 0, 3, 9, 6},
-		{"bintree5", graph.BinaryTree(5), 0, 4, 1, 6},
-		{"bintree6", graph.BinaryTree(6), 1, 5, 11, 13},
+		{"path2", meetpoly.GraphSpec{Kind: "path", N: 2}, 0, 1, 1, 2},
+		{"path4", meetpoly.GraphSpec{Kind: "path", N: 4}, 0, 3, 2, 5},
+		{"path6", meetpoly.GraphSpec{Kind: "path", N: 6}, 0, 5, 3, 4},
+		{"ring4shuf", meetpoly.GraphSpec{Kind: "ring", N: 4, Seed: 4, Shuffle: true}, 0, 2, 1, 3},
+		{"ring5shuf", meetpoly.GraphSpec{Kind: "ring", N: 5, Seed: 5, Shuffle: true}, 1, 4, 7, 4},
+		{"star4", meetpoly.GraphSpec{Kind: "star", N: 4}, 1, 3, 2, 3},
+		{"star6", meetpoly.GraphSpec{Kind: "star", N: 6}, 1, 5, 9, 2},
+		{"clique4", meetpoly.GraphSpec{Kind: "clique", N: 4}, 0, 3, 9, 6},
+		{"bintree5", meetpoly.GraphSpec{Kind: "bintree", N: 5}, 0, 4, 1, 6},
+		{"bintree6", meetpoly.GraphSpec{Kind: "bintree", N: 6}, 1, 5, 11, 13},
 	}
 }
 
-// E4Measured runs every instance under every adversary strategy and
-// reports the measured meeting cost against the Theorem 3.1 bound.
-func E4Measured(env *trajectory.Env, instances []RVInstance, budget int) *Table {
+// rendezvousRows runs every instance under every adversary spec through
+// one Engine.RunBatch; result i*len(advs)+j is instance i under advs[j].
+func rendezvousRows(eng *meetpoly.Engine, instances []RVInstance, advs []string, budget int) []meetpoly.BatchResult {
+	scs := make([]meetpoly.Scenario, 0, len(instances)*len(advs))
+	for _, in := range instances {
+		for _, adv := range advs {
+			scs = append(scs, in.Scenario(meetpoly.ScenarioRendezvous, adv, budget))
+		}
+	}
+	return eng.RunBatch(context.Background(), scs)
+}
+
+// E4Measured runs every instance under every built-in adversary family,
+// each with its registry defaults, and reports the measured meeting cost
+// against the Theorem 3.1 bound.
+func E4Measured(eng *meetpoly.Engine, instances []RVInstance, budget int) *Table {
 	t := &Table{
 		ID:    "E4",
 		Title: "measured rendezvous cost per adversary strategy (RV-asynch-poly)",
@@ -49,25 +68,22 @@ func E4Measured(env *trajectory.Env, instances []RVInstance, budget int) *Table 
 			"instance", "n", "labels", "strategy", "met", "cost", "in-edge", "log2(bound)",
 		},
 	}
-	names := strategyNames()
-	for _, in := range instances {
-		bound := core.PiBound(env, in.Graph.N(), in.L1, in.L2)
-		for _, name := range names {
-			adv := sched.Strategies(2)[name]()
-			res, err := core.Rendezvous(sched.RunOpts{}, in.Graph, in.S1, in.S2, in.L1, in.L2,
-				core.NewStepper(in.L1, env), core.NewStepper(in.L2, env), bound, adv, budget)
-			if err != nil {
-				t.AddRow(in.Name, in.Graph.N(), labelPair(in), name, "error: "+err.Error(), "-", "-", "-")
-				continue
-			}
-			if !res.Met {
-				t.AddRow(in.Name, in.Graph.N(), labelPair(in), name,
-					"no (budget)", "-", "-", costmodel.ApproxLog2(bound))
-				continue
-			}
-			t.AddRow(in.Name, in.Graph.N(), labelPair(in), name,
-				"yes", res.Meeting.Cost, res.Meeting.InEdge, costmodel.ApproxLog2(bound))
+	advs := []string{"avoider", "biased", "late-wake", "random", "round-robin"}
+	for _, br := range rendezvousRows(eng, instances, advs, budget) {
+		in, adv := instances[br.Index/len(advs)], br.Scenario.Adversary
+		labels := fmt.Sprintf("(%d,%d)", in.L1, in.L2)
+		if br.Result == nil {
+			t.AddRow(in.Name, in.Graph.N, labels, adv, "error: "+br.Err.Error(), "-", "-", "-")
+			continue
 		}
+		r := br.Result.Rendezvous
+		if !r.Met {
+			t.AddRow(in.Name, in.Graph.N, labels, adv,
+				"no (budget)", "-", "-", costmodel.ApproxLog2(r.Bound))
+			continue
+		}
+		t.AddRow(in.Name, in.Graph.N, labels, adv,
+			"yes", r.Meeting.Cost, r.Meeting.InEdge, costmodel.ApproxLog2(r.Bound))
 	}
 	t.Notes = append(t.Notes,
 		"measured costs sit far below the worst-case bound: the bound pays for adversaries that exploit the full label structure",
@@ -75,22 +91,10 @@ func E4Measured(env *trajectory.Env, instances []RVInstance, budget int) *Table 
 	return t
 }
 
-func labelPair(in RVInstance) string { return fmt.Sprintf("(%d,%d)", in.L1, in.L2) }
-
-func strategyNames() []string {
-	m := sched.Strategies(2)
-	names := make([]string, 0, len(m))
-	for n := range m {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
 // E6Certified runs the exhaustive lattice adversary on route prefixes of
 // the given length and reports the exact worst case over every schedule,
 // alongside the strongest online adversary's measured result.
-func E6Certified(env *trajectory.Env, instances []RVInstance, prefix int) *Table {
+func E6Certified(eng *meetpoly.Engine, instances []RVInstance, prefix int) *Table {
 	t := &Table{
 		ID:    "E6",
 		Title: fmt.Sprintf("exhaustive-adversary certification on %d-move route prefixes", prefix),
@@ -98,19 +102,24 @@ func E6Certified(env *trajectory.Env, instances []RVInstance, prefix int) *Table
 			"instance", "forced", "certified-worst-cost", "safest-depth", "avoider-measured",
 		},
 	}
+	scs := make([]meetpoly.Scenario, 0, 2*len(instances))
 	for _, in := range instances {
-		res, err := sched.Certify(core.Route(in.Graph, in.S1, in.L1, env, prefix),
-			core.Route(in.Graph, in.S2, in.L2, env, prefix))
-		if err != nil {
-			t.AddRow(in.Name, "error: "+err.Error(), "-", "-", "-")
+		cert := in.Scenario(meetpoly.ScenarioCertify, "", 0)
+		cert.Moves = prefix
+		scs = append(scs, cert, in.Scenario(meetpoly.ScenarioRendezvous, "avoider", 8*prefix))
+	}
+	brs := eng.RunBatch(context.Background(), scs)
+	for i, in := range instances {
+		cert, avoid := brs[2*i], brs[2*i+1]
+		if cert.Result == nil {
+			t.AddRow(in.Name, "error: "+cert.Err.Error(), "-", "-", "-")
 			continue
 		}
 		measured := "-"
-		r, err := core.Rendezvous(sched.RunOpts{}, in.Graph, in.S1, in.S2, in.L1, in.L2,
-			core.NewStepper(in.L1, env), core.NewStepper(in.L2, env), nil, &sched.Avoider{}, 8*prefix)
-		if err == nil && r.Met {
-			measured = fmt.Sprint(r.Meeting.Cost)
+		if avoid.Result != nil && avoid.Result.Rendezvous.Met {
+			measured = fmt.Sprint(avoid.Result.Rendezvous.Meeting.Cost)
 		}
+		res := cert.Result.Cert
 		if res.Forced {
 			t.AddRow(in.Name, "yes", res.WorstCompleted, res.SafestDepth, measured)
 		} else {
@@ -167,31 +176,26 @@ func E10CoverageRamp(graphs []*graph.Graph, verified *trajectory.Env, cubic *tra
 // E4Symmetry documents the oriented-ring symmetry phenomenon as a
 // measured table: rotation-equivalent starts dodge every online strategy
 // within the budget, while a port shuffle breaks the symmetry.
-func E4Symmetry(env *trajectory.Env, budget int) *Table {
+func E4Symmetry(eng *meetpoly.Engine, budget int) *Table {
 	t := &Table{
 		ID:      "E4s",
 		Title:   "oriented-ring symmetry ablation: identical trajectories are exact translates",
 		Columns: []string{"graph", "ports", "strategy", "met within budget", "cost"},
 	}
-	oriented := graph.Ring(4)
-	shuffled := graph.ShufflePorts(graph.Ring(4), 4)
-	for _, tc := range []struct {
-		g     *graph.Graph
-		ports string
-	}{{oriented, "oriented"}, {shuffled, "shuffled"}} {
-		for _, name := range []string{"round-robin", "avoider"} {
-			adv := sched.Strategies(2)[name]()
-			res, err := core.Rendezvous(sched.RunOpts{}, tc.g, 0, 2, 1, 3,
-				core.NewStepper(1, env), core.NewStepper(3, env), nil, adv, budget)
-			if err != nil {
-				t.AddRow("ring4", tc.ports, name, "error", "-")
-				continue
-			}
-			if res.Met {
-				t.AddRow("ring4", tc.ports, name, "yes", res.Meeting.Cost)
-			} else {
-				t.AddRow("ring4", tc.ports, name, "no", "-")
-			}
+	rings := []RVInstance{
+		{"oriented", meetpoly.GraphSpec{Kind: "ring", N: 4}, 0, 2, 1, 3},
+		{"shuffled", meetpoly.GraphSpec{Kind: "ring", N: 4, Seed: 4, Shuffle: true}, 0, 2, 1, 3},
+	}
+	advs := []string{"round-robin", "avoider"}
+	for _, br := range rendezvousRows(eng, rings, advs, budget) {
+		ports, adv := rings[br.Index/len(advs)].Name, br.Scenario.Adversary
+		switch {
+		case br.Result == nil:
+			t.AddRow("ring4", ports, adv, "error", "-")
+		case br.Result.Rendezvous.Met:
+			t.AddRow("ring4", ports, adv, "yes", br.Result.Rendezvous.Meeting.Cost)
+		default:
+			t.AddRow("ring4", ports, adv, "no", "-")
 		}
 	}
 	t.Notes = append(t.Notes,

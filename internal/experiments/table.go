@@ -2,7 +2,9 @@
 // paper (experiments E1-E8 and Figures F1-F4 of EXPERIMENTS.md) as typed
 // tables. The CLI tools, the benchmark harness and the integration tests
 // all consume these generators, so the numbers in reports are produced by
-// exactly one code path.
+// exactly one code path. The measured tables run their rows as Scenarios
+// through Engine.RunBatch, the path sweeps run, so the package sits
+// above the meetpoly facade.
 package experiments
 
 import (

@@ -209,19 +209,3 @@ func (a *Avoider) Next(v *View) (Event, bool) {
 	}
 	return Event{}, false
 }
-
-// Strategies returns the named adversary suite used across experiments.
-// Weights follow the agent count k.
-func Strategies(k int) map[string]func() Adversary {
-	ws := make([]int, k)
-	for i := range ws {
-		ws[i] = 1 + 4*i // 1:5:9:... speed skew
-	}
-	return map[string]func() Adversary{
-		"round-robin": func() Adversary { return &RoundRobin{} },
-		"biased":      func() Adversary { return &Biased{Weights: ws} },
-		"late-wake":   func() Adversary { return &LateWake{Primary: 0, Hold: 200} },
-		"random":      func() Adversary { return NewRandom(42) },
-		"avoider":     func() Adversary { return &Avoider{} },
-	}
-}

@@ -279,7 +279,13 @@ func TestCertifyConsistentWithRunner(t *testing.T) {
 			continue
 		}
 		forcedSeen++
-		for name, mk := range Strategies(2) {
+		for name, mk := range map[string]func() Adversary{
+			"round-robin": func() Adversary { return &RoundRobin{} },
+			"biased":      func() Adversary { return &Biased{Weights: []int{1, 5}} },
+			"late-wake":   func() Adversary { return &LateWake{Primary: 0, Hold: 200} },
+			"random":      func() Adversary { return NewRandom(42) },
+			"avoider":     func() Adversary { return &Avoider{} },
+		} {
 			a := &Walker{Stepper: script(pa...)}
 			b := &Walker{Stepper: script(pb...)}
 			r := mustRunner(t, Config{

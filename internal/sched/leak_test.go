@@ -73,7 +73,10 @@ func TestRunnerCancelNoLeak(t *testing.T) {
 // events, because steps advances on every applied event — there is no
 // event mix that defers the stride poll.
 func TestRunnerCancellationLatency(t *testing.T) {
-	for _, advName := range []string{"avoider", "late-wake"} {
+	for advName, adv := range map[string]Adversary{
+		"avoider":   &Avoider{},
+		"late-wake": &LateWake{Primary: 0, Hold: 200},
+	} {
 		t.Run(advName, func(t *testing.T) {
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
@@ -85,7 +88,7 @@ func TestRunnerCancellationLatency(t *testing.T) {
 				InitiallyAwake: []int{0, 1},
 				MaxSteps:       1 << 30,
 				Context:        ctx,
-			}, &cancelAfter{inner: Strategies(2)[advName](), n: cancelAt, cancel: cancel})
+			}, &cancelAfter{inner: adv, n: cancelAt, cancel: cancel})
 			if err != nil {
 				t.Fatal(err)
 			}

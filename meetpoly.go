@@ -35,10 +35,12 @@
 //	internal/baseline   the exponential comparator
 //	internal/sgl        Algorithm SGL + applications
 //	internal/rverr      the sentinel errors re-exported by this facade
-//	internal/experiments the table generators for EXPERIMENTS.md
 //	internal/campaign   the sweep engine behind Engine.Sweep: spec
 //	                    expansion, per-cell seed derivation, paper-bound
 //	                    oracles, aggregation
+//
+// internal/experiments, the table generators for EXPERIMENTS.md, sits
+// above this facade with the service layer and the cmds.
 //
 // # Quick start
 //
