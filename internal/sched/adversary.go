@@ -43,6 +43,10 @@ func (rr *RoundRobin) Next(v *View) (Event, bool) {
 	return Event{}, false
 }
 
+// rotation implements rotator: while both agents of a two-walker run
+// can advance, Next alternates them from rr.next.
+func (rr *RoundRobin) rotation() *int { return &rr.next }
+
 // Biased advances agent i Weights[i] half-steps per cycle, modelling
 // persistently different agent speeds (e.g. 10:1). Zero-weight agents are
 // frozen until everyone else is stuck, keeping the schedule valid.
@@ -209,3 +213,8 @@ func (a *Avoider) Next(v *View) (Event, bool) {
 	}
 	return Event{}, false
 }
+
+// rotation implements rotator: while both agents of a two-walker run
+// can advance, Next alternates them from a.next until the preferred
+// half-step would create contact.
+func (a *Avoider) rotation() *int { return &a.next }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"meetpoly/internal/graph"
+	"meetpoly/internal/trajectory"
 )
 
 // cycleWalk repeats its ports forever, without allocating.
@@ -59,5 +60,45 @@ func TestMeetingsDoNotAllocate(t *testing.T) {
 	if large > small {
 		t.Errorf("allocations grow with meetings: %v per run with %d meetings delivered, %v with %d",
 			small, few, large, many)
+	}
+}
+
+// TestStretchAllocatesNoMoreThanPerEvent pins the stretch path's
+// allocations: a warm route-replay pair under round-robin, whose runs
+// spend nearly every event in Runner.lockstep, allocates no more per
+// run than the same run through the perEvent wrapper.
+func TestStretchAllocatesNoMoreThanPerEvent(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops the run scratch at random under -race")
+	}
+	g := graph.Ring(6)
+	book := trajectory.NewRouteBook(g)
+	gen := func() trajectory.Stepper { return &cycleWalk{ports: []int{0}} }
+	measure := func(wrap bool) float64 {
+		return testing.AllocsPerRun(5, func() {
+			var adv Adversary = &RoundRobin{}
+			if wrap {
+				adv = perEvent{adv}
+			}
+			r, err := NewRunner(Config{
+				Graph:  g,
+				Starts: []int{0, 3},
+				Agents: []Agent{
+					&Walker{Stepper: book.Stepper(trajectory.RouteKey{Start: 0}, gen)},
+					&Walker{Stepper: book.Stepper(trajectory.RouteKey{Start: 3}, gen)},
+				},
+				InitiallyAwake: []int{0, 1},
+				MaxSteps:       20_000,
+			}, adv)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r.Run()
+			r.Close()
+		})
+	}
+	measure(true) // materialize both routes
+	if stretch, perEvt := measure(false), measure(true); stretch > perEvt {
+		t.Errorf("a stretch run allocates %v times, the per-event run %v", stretch, perEvt)
 	}
 }

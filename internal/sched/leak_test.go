@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"meetpoly/internal/graph"
+	"meetpoly/internal/trajectory"
 )
 
 // endless is an infinite port-0 stepper: co-rotation fuel for leak and
@@ -100,6 +101,69 @@ func TestRunnerCancellationLatency(t *testing.T) {
 			if sum.Steps > cancelAt+ctxPollStride {
 				t.Errorf("run took %d steps, want <= %d after cancellation at %d",
 					sum.Steps, cancelAt+ctxPollStride, cancelAt)
+			}
+		})
+	}
+}
+
+// cancelAtEvent is an observer that cancels the run's context once the
+// adversary event with index at has been applied.
+type cancelAtEvent struct {
+	FuncObserver
+	at     int
+	cancel context.CancelFunc
+}
+
+func (c *cancelAtEvent) OnEvent(step int, _ Event) {
+	if step == c.at {
+		c.cancel()
+	}
+}
+
+// TestStretchCancellationLatency is TestRunnerCancellationLatency on the
+// contact-free stretch path: two co-rotating walkers replaying routes
+// from a route book, under round-robin and under the avoider, so every
+// event runs inside Runner.lockstep. The observer cancels mid-stride,
+// and the run must still stop within ctxPollStride events, because a
+// stretch ends at the next context poll.
+func TestStretchCancellationLatency(t *testing.T) {
+	g := graph.Ring(8)
+	book := trajectory.NewRouteBook(g)
+	gen := func() trajectory.Stepper { return endless{} }
+	for advName, adv := range map[string]Adversary{
+		"round-robin": &RoundRobin{},
+		"avoider":     &Avoider{},
+	} {
+		t.Run(advName, func(t *testing.T) {
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			const cancelAt = 1_000
+			r, err := NewRunner(Config{
+				Graph:  g,
+				Starts: []int{0, 4},
+				Agents: []Agent{
+					&Walker{Stepper: book.Stepper(trajectory.RouteKey{Start: 0}, gen)},
+					&Walker{Stepper: book.Stepper(trajectory.RouteKey{Start: 4}, gen)},
+				},
+				InitiallyAwake: []int{0, 1},
+				MaxSteps:       1 << 30,
+				Context:        ctx,
+				Observer:       &cancelAtEvent{at: cancelAt, cancel: cancel},
+			}, adv)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer r.Close()
+			if r.rot == nil {
+				t.Fatal("the route-replay pair did not qualify for stretches")
+			}
+			sum := r.Run()
+			if !sum.Canceled {
+				t.Fatalf("run not canceled: %+v", sum)
+			}
+			if sum.Steps <= cancelAt || sum.Steps > cancelAt+ctxPollStride {
+				t.Errorf("run took %d steps, want (%d, %d] after cancellation at event %d",
+					sum.Steps, cancelAt, cancelAt+ctxPollStride, cancelAt)
 			}
 		})
 	}

@@ -249,6 +249,13 @@ type Runner struct {
 	groups      []meetGroup // group slot pool
 	nGroups     int
 	meetBuf     []Peer // a firing meeting's payloads, then one member's peers
+
+	// Contact-free stretches (lockstep): rot is the adversary's rotation
+	// when the run qualifies, nil otherwise; walkers and replays are the
+	// two agents and their route replays.
+	rot     *int
+	walkers [2]*Walker
+	replays [2]replay
 }
 
 // runScratch is the pooled per-run buffer set. Runners acquire one in
@@ -378,7 +385,47 @@ func NewRunner(cfg Config, adv Adversary) (*Runner, error) {
 	r.groups = s.groups
 	r.meetBuf = s.meetBuf
 	r.viewBuf = View{g: r.g, dormant: &r.dormantCount, agents: r.agents}
+	r.bindLockstep(cfg, adv)
 	return r, nil
+}
+
+// rotator is an adversary whose schedule, while both agents of a
+// two-agent run hold a move and the preferred half-step creates no
+// contact, is strict alternation from its rotation: RoundRobin and
+// Avoider. rotation returns the index of the agent the next advance
+// prefers (a value of 2 wraps to 0).
+type rotator interface {
+	rotation() *int
+}
+
+// replay is a route-book replay (trajectory.RouteBook.Stepper): a
+// stepper whose next moves are a published port array.
+type replay interface {
+	Published() []int32
+	Skip(n int)
+}
+
+// bindLockstep decides, once per run, whether Run may apply
+// contact-free stretches (see lockstep): exactly two agents, no
+// StopWhen, both agents Walkers replaying a route book, and a rotator
+// adversary. Every other run takes the per-event path alone.
+func (r *Runner) bindLockstep(cfg Config, adv Adversary) {
+	rot, ok := adv.(rotator)
+	if !ok || len(cfg.Agents) != 2 || cfg.StopWhen != nil {
+		return
+	}
+	for i, a := range cfg.Agents {
+		w, ok := a.(*Walker)
+		if !ok {
+			return
+		}
+		rp, ok := w.Stepper.(replay)
+		if !ok {
+			return
+		}
+		r.walkers[i], r.replays[i] = w, rp
+	}
+	r.rot = rot.rotation()
 }
 
 // Run executes the simulation until the adversary rests, StopWhen fires,
@@ -413,6 +460,11 @@ func (r *Runner) Run() Summary {
 		}
 		if !r.anyActionable() {
 			break
+		}
+		// A stretch that ran to its limit owes the loop's checks again;
+		// one that stopped short leaves the next event to the adversary.
+		if r.rot != nil && r.pendingCount == 2 && r.lockstep() {
+			continue
 		}
 		v := r.view()
 		ev, ok := r.adv.Next(v)
@@ -465,6 +517,112 @@ func (r *Runner) Close() {
 	r.contacts, r.curContacts, r.grouped = nil, nil, nil
 	r.edgeGroup, r.edgeTouched, r.groups = nil, nil, nil
 	r.meetBuf = nil
+}
+
+// lane is one walker's state inside a contact-free stretch. Its
+// position is an edge (tail, head): the agent is at node tail when
+// head == tail (the graph has no self-loops) and inside the edge
+// otherwise, so two lanes are in contact exactly when one's tail is
+// the other's head and vice versa.
+type lane struct {
+	ports      []int32 // the route's published ports from the stretch's start
+	used       int     // ports consumed by arrivals
+	tail, head int
+	port       int // pending exit port
+	entry      int // entry port of the pending arrival
+	trav       int
+}
+
+// lockstep applies a contact-free stretch (DESIGN.md §2.2): while both
+// agents of a qualifying run hold a move, RoundRobin and Avoider
+// alternate them from their rotation, so the stretch applies those
+// half-steps straight off the routes' published ports instead of asking
+// the adversary for each. It stops before a half-step that would create
+// contact, before an arrival whose decision the published ports do not
+// hold (the route must grow, or the walker halts), at the next context
+// poll and at the budget; each of those events is the per-event path's.
+// Inside a stretch no meeting fires and no agent decides anything its
+// route does not hold, so it leaves the runner, the replays, the
+// rotation and an attached observer where the per-event path would. It
+// reports whether it ran to its step limit.
+//
+//rvlint:hotpath
+func (r *Runner) lockstep() bool {
+	limit := (r.steps/ctxPollStride + 1) * ctxPollStride
+	if limit > r.maxSteps {
+		limit = r.maxSteps
+	}
+	var ln [2]lane
+	for k := range ln {
+		st, l := r.agents[k], &ln[k]
+		if st.pos.Kind == InEdge {
+			l.tail, l.head = st.pos.From, st.pos.To
+		} else {
+			l.tail, l.head = st.pos.Node, st.pos.Node
+		}
+		l.port, l.entry, l.trav = st.pendingPort, st.pendingEntry, st.traversals
+		// A walker that has met halts at its next decision (StopAtMeeting),
+		// which the per-event path delivers: it gets no ports here.
+		if w := r.walkers[k]; !w.StopAtMeeting || w.metCount == 0 {
+			l.ports = r.replays[k].Published()
+		}
+	}
+	g, obs := r.g, r.obs
+	i := *r.rot
+	if i >= 2 {
+		i = 0
+	}
+	a, b := &ln[i], &ln[1-i]
+	steps := r.steps
+	for steps < limit {
+		if a.tail == a.head {
+			// Leaving a.tail through the pending port.
+			to, entry := g.Succ(a.tail, a.port)
+			if b.tail == to && b.head == a.tail {
+				break
+			}
+			a.head, a.entry = to, entry
+		} else {
+			// Arrival at a.head, then the walker's next decision.
+			if b.tail == a.head && b.head == a.head || a.used == len(a.ports) {
+				break
+			}
+			p := int(a.ports[a.used])
+			if uint(p) >= uint(g.Degree(a.head)) {
+				break // commit rejects it loudly on the per-event path
+			}
+			from := a.tail
+			a.tail, a.port = a.head, p
+			a.used++
+			a.trav++
+			if obs != nil {
+				obs.OnTraversal(i, from, a.head)
+			}
+		}
+		if obs != nil {
+			obs.OnEvent(steps, Event{Kind: EventAdvance, Agent: i})
+		}
+		steps++
+		a, b = b, a
+		i ^= 1
+	}
+	if steps == r.steps {
+		return false
+	}
+	for k := range ln {
+		st, l := r.agents[k], &ln[k]
+		if l.tail != l.head {
+			st.pos = Position{Kind: InEdge, From: l.tail, To: l.head}
+		} else {
+			st.pos = Position{Kind: AtNode, Node: l.tail}
+		}
+		st.pendingPort, st.pendingEntry, st.traversals = l.port, l.entry, l.trav
+		r.replays[k].Skip(l.used)
+	}
+	r.steps = steps
+	r.contacts[1] = false // every half-step ended out of contact
+	*r.rot = 2 - i        // the last advanced agent, 1-i, plus one
+	return steps == limit
 }
 
 // anyActionable reports whether some agent is dormant or has a pending move.

@@ -180,7 +180,9 @@ func (r *Route) extendTo(n int) *routeState {
 
 // routeStepper replays a cached route. It ignores the caller-supplied
 // (deg, entry) observations: the route determines them, by the same
-// determinism argument that makes caching sound.
+// determinism argument that makes caching sound. Besides Next it
+// exposes its published prefix (Published, Skip), so a scheduler can
+// walk a stretch of the route straight off the port array.
 type routeStepper struct {
 	rt  *Route
 	st  *routeState
@@ -199,3 +201,17 @@ func (s *routeStepper) Next(deg, entry int) (int, bool) {
 	s.idx++
 	return int(p), true
 }
+
+// Published returns the exit ports the next Next calls would return
+// without extending the route: the newest published snapshot from the
+// replay's position on. It never grows the route, so a caller that
+// consumes these ports directly leaves the extension, and the book's
+// byte count, to the first Next past them. The slice is immutable.
+func (s *routeStepper) Published() []int32 {
+	s.st = s.rt.state.Load()
+	return s.st.ports[s.idx:]
+}
+
+// Skip advances the replay past n moves that Published returned, as if
+// Next had returned each of them.
+func (s *routeStepper) Skip(n int) { s.idx += n }
