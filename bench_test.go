@@ -180,8 +180,8 @@ func BenchmarkEngineRunPrepared(b *testing.B) {
 }
 
 // BenchmarkSweepThroughput measures end-to-end campaign throughput in
-// cells/sec on a warm engine — the quantity BENCH_sched.json's run
-// pass records (its prep pass measures the cold sweep).
+// cells/sec on a warm engine — the quantity TestPerfGates holds above a
+// floor, and perfbench's cells_per_s measures end to end.
 func BenchmarkSweepThroughput(b *testing.B) {
 	ctx := context.Background()
 	spec := SweepSpec{

@@ -31,7 +31,9 @@ func cacheTestSpec() SweepSpec {
 
 // TestPreparedCacheHitRatio asserts the content-addressed cache's core
 // economy: a sweep misses once per unique GraphSpec and hits everywhere
-// else, and a repeated sweep adds no new misses.
+// else, and a repeated sweep adds no new misses. The cache amortizes,
+// never shortcuts: the second and third sweeps on the warm engine
+// reproduce the first sweep's report byte for byte.
 func TestPreparedCacheHitRatio(t *testing.T) {
 	eng := NewEngine()
 	spec := cacheTestSpec()
@@ -55,15 +57,22 @@ func TestPreparedCacheHitRatio(t *testing.T) {
 	if st.Hits < int64(cells)-uniqueGraphs {
 		t.Errorf("first sweep: %d cache hits for %d cells, want >= %d", st.Hits, cells, cells-uniqueGraphs)
 	}
-	if _, err := eng.Sweep(context.Background(), spec); err != nil {
-		t.Fatal(err)
+	cold := mustJSON(t, rep)
+	for _, pass := range []string{"second", "third"} {
+		rep, err := eng.Sweep(context.Background(), spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if warm := mustJSON(t, rep); !bytes.Equal(cold, warm) {
+			t.Errorf("%s sweep's report differs from the first:\nfirst: %s\n%s: %s", pass, cold, pass, warm)
+		}
 	}
 	st2 := eng.CacheStats()
 	if st2.Misses != st.Misses {
-		t.Errorf("second sweep added misses: %d -> %d (cache not content-addressed?)", st.Misses, st2.Misses)
+		t.Errorf("repeated sweeps added misses: %d -> %d (cache not content-addressed?)", st.Misses, st2.Misses)
 	}
 	if st2.Hits <= st.Hits {
-		t.Errorf("second sweep added no hits: %d -> %d", st.Hits, st2.Hits)
+		t.Errorf("repeated sweeps added no hits: %d -> %d", st.Hits, st2.Hits)
 	}
 }
 

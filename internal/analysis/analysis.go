@@ -15,7 +15,7 @@
 //     call (PR 3/4's allocation-free view contract).
 //   - hotalloc: functions annotated //rvlint:hotpath must contain no
 //     allocation sources, guarding the ~17ns/0.002-allocs half-step
-//     floor at review time, not only via rvbench -check.
+//     floor at review time, not only via TestPerfGates.
 //   - registrypure: registry mutation happens only at init/package-var
 //     time, and graph-kind Build implementations are free of global
 //     mutable state, so registry fingerprints content-address the

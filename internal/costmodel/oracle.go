@@ -60,16 +60,6 @@ func (m *Model) WithinBaseline(n int, l1, l2 uint64, cost int64) (bool, error) {
 	return big.NewInt(cost).Cmp(m.BaselineTotal(n, l1, l2)) <= 0, nil
 }
 
-// PiSlackLog2 returns log2(Π(n, mLen)) - log2(cost): how much head-room
-// an observed cost left under the guarantee, in bits — the slack
-// quantity for slope/table rendering, alongside ApproxLog2.
-func (m *Model) PiSlackLog2(n, mLen int, cost int64) float64 {
-	if cost < 1 {
-		cost = 1
-	}
-	return ApproxLog2(m.Pi(n, mLen)) - ApproxLog2(big.NewInt(cost))
-}
-
 // LemmasHold reports whether every counting inequality of Lemmas 3.2-3.6
 // and Theorem 3.1 holds at graph size n and modified-label length l
 // (l = ModifiedLen(mLen) >= 4). It is CheckLemmas collapsed to the

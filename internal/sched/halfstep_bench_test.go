@@ -10,10 +10,11 @@ import (
 )
 
 // BenchmarkRunnerHalfSteps measures ns (and allocations) per adversary
-// half-step on the per-event path; cmd/rvbench runs the same harness and
-// records the numbers in BENCH_sched.json. Its agents' steppers are not
-// route-book replays, so the runner never applies a contact-free stretch
-// here: BenchmarkRunnerStretch measures that path.
+// half-step on the per-event path; perfbench's sched.halfstep_ns runs
+// the same harness, and the root package's TestPerfGates holds the same
+// workload under a ceiling. Its agents' steppers are not route-book
+// replays, so the runner never applies a contact-free stretch here:
+// BenchmarkRunnerStretch measures that path.
 func BenchmarkRunnerHalfSteps(b *testing.B) {
 	b.Run("stepper", schedbench.HalfSteps())
 }

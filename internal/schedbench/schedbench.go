@@ -1,12 +1,12 @@
 // Package schedbench is the scheduler's microbenchmark harness, shared
-// by the test-suite benchmark BenchmarkRunnerHalfSteps and the
-// cmd/rvbench CLI so both measure exactly the same workload: two
+// by the test-suite benchmark BenchmarkRunnerHalfSteps and perfbench's
+// sched.halfstep_ns so both measure exactly the same workload: two
 // co-rotating agents on a 6-ring driven by the round-robin adversary,
 // one adversary event (= one half-step) per benchmark iteration.
 //
 // The package lives outside internal/sched because it imports the
-// testing package (testing.Benchmark powers rvbench's standalone
-// measurements), which a library package must not pull in.
+// testing package (testing.Benchmark powers Measure, which perfbench
+// calls outside go test), which a library package must not pull in.
 package schedbench
 
 import (

@@ -483,7 +483,8 @@ func TestServerAdmission(t *testing.T) {
 	}
 }
 
-// TestServerRejects covers the request-shape refusals.
+// TestServerRejects covers the request-shape refusals. None of them
+// is admitted, so none counts as served or holds an in-flight slot.
 func TestServerRejects(t *testing.T) {
 	srv := New(Config{Engine: newServeEngine(), MaxCells: 10})
 	ts := httptest.NewServer(srv.Handler())
@@ -516,8 +517,15 @@ func TestServerRejects(t *testing.T) {
 	small.StartPairs, small.LabelPairs = 1, 1
 	small.Adversaries = []string{""}
 	smallJSON, _ := json.Marshal(small)
-	if code := post("/v1/sweep?budget_ms=nope", string(smallJSON)); code != http.StatusBadRequest {
-		t.Errorf("bad budget_ms: %d, want 400", code)
+	for _, path := range []string{
+		"/v1/sweep?budget_ms=nope",
+		"/v1/sweep/report?budget_ms=abc",
+		"/v1/sweep?budget_ms=0",
+		"/v1/sweep/report?budget_ms=-5",
+	} {
+		if code := post(path, string(smallJSON)); code != http.StatusBadRequest {
+			t.Errorf("POST %s: %d, want 400", path, code)
+		}
 	}
 	resp, err := http.Get(ts.URL + "/v1/sweep")
 	if err != nil {
@@ -526,6 +534,22 @@ func TestServerRejects(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Errorf("GET sweep: %d, want 405", resp.StatusCode)
+	}
+
+	resp, err = http.Get(ts.URL + "/v1/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var st struct {
+		Served   int64 `json:"served"`
+		Inflight int   `json:"inflight"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+		t.Fatal(err)
+	}
+	if st.Served != 0 || st.Inflight != 0 {
+		t.Errorf("after refusals: served=%d inflight=%d, want 0 and 0", st.Served, st.Inflight)
 	}
 }
 

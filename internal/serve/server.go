@@ -362,6 +362,17 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request, stream bool
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
+	budget := s.cfg.RequestTimeout
+	if ms := r.URL.Query().Get("budget_ms"); ms != "" {
+		d, err := strconv.Atoi(ms)
+		if err != nil || d <= 0 {
+			http.Error(w, "budget_ms must be a positive integer", http.StatusBadRequest)
+			return
+		}
+		if req := time.Duration(d) * time.Millisecond; budget == 0 || req < budget {
+			budget = req
+		}
+	}
 
 	tenant := r.Header.Get("X-Tenant")
 	if tenant == "" {
@@ -382,17 +393,6 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request, stream bool
 	defer cancel()
 	stopAfter := context.AfterFunc(s.drainCtx, cancel)
 	defer stopAfter()
-	budget := s.cfg.RequestTimeout
-	if ms := r.URL.Query().Get("budget_ms"); ms != "" {
-		d, err := strconv.Atoi(ms)
-		if err != nil || d <= 0 {
-			http.Error(w, "budget_ms must be a positive integer", http.StatusBadRequest)
-			return
-		}
-		if req := time.Duration(d) * time.Millisecond; budget == 0 || req < budget {
-			budget = req
-		}
-	}
 	if budget > 0 {
 		var tcancel context.CancelFunc
 		ctx, tcancel = context.WithTimeout(ctx, budget)

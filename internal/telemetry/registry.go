@@ -215,8 +215,11 @@ func (r *Registry) Snapshot() []Point {
 					p.Value = float64(s.g.Value())
 				}
 			case KindHistogram:
-				p.Count = s.h.count.Load()
+				// Sum before count: Observe adds to count first, so
+				// every observation in this sum is in the count too,
+				// and a concurrent snapshot never shows sum > count·max.
 				p.Sum = s.h.sum.Load()
+				p.Count = s.h.count.Load()
 				b := make([]uint64, histBuckets)
 				for i := range s.h.buckets {
 					b[i] = s.h.buckets[i].Load()

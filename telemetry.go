@@ -1,10 +1,8 @@
 package meetpoly
 
 import (
-	"math/bits"
 	"sync"
 
-	"meetpoly/internal/campaign"
 	"meetpoly/internal/telemetry"
 )
 
@@ -23,10 +21,9 @@ func NewMetrics() *Metrics { return telemetry.NewRegistry() }
 
 // WithTelemetry attaches a metrics registry to the engine. The engine
 // then records its prepared-cache traffic, route replays, per-cell wall
-// times, oracle verdicts and the per-graph-kind Π-slack distribution
-// into it — and nothing else changes: telemetry never feeds a result,
-// and the differential test suite pins sweep reports byte-identical
-// with and without it.
+// times and oracle verdicts into it — and nothing else changes:
+// telemetry never feeds a result, and the differential test suite pins
+// sweep reports byte-identical with and without it.
 func WithTelemetry(m *Metrics) Option {
 	return func(c *engineConfig) { c.metrics = m }
 }
@@ -63,7 +60,6 @@ func WithCellTrace(fn func(CellTraceEvent)) Option {
 // dynamic label value, memoized through the label caches below); the
 // per-cell record path touches only lock-free handles.
 type engineMetrics struct {
-	e   *Engine
 	reg *Metrics
 
 	cellWall    *telemetry.Histogram // per-cell wall time
@@ -72,9 +68,8 @@ type engineMetrics struct {
 
 	verdicts [5]*telemetry.Counter // indexed by verdict class below
 
-	byKind       labelCache // kind  -> cells counter
-	byOracle     labelCache // oracle -> failure counter
-	slackByGraph labelCache // graph kind -> Π-slack histogram
+	byKind   labelCache // kind  -> cells counter
+	byOracle labelCache // oracle -> failure counter
 }
 
 // Verdict classes of meetpoly_engine_cell_verdicts_total.
@@ -87,7 +82,7 @@ const (
 )
 
 func newEngineMetrics(e *Engine, reg *Metrics) *engineMetrics {
-	m := &engineMetrics{e: e, reg: reg}
+	m := &engineMetrics{reg: reg}
 
 	// The cache counters read the engine's packed atomic word at
 	// snapshot time instead of double-counting here — /metrics and
@@ -126,18 +121,11 @@ func newEngineMetrics(e *Engine, reg *Metrics) *engineMetrics {
 		return reg.Counter("meetpoly_engine_oracle_failures_total",
 			"Oracle verdict failures, by oracle.", telemetry.L("oracle", oracle))
 	})
-	m.slackByGraph.init(func(graph string) any {
-		return reg.Histogram("meetpoly_engine_pi_slack_millibits",
-			"Observed Pi(n,l) slack of met rendezvous cells, in thousandths of a bit "+
-				"(log2(Pi) - log2(max per-agent traversals), clamped at 0), by graph kind.",
-			telemetry.L("graph", graph))
-	})
 	return m
 }
 
-// observeJudge records one judged cell: kind and verdict tallies,
-// per-oracle failures, and — for met rendezvous cells — the Π-slack
-// distribution of its graph kind (ROADMAP item 4's measurement seam).
+// observeJudge records one judged cell: kind and verdict tallies and
+// per-oracle failures.
 func (m *engineMetrics) observeJudge(cell SweepCell, cr SweepCellResult) {
 	m.byKind.get(cell.Kind).(*telemetry.Counter).Inc()
 	out := cr.Outcome
@@ -155,13 +143,6 @@ func (m *engineMetrics) observeJudge(cell SweepCell, cr SweepCellResult) {
 	}
 	for _, f := range cr.Failures {
 		m.byOracle.get(f.Oracle).(*telemetry.Counter).Inc()
-	}
-	if out.Met && cell.Kind == campaign.KindRendezvous && out.N > 0 && out.MaxPerAgent > 0 {
-		slack := m.e.BoundModel().PiSlackLog2(out.N, minLabelBits(cell.Labels), int64(out.MaxPerAgent))
-		if slack < 0 {
-			slack = 0
-		}
-		m.slackByGraph.get(cell.Graph.Kind).(*telemetry.Histogram).Observe(uint64(slack * 1000))
 	}
 }
 
@@ -183,17 +164,4 @@ func (c *labelCache) get(key string) any {
 	// the same handle the winner stored.
 	v, _ := c.m.LoadOrStore(key, c.mk(key))
 	return v
-}
-
-// minLabelBits is the binary length of the smallest label — the ℓ of
-// Π(n, ℓ), mirroring the campaign oracles' reading of a cell.
-func minLabelBits(labels []uint64) int {
-	best := 0
-	for _, l := range labels {
-		n := bits.Len64(l)
-		if best == 0 || n < best {
-			best = n
-		}
-	}
-	return best
 }

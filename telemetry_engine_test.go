@@ -89,7 +89,6 @@ func TestSweepTelemetryInvisibleToResults(t *testing.T) {
 		"meetpoly_engine_cache_misses_total",
 		"meetpoly_engine_cell_verdicts_total",
 		"meetpoly_engine_route_replays_total",
-		"meetpoly_engine_pi_slack_millibits",
 	} {
 		if snap[name] == 0 {
 			t.Errorf("series %s missing from the instrumented sweep's snapshot", name)
