@@ -53,7 +53,7 @@ func CellScenario(c SweepCell) Scenario {
 	sc := Scenario{
 		Name:      c.ID,
 		Kind:      ScenarioKind(c.Kind),
-		Graph:     cellGraphSpec(c),
+		Graph:     c.Graph,
 		Starts:    append([]int(nil), c.Starts...),
 		Adversary: c.Adversary,
 		Budget:    c.Budget,
@@ -63,17 +63,6 @@ func CellScenario(c SweepCell) Scenario {
 		sc.Labels = append(sc.Labels, Label(l))
 	}
 	return sc
-}
-
-// cellGraphSpec projects a sweep cell's graph parameters into the
-// GraphSpec its Scenario declares. Cells with equal specs resolve,
-// through the prepared-scenario cache, to the same built *Graph.
-func cellGraphSpec(c SweepCell) GraphSpec {
-	return GraphSpec{
-		Kind: c.Graph.Kind, N: c.Graph.N,
-		Rows: c.Graph.Rows, Cols: c.Graph.Cols,
-		P: c.Graph.P, Seed: c.Graph.Seed, Shuffle: c.Graph.Shuffle,
-	}
 }
 
 // ExpandSweep expands a sweep spec into its cells and the scenarios
@@ -125,33 +114,15 @@ func CountSweep(spec SweepSpec) (int, error) {
 	return n, nil
 }
 
-// sweepGraphSpecs resolves the spec's unique graph cells into the
-// GraphSpecs their scenarios build — the engine's sweep pre-pass warms
-// exactly these through the prepared-scenario cache.
-func sweepGraphSpecs(spec SweepSpec) ([]GraphSpec, error) {
-	gps, err := campaign.Graphs(spec)
-	if err != nil {
-		return nil, fmt.Errorf("%v: %w", err, ErrInvalidScenario)
-	}
-	out := make([]GraphSpec, len(gps))
-	for i, gp := range gps {
-		out[i] = GraphSpec{
-			Kind: gp.Kind, N: gp.N,
-			Rows: gp.Rows, Cols: gp.Cols,
-			P: gp.P, Seed: gp.Seed, Shuffle: gp.Shuffle,
-		}
-	}
-	return out, nil
-}
-
 // sweepOutcome classifies one batch result into the engine-agnostic
 // outcome the campaign oracles consume.
 func sweepOutcome(cell SweepCell, br BatchResult) SweepOutcome {
 	o := SweepOutcome{Consistent: true}
 	g := br.Graph
 	if g == nil {
-		// Replayed cells arrive without the prepared graph; the
-		// build is deterministic, so rebuilding preserves the facts.
+		// A cell whose preparation failed arrives without the prepared
+		// graph; the build is deterministic, so rebuilding recovers the
+		// facts its outcome reports.
 		if built, err := br.Scenario.BuildGraph(); err == nil {
 			g = built
 		}

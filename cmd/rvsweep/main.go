@@ -15,7 +15,18 @@
 // with the recorded one: every cell is a pure function of its seed
 // string, so any divergence means the replay environment differs from
 // the sweep (catalog -maxn/-seed, code revision) — not that the cell is
-// flaky.
+// flaky. A replay runs the sweep's whole-spec graph pre-pass before its
+// cell, so a spec whose graphs extend the catalog replays under the
+// catalog its sweep ran under. CI's campaign-smoke job runs this loop
+// on both cells of such a spec:
+//
+//	rvsweep -spec testdata/replay-extend.json -stream > replay-extend.ndjson
+//	rvsweep -spec testdata/replay-extend.json -replay 'replay-extend-v1#0' -against replay-extend.ndjson
+//
+// With -parallelism 1, -stream prints its lines in expansion order. The
+// same job diffs that output for testdata/campaign-smoke.json against
+// testdata/campaign-smoke.stream.golden, which pins the NDJSON cell
+// encoding.
 //
 // Exit codes: 0 all oracles passed; 1 an oracle failed, the run was
 // interrupted, or an error occurred; 2 usage error — including

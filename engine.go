@@ -678,7 +678,7 @@ func (e *Engine) sweepReport(ctx context.Context, spec SweepSpec, mkOracles func
 // cells of a broken axis each report Invalid, judged by the
 // termination oracle.
 func (e *Engine) sweepPrepass(spec SweepSpec) {
-	gspecs, err := sweepGraphSpecs(spec)
+	gspecs, err := campaign.Graphs(spec)
 	if err != nil {
 		return
 	}
@@ -782,8 +782,7 @@ func (e *Engine) sweepSeq(ctx context.Context, spec SweepSpec, lo, hi int, mkOra
 }
 
 // runCell prepares, executes and oracle-judges one sweep cell — the
-// worker body of the streaming pipeline, and exactly the sequence
-// ReplayCell performs for one seed string.
+// worker body of the streaming pipeline, and the body of ReplayCell.
 func (e *Engine) runCell(ctx context.Context, cell SweepCell, oracles []SweepOracle) SweepCellResult {
 	// Telemetry brackets the cell (wall-time histogram, begin/end trace
 	// spans); the timestamps live on the telemetry clock and annotate
@@ -794,7 +793,7 @@ func (e *Engine) runCell(ctx context.Context, cell SweepCell, oracles []SweepOra
 	}
 	if e.cellTrace != nil {
 		e.cellTrace(CellTraceEvent{Phase: "begin", Index: cell.Index, ID: cell.ID,
-			Seed: cell.Seed, Kind: cell.Kind, Graph: cellGraphSpec(cell).String(), AtNs: start})
+			Seed: cell.Seed, Kind: cell.Kind, Graph: cell.Graph.String(), AtNs: start})
 	}
 	sc := CellScenario(cell)
 	br := BatchResult{Index: cell.Index, Scenario: sc}
@@ -811,7 +810,7 @@ func (e *Engine) runCell(ctx context.Context, cell SweepCell, oracles []SweepOra
 	}
 	if e.cellTrace != nil {
 		e.cellTrace(CellTraceEvent{Phase: "end", Index: cell.Index, ID: cell.ID,
-			Seed: cell.Seed, Kind: cell.Kind, Graph: cellGraphSpec(cell).String(),
+			Seed: cell.Seed, Kind: cell.Kind, Graph: cell.Graph.String(),
 			AtNs: telemetry.Now(), WallNs: telemetry.Since(start),
 			Met: cr.Outcome.Met, Failed: len(cr.Failures) > 0})
 	}
@@ -836,12 +835,14 @@ func (e *Engine) judge(cell SweepCell, br BatchResult, oracles []SweepOracle) Sw
 // ReplayCell re-derives the single cell a replay seed string identifies
 // (spec must be the campaign it came from), executes it, and re-checks
 // the default oracle suite — the one-seed-string reproduction loop for
-// sweep failures. Use ReplayCellWithOracles to reproduce a failure of a
-// custom suite.
+// sweep failures. It runs the sweep's own code: the whole-spec graph
+// pre-pass, then the per-cell path every swept cell runs, so a replay
+// on a fresh engine runs and is judged under the catalog state the
+// sweep ran under. Use ReplayCellWithOracles to reproduce a failure of
+// a custom suite.
 func (e *Engine) ReplayCell(ctx context.Context, spec SweepSpec, seed string) (*SweepCellResult, error) {
-	// Like Sweep, the default suite binds after the run's preparation:
-	// replaying a cell whose graph extends the catalog must judge
-	// against the post-extension sequence lengths the run used.
+	// Like Sweep, the default suite binds after the pre-pass, so it
+	// judges against the sequence lengths of any catalog extension.
 	return e.replayCell(ctx, spec, seed, e.defaultOracles)
 }
 
@@ -855,8 +856,7 @@ func (e *Engine) replayCell(ctx context.Context, spec SweepSpec, seed string, mk
 	if err != nil {
 		return nil, fmt.Errorf("%v: %w", err, ErrInvalidScenario)
 	}
-	sc := CellScenario(cell)
-	res, runErr := e.Run(ctx, sc)
-	cr := e.judge(cell, BatchResult{Index: cell.Index, Scenario: sc, Result: res, Err: runErr}, mkOracles())
+	e.sweepPrepass(spec)
+	cr := e.runCell(ctx, cell, mkOracles())
 	return &cr, nil
 }

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -261,6 +262,56 @@ func TestReplayMatchesSweptCell(t *testing.T) {
 		return
 	}
 	t.Fatal("no avoider cell found in spec")
+}
+
+// TestFreshEngineReplayMatchesSweep replays every cell of a campaign
+// whose clique-8 axis lies outside the default catalog family, each on
+// a fresh engine built like the sweeping one. The sweep's whole-spec
+// pre-pass extends the catalog before any cell runs, so a replay must
+// run and judge its cell under that same extended catalog: outcome and
+// verdicts must equal the swept ones. TestReplayMatchesSweptCell cannot
+// see this, because it replays on the engine the sweep already
+// extended; at the default family an ESST cell on ring 4 explores under
+// other sequence lengths than the sweep's.
+func TestFreshEngineReplayMatchesSweep(t *testing.T) {
+	spec, err := LoadSweepSpecFile("testdata/replay-extend.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec.Kinds = nil // every built-in kind, ESST included
+	spec.Adversaries = []string{"", "avoider"}
+	spec.Moves = 100
+	newEngine := func() *Engine { return NewEngine(WithMaxN(6), WithSeed(1)) }
+	ctx := context.Background()
+	n, err := CountSweep(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	swept := make([]SweepCellResult, n)
+	for cr, err := range newEngine().SweepStream(ctx, spec) {
+		if err != nil {
+			t.Fatal(err)
+		}
+		swept[cr.Cell.Index] = cr
+	}
+	esst := 0
+	for _, want := range swept {
+		if want.Cell.Kind == string(ScenarioESST) {
+			esst++
+		}
+		got, err := newEngine().ReplayCell(ctx, spec, want.Cell.Seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got.Cell, want.Cell) || got.Outcome != want.Outcome ||
+			!reflect.DeepEqual(got.Failures, want.Failures) {
+			t.Errorf("%s (%s) replays on a fresh engine as\n  %+v %v\nbut swept as\n  %+v %v",
+				want.Cell.Seed, want.Cell.ID, got.Outcome, got.Failures, want.Outcome, want.Failures)
+		}
+	}
+	if esst == 0 {
+		t.Fatal("the spec has no ESST cell")
+	}
 }
 
 func sweepScenarios(cells []SweepCell) []Scenario {

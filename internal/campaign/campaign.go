@@ -46,30 +46,11 @@ func AllKinds() []string {
 	return registry.BuiltinKinds()
 }
 
-// MaxSpecNodes caps the node count a declarative graph descriptor may
-// request. The root package's GraphSpec and every registered graph
-// kind's sizing enforce the same cap (all alias the registry constant),
-// so spec validation and scenario validation agree: a Spec that passes
-// Validate never expands into cells the engine rejects for size.
-const MaxSpecNodes = registry.MaxSpecNodes
-
 // MaxCells caps the number of cells a spec may expand into. A sweep
 // spec is user input like any other declarative descriptor, and without
 // this cap "start_pairs": 2e9 would make Expand an allocation bomb.
 // 2^18 cells is two orders of magnitude beyond the acceptance campaign.
 const MaxCells = 1 << 18
-
-// NodeCount resolves the node count a declarative graph descriptor of
-// the given kind requests, through the kind's registered sizing
-// (registry.GraphNodeCount, which enforces MaxSpecNodes): one formula
-// shared by campaign axis validation, the root package's GraphSpec and
-// custom registered kinds, so the layers can never disagree about which
-// descriptors fit under the cap. Lower bounds (path >= 2, grid rows >=
-// 1, ...) remain with the kinds' axis checks; n < 1 for hypercube
-// resolves to 0 and is left for them to reject.
-func NodeCount(kind string, n, rows, cols int) (int, error) {
-	return registry.GraphNodeCount(kind, n, rows, cols)
-}
 
 // Spec declaratively describes a campaign: the axes whose cross product
 // becomes the cell set. It round-trips through JSON so campaigns are
@@ -134,20 +115,12 @@ type GraphAxis struct {
 	Shuffle bool `json:"shuffle,omitempty"`
 }
 
-// GraphParams is one resolved graph cell: GraphAxis with the size axis
-// collapsed and seeds made explicit. Field names mirror the root
-// package's GraphSpec so the conversion is 1:1.
-type GraphParams struct {
-	Kind    string  `json:"kind"`
-	N       int     `json:"n,omitempty"`
-	Rows    int     `json:"rows,omitempty"`
-	Cols    int     `json:"cols,omitempty"`
-	P       float64 `json:"p,omitempty"`
-	Seed    int64   `json:"seed,omitempty"`
-	Shuffle bool    `json:"shuffle,omitempty"`
-
-	// Nodes is the resolved node count, for start-pair derivation.
-	Nodes int `json:"-"`
+// graphCell is one resolved graph cell of an axis: the descriptor its
+// cells carry (the size axis collapsed, seeds made explicit) and its
+// node count, for start-pair derivation.
+type graphCell struct {
+	spec  registry.GraphSpec
+	nodes int
 }
 
 // Cell is one fully-resolved scenario descriptor of the sweep.
@@ -160,13 +133,13 @@ type Cell struct {
 	// re-derives this exact cell from it.
 	Seed string `json:"seed"`
 
-	Kind      string      `json:"kind"`
-	Graph     GraphParams `json:"graph"`
-	Starts    []int       `json:"starts"`
-	Labels    []uint64    `json:"labels,omitempty"`
-	Adversary string      `json:"adversary,omitempty"`
-	Budget    int         `json:"budget,omitempty"`
-	Moves     int         `json:"moves,omitempty"`
+	Kind      string             `json:"kind"`
+	Graph     registry.GraphSpec `json:"graph"`
+	Starts    []int              `json:"starts"`
+	Labels    []uint64           `json:"labels,omitempty"`
+	Adversary string             `json:"adversary,omitempty"`
+	Budget    int                `json:"budget,omitempty"`
+	Moves     int                `json:"moves,omitempty"`
 }
 
 // normalized returns the spec with defaults applied.
@@ -276,31 +249,30 @@ func satAdd(a, b int) int {
 // (sized families vs fixed rows×cols descriptors), minimum sizes, and
 // derived defaults all come from the kind's registry entry, so a custom
 // registered kind sweeps exactly like a built-in.
-func (ga GraphAxis) cells() ([]GraphParams, error) {
+func (ga GraphAxis) cells() ([]graphCell, error) {
 	k, ok := registry.LookupGraph(ga.Kind)
 	if !ok {
 		return nil, fmt.Errorf("campaign: unknown graph kind %q", ga.Kind)
 	}
 	// finish applies the defaults every resolved cell shares: the
 	// kind's own axis defaults (family seeds, edge probability), then
-	// the family shuffle seed, so zero-seed shuffled cells are
-	// recognized by a default verified catalog without extending it.
-	finish := func(p GraphParams) GraphParams {
+	// the family shuffle seed for a cell shuffled with a zero seed, so
+	// such cells are recognized by a default verified catalog without
+	// extending it.
+	finish := func(spec registry.GraphSpec, nodes int) graphCell {
 		if k.AxisDefaults != nil {
-			rp := p.registryParams()
-			k.AxisDefaults(&rp)
-			p.N, p.Rows, p.Cols, p.P, p.Seed = rp.N, rp.Rows, rp.Cols, rp.P, rp.Seed
+			k.AxisDefaults(&spec)
 		}
-		if ga.Shuffle && p.Seed == 0 {
-			p.Seed = uxs.DefaultShuffleSeed(p.Nodes)
+		if spec.Shuffle && spec.Seed == 0 {
+			spec.Seed = uxs.DefaultShuffleSeed(nodes)
 		}
-		return p
+		return graphCell{spec: spec, nodes: nodes}
 	}
 	if k.Sized {
 		if len(ga.Sizes) == 0 {
 			return nil, fmt.Errorf("campaign: graph axis %q needs sizes", ga.Kind)
 		}
-		out := make([]GraphParams, 0, len(ga.Sizes))
+		out := make([]graphCell, 0, len(ga.Sizes))
 		for _, n := range ga.Sizes {
 			nodes, err := k.NodeCount(n, 0, 0)
 			if err != nil {
@@ -311,8 +283,8 @@ func (ga GraphAxis) cells() ([]GraphParams, error) {
 					return nil, fmt.Errorf("campaign: %v", err)
 				}
 			}
-			p := GraphParams{Kind: ga.Kind, N: n, P: ga.P, Seed: ga.Seed, Shuffle: ga.Shuffle, Nodes: nodes}
-			out = append(out, finish(p))
+			out = append(out, finish(registry.GraphSpec{Kind: ga.Kind, N: n,
+				P: ga.P, Seed: ga.Seed, Shuffle: ga.Shuffle}, nodes))
 		}
 		return out, nil
 	}
@@ -325,22 +297,14 @@ func (ga GraphAxis) cells() ([]GraphParams, error) {
 	if err != nil {
 		return nil, fmt.Errorf("campaign: %v", err)
 	}
-	p := GraphParams{Kind: ga.Kind, Rows: ga.Rows, Cols: ga.Cols,
-		P: ga.P, Seed: ga.Seed, Shuffle: ga.Shuffle, Nodes: nodes}
-	return []GraphParams{finish(p)}, nil
-}
-
-// registryParams converts the resolved cell to the registry's shared
-// parameter form (for kind hooks).
-func (p GraphParams) registryParams() registry.GraphParams {
-	return registry.GraphParams{Kind: p.Kind, N: p.N, Rows: p.Rows, Cols: p.Cols,
-		P: p.P, Seed: p.Seed, Shuffle: p.Shuffle}
+	return []graphCell{finish(registry.GraphSpec{Kind: ga.Kind, Rows: ga.Rows, Cols: ga.Cols,
+		P: ga.P, Seed: ga.Seed, Shuffle: ga.Shuffle}, nodes)}, nil
 }
 
 // axisLabel renders the graph cell identity for cell IDs. The shape is
 // registry-agnostic: rows×cols descriptors label as "-RxC", sized ones
 // as "-N", and dimensionless kinds (petersen) as the bare name.
-func (p GraphParams) axisLabel() string {
+func axisLabel(p registry.GraphSpec) string {
 	var sb strings.Builder
 	sb.WriteString(p.Kind)
 	switch {
@@ -432,14 +396,14 @@ type expander struct {
 }
 
 // starts returns the (shared) start placement for (graph cell, sp).
-func (x *expander) starts(gp GraphParams, sp int) [2]int {
-	key := fmt.Sprintf("%s/%s/start%d", x.spec.Seed, gp.axisLabel(), sp)
+func (x *expander) starts(gp graphCell, sp int) [2]int {
+	key := fmt.Sprintf("%s/%s/start%d", x.spec.Seed, axisLabel(gp.spec), sp)
 	if s, ok := x.startMemo[key]; ok {
 		return s
 	}
 	x.rng.Seed(hash64(key))
-	s1 := x.rng.Intn(gp.Nodes)
-	s2 := x.rng.Intn(gp.Nodes - 1)
+	s1 := x.rng.Intn(gp.nodes)
+	s2 := x.rng.Intn(gp.nodes - 1)
 	if s2 >= s1 {
 		s2++
 	}
@@ -449,8 +413,8 @@ func (x *expander) starts(gp GraphParams, sp int) [2]int {
 }
 
 // labels returns the (shared) label assignment for (graph cell, sp, lp).
-func (x *expander) labels(gp GraphParams, sp, lp int) [2]uint64 {
-	key := fmt.Sprintf("%s/%s/start%d/label%d", x.spec.Seed, gp.axisLabel(), sp, lp)
+func (x *expander) labels(gp graphCell, sp, lp int) [2]uint64 {
+	key := fmt.Sprintf("%s/%s/start%d/label%d", x.spec.Seed, axisLabel(gp.spec), sp, lp)
 	if l, ok := x.labelMemo[key]; ok {
 		return l
 	}
@@ -466,7 +430,7 @@ func (x *expander) labels(gp GraphParams, sp, lp int) [2]uint64 {
 }
 
 // cell resolves one concrete cell of the cross product.
-func (x *expander) cell(meta registry.KindMeta, gp GraphParams, sp, lp int, adversary string) Cell {
+func (x *expander) cell(meta registry.KindMeta, gp graphCell, sp, lp int, adversary string) Cell {
 	idx := x.index
 	x.index++
 	seed := CellSeed(x.spec.Seed, idx)
@@ -474,7 +438,7 @@ func (x *expander) cell(meta registry.KindMeta, gp GraphParams, sp, lp int, adve
 		Index: idx,
 		Seed:  seed,
 		Kind:  meta.Name,
-		Graph: gp,
+		Graph: gp.spec,
 	}
 	// Instance derivation is keyed on the graph cell and the sp/lp
 	// axis indices — NOT on the cell index — so cells that differ
@@ -508,7 +472,7 @@ func (x *expander) cell(meta registry.KindMeta, gp GraphParams, sp, lp int, adve
 	if advLabel == "" {
 		advLabel = "roundrobin"
 	}
-	c.ID = fmt.Sprintf("%s/%s/s%d/l%d/%s", meta.Name, gp.axisLabel(), sp, lp, advLabel)
+	c.ID = fmt.Sprintf("%s/%s/s%d/l%d/%s", meta.Name, axisLabel(gp.spec), sp, lp, advLabel)
 	return c
 }
 
@@ -546,7 +510,7 @@ func WalkRange(spec Spec, lo, hi int, yield func(Cell) bool) error {
 	}
 	// emit advances one cross-product position: positions below lo skip
 	// their derivation entirely, positions at or past hi end the walk.
-	emit := func(meta registry.KindMeta, gp GraphParams, sp, lp int, adv string) bool {
+	emit := func(meta registry.KindMeta, gp graphCell, sp, lp int, adv string) bool {
 		if x.index >= hi {
 			return false
 		}
@@ -602,17 +566,19 @@ func splitAdversary(spec string) (name string, hasParams bool) {
 // unique graphs a sweep touches, which is what the engine's pre-pass
 // prepares (build + coverage) before any run is in flight, so catalog
 // extensions never happen mid-sweep.
-func Graphs(spec Spec) ([]GraphParams, error) {
+func Graphs(spec Spec) ([]registry.GraphSpec, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	var out []GraphParams
+	var out []registry.GraphSpec
 	for _, ga := range spec.Graphs {
-		gps, err := ga.cells()
+		gcs, err := ga.cells()
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, gps...)
+		for _, gc := range gcs {
+			out = append(out, gc.spec)
+		}
 	}
 	return out, nil
 }

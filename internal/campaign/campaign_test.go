@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"meetpoly/internal/costmodel"
+	"meetpoly/internal/registry"
 )
 
 func testSpec() Spec {
@@ -65,8 +66,12 @@ func TestExpandCrossProduct(t *testing.T) {
 		if len(c.Starts) != 2 || c.Starts[0] == c.Starts[1] {
 			t.Fatalf("cell %d starts %v", i, c.Starts)
 		}
-		if c.Starts[0] >= c.Graph.Nodes || c.Starts[1] >= c.Graph.Nodes {
-			t.Fatalf("cell %d starts %v out of range for %d nodes", i, c.Starts, c.Graph.Nodes)
+		g, err := c.Graph.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.Starts[0] >= g.N() || c.Starts[1] >= g.N() {
+			t.Fatalf("cell %d starts %v out of range for %d nodes", i, c.Starts, g.N())
 		}
 		switch c.Kind {
 		case KindESST:
@@ -166,24 +171,25 @@ func TestExpanderReseedMatchesFreshSource(t *testing.T) {
 
 	x := &expander{spec: testSpec(), rng: rand.New(rand.NewSource(0)),
 		startMemo: make(map[string][2]int), labelMemo: make(map[string][2]uint64)}
-	for _, gp := range []GraphParams{{Kind: "path", N: 4, Nodes: 4}, {Kind: "ring", N: 9, Nodes: 9}} {
+	for _, gp := range []graphCell{{registry.GraphSpec{Kind: "path", N: 4}, 4}, {registry.GraphSpec{Kind: "ring", N: 9}, 9}} {
+		label := axisLabel(gp.spec)
 		for sp := 0; sp < 3; sp++ {
-			fresh := rand.New(rand.NewSource(hash64(fmt.Sprintf("unit-seed/%s/start%d", gp.axisLabel(), sp))))
-			s1, s2 := fresh.Intn(gp.Nodes), fresh.Intn(gp.Nodes-1)
+			fresh := rand.New(rand.NewSource(hash64(fmt.Sprintf("unit-seed/%s/start%d", label, sp))))
+			s1, s2 := fresh.Intn(gp.nodes), fresh.Intn(gp.nodes-1)
 			if s2 >= s1 {
 				s2++
 			}
 			if got := x.starts(gp, sp); got != [2]int{s1, s2} {
-				t.Errorf("%s sp=%d: starts %v, fresh source draws %v", gp.axisLabel(), sp, got, [2]int{s1, s2})
+				t.Errorf("%s sp=%d: starts %v, fresh source draws %v", label, sp, got, [2]int{s1, s2})
 			}
 			for lp := 0; lp < 3; lp++ {
-				fresh := rand.New(rand.NewSource(hash64(fmt.Sprintf("unit-seed/%s/start%d/label%d", gp.axisLabel(), sp, lp))))
+				fresh := rand.New(rand.NewSource(hash64(fmt.Sprintf("unit-seed/%s/start%d/label%d", label, sp, lp))))
 				l1, l2 := uint64(1+fresh.Intn(64)), uint64(1+fresh.Intn(63))
 				if l2 >= l1 {
 					l2++
 				}
 				if got := x.labels(gp, sp, lp); got != [2]uint64{l1, l2} {
-					t.Errorf("%s sp=%d lp=%d: labels %v, fresh source draws %v", gp.axisLabel(), sp, lp, got, [2]uint64{l1, l2})
+					t.Errorf("%s sp=%d lp=%d: labels %v, fresh source draws %v", label, sp, lp, got, [2]uint64{l1, l2})
 				}
 			}
 		}
@@ -225,7 +231,7 @@ func TestSpecValidate(t *testing.T) {
 		"bad size":     func(s *Spec) { s.Graphs = []GraphAxis{{Kind: "ring", Sizes: []int{2}}} },
 		"no sizes":     func(s *Spec) { s.Graphs = []GraphAxis{{Kind: "path"}} },
 		"bad grid":     func(s *Spec) { s.Graphs = []GraphAxis{{Kind: "grid", Rows: 1}} },
-		"over cap":     func(s *Spec) { s.Graphs = []GraphAxis{{Kind: "clique", Sizes: []int{MaxSpecNodes + 1}}} },
+		"over cap":     func(s *Spec) { s.Graphs = []GraphAxis{{Kind: "clique", Sizes: []int{registry.MaxSpecNodes + 1}}} },
 		"cube cap":     func(s *Spec) { s.Graphs = []GraphAxis{{Kind: "hypercube", Sizes: []int{12}}} },
 		"grid cap":     func(s *Spec) { s.Graphs = []GraphAxis{{Kind: "grid", Rows: 64, Cols: 64}} },
 		"lolli cap":    func(s *Spec) { s.Graphs = []GraphAxis{{Kind: "lollipop", Rows: 2000, Cols: 2000}} },
@@ -393,7 +399,7 @@ func TestReportAggregationAndTable(t *testing.T) {
 		idx := nextIdx
 		nextIdx++
 		cr := CellResult{
-			Cell: Cell{Index: idx, Kind: kind, Graph: GraphParams{Kind: graphKind, N: 4},
+			Cell: Cell{Index: idx, Kind: kind, Graph: registry.GraphSpec{Kind: graphKind, N: 4},
 				ID: kind + "/x", Seed: CellSeed("agg-seed", idx)},
 			Outcome: o,
 		}

@@ -2,8 +2,10 @@ package campaign
 
 import (
 	"fmt"
+	"slices"
 
 	"meetpoly/internal/costmodel"
+	"meetpoly/internal/labels"
 )
 
 // Outcome is the engine-agnostic record of one executed cell: what the
@@ -71,22 +73,6 @@ func (o OracleFunc) Name() string { return o.ID }
 // Check implements Oracle.
 func (o OracleFunc) Check(c Cell, out Outcome) error { return o.F(c, out) }
 
-// minLabelLen returns the binary length of the smallest label, the ℓ of
-// Π(n, ℓ).
-func minLabelLen(labels []uint64) int {
-	best := 0
-	for _, l := range labels {
-		n := 0
-		for x := l; x > 0; x >>= 1 {
-			n++
-		}
-		if best == 0 || n < best {
-			best = n
-		}
-	}
-	return best
-}
-
 // Termination returns the oracle enforcing the campaign's liveness
 // contract: no run may end without either reaching its goal or carrying
 // a typed sentinel (budget exhaustion or cancellation). An expanded cell
@@ -136,7 +122,7 @@ func Bound(m *costmodel.Model) Oracle {
 		}
 		switch c.Kind {
 		case KindRendezvous:
-			mLen := minLabelLen(c.Labels)
+			mLen := labels.Label(slices.Min(c.Labels)).Len()
 			if !m.WithinPi(o.N, mLen, int64(o.MaxPerAgent)) {
 				return fmt.Errorf("agent traversals %d exceed Pi(%d, %d)", o.MaxPerAgent, o.N, mLen)
 			}
@@ -179,7 +165,7 @@ func Lemmas(m *costmodel.Model) Oracle {
 		if len(c.Labels) == 0 || o.Invalid || o.N < 2 {
 			return nil
 		}
-		n, l := o.N, costmodel.ModifiedLen(minLabelLen(c.Labels))
+		n, l := o.N, costmodel.ModifiedLen(labels.Label(slices.Min(c.Labels)).Len())
 		if holds, name := m.LemmasHold(n, l); !holds {
 			return fmt.Errorf("lemma inequality %q fails at n=%d l=%d", name, n, l)
 		}

@@ -29,7 +29,7 @@ type GroupKey func(Cell) string
 
 // ByKindGraph groups results by scenario kind and graph cell — the
 // default report shape.
-func ByKindGraph(c Cell) string { return c.Kind + "/" + c.Graph.axisLabel() }
+func ByKindGraph(c Cell) string { return c.Kind + "/" + axisLabel(c.Graph) }
 
 // GroupStats aggregates the cells of one bucket.
 type GroupStats struct {

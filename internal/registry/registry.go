@@ -26,9 +26,11 @@ package registry
 import (
 	"fmt"
 	"sort"
+	"strings"
 	"sync"
 
 	"meetpoly/internal/graph"
+	"meetpoly/internal/rverr"
 	"meetpoly/internal/uxs"
 )
 
@@ -46,17 +48,103 @@ const MaxSpecNodes = 2048
 // (2^11 = 2048).
 const maxHypercubeDim = 11
 
-// GraphParams is one resolved graph descriptor in registry form: the
-// field set shared by the root package's GraphSpec and the campaign's
-// GraphParams, so conversions between the three are 1:1.
-type GraphParams struct {
-	Kind    string
-	N       int
-	Rows    int
-	Cols    int
-	P       float64
-	Seed    int64
-	Shuffle bool
+// GraphSpec declaratively describes a graph: the one graph descriptor
+// of the module. Scenarios declare it (the root package aliases it as
+// meetpoly.GraphSpec), campaign cells carry it, every registered kind's
+// Build and AxisDefaults receive it, and the engine's prepared-scenario
+// cache keys on it. Builders are deterministic: the same spec always
+// yields the same port-numbered graph, which is what lets a shared
+// verified catalog recognize rebuilt family members without
+// re-verification, and what lets the spec act as the content address
+// of the prepared-scenario cache.
+type GraphSpec struct {
+	// Kind names a registered graph kind: one of the built-ins
+	// (path|ring|star|clique|bintree|tree|random|grid|torus|hypercube|
+	// lollipop|petersen) or any kind added with meetpoly.RegisterGraphKind.
+	Kind string `json:"kind"`
+	// N is the node count (ignored for petersen; for hypercube it is
+	// the dimension; for grid/torus/lollipop see Rows/Cols).
+	N int `json:"n,omitempty"`
+	// Rows and Cols size grid and torus graphs; for lollipop they are
+	// the clique size and tail length.
+	Rows int `json:"rows,omitempty"`
+	Cols int `json:"cols,omitempty"`
+	// P is the edge probability for random graphs (default 0.3).
+	P float64 `json:"p,omitempty"`
+	// Seed drives random graph generation and port shuffling.
+	Seed int64 `json:"seed,omitempty"`
+	// Shuffle applies adversarially permuted port numbers (ShufflePorts
+	// with Seed) to the built graph.
+	Shuffle bool `json:"shuffle,omitempty"`
+}
+
+// String renders the spec compactly for error messages and logs:
+// "ring/64", "grid/3x4", "ring/64?shuffle=7", "random/12?p=0.4&seed=3".
+// Only meaningful fields appear — sized kinds print "/N", rows×cols
+// kinds "/RxC", dimensionless kinds just the name — so a failing spec
+// reads like the descriptor that was written, not a dump of every
+// zero-valued field.
+func (s GraphSpec) String() string {
+	var sb strings.Builder
+	sb.WriteString(s.Kind)
+	switch {
+	case s.Rows != 0 || s.Cols != 0:
+		fmt.Fprintf(&sb, "/%dx%d", s.Rows, s.Cols)
+	case s.N != 0:
+		fmt.Fprintf(&sb, "/%d", s.N)
+	}
+	sep := byte('?')
+	param := func(format string, args ...any) {
+		sb.WriteByte(sep)
+		sep = '&'
+		fmt.Fprintf(&sb, format, args...)
+	}
+	if s.P != 0 {
+		param("p=%g", s.P)
+	}
+	switch {
+	case s.Shuffle:
+		param("shuffle=%d", s.Seed)
+	case s.Seed != 0:
+		param("seed=%d", s.Seed)
+	}
+	return sb.String()
+}
+
+// Build constructs the described graph through the graph-kind registry.
+// All failures wrap rverr.ErrInvalidScenario.
+func (s GraphSpec) Build() (g *graph.Graph, err error) {
+	k, ok := LookupGraph(s.Kind)
+	if !ok {
+		return nil, fmt.Errorf("unknown graph kind %q: %w", s.Kind, rverr.ErrInvalidScenario)
+	}
+	// Size-cap the request before building: the kind's NodeCount is the
+	// single sizing formula shared with sweep-spec validation, so a
+	// sweep spec that validates never expands into cells rejected here.
+	if _, err := k.NodeCount(s.N, s.Rows, s.Cols); err != nil {
+		return nil, fmt.Errorf("graph spec %s: %v: %w", s, err, rverr.ErrInvalidScenario)
+	}
+	defer func() {
+		// The generators panic on out-of-range parameters (they are
+		// driven by trusted code); a declarative spec is user input, so
+		// convert panics into typed errors.
+		if rec := recover(); rec != nil {
+			g, err = nil, fmt.Errorf("graph spec %s: %v: %w", s, rec, rverr.ErrInvalidScenario)
+		}
+	}()
+	g, err = k.Build(s)
+	if err != nil {
+		return nil, fmt.Errorf("graph spec %s: %v: %w", s, err, rverr.ErrInvalidScenario)
+	}
+	if g == nil {
+		return nil, fmt.Errorf("graph spec %s: builder returned no graph: %w", s, rverr.ErrInvalidScenario)
+	}
+	// Port shuffling is applied here, outside the builders, so every
+	// registered kind supports it without writing any code.
+	if s.Shuffle {
+		g = graph.ShufflePorts(g, s.Seed)
+	}
+	return g, nil
 }
 
 // GraphKind is one registered graph family. Build and NodeCount must be
@@ -89,10 +177,10 @@ type GraphKind struct {
 	// (family seeds, default edge probability). nil leaves the cell
 	// as expanded. Build must apply the same value defaults itself —
 	// direct scenarios do not pass through axis resolution.
-	AxisDefaults func(p *GraphParams)
+	AxisDefaults func(spec *GraphSpec)
 	// Build constructs the graph. Port shuffling (GraphSpec.Shuffle) is
-	// applied by the caller, so every kind gets it for free.
-	Build func(p GraphParams) (*graph.Graph, error)
+	// applied by GraphSpec.Build, so every kind gets it for free.
+	Build func(spec GraphSpec) (*graph.Graph, error)
 	// Fingerprint versions the builder for content-addressed caches: an
 	// engine's prepared-scenario cache keys on (spec, fingerprint), so
 	// a builder that closes over external configuration must encode
@@ -189,16 +277,6 @@ func GraphNames() []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// GraphNodeCount resolves the node count a descriptor of the given kind
-// requests, through the kind's registered sizing. Unknown kinds error.
-func GraphNodeCount(kind string, n, rows, cols int) (int, error) {
-	k, ok := LookupGraph(kind)
-	if !ok {
-		return 0, fmt.Errorf("unknown graph kind %q", kind)
-	}
-	return k.NodeCount(n, rows, cols)
 }
 
 // RegisterKindMeta adds one scenario kind's campaign metadata. A
@@ -306,42 +384,42 @@ func init() {
 		{
 			Name: "path", Sized: true,
 			CheckAxis: minSize(2),
-			Build:     func(p GraphParams) (*graph.Graph, error) { return graph.Path(p.N), nil },
+			Build:     func(p GraphSpec) (*graph.Graph, error) { return graph.Path(p.N), nil },
 		},
 		{
 			Name: "ring", Sized: true,
 			CheckAxis: minSize(3),
-			Build:     func(p GraphParams) (*graph.Graph, error) { return graph.Ring(p.N), nil },
+			Build:     func(p GraphSpec) (*graph.Graph, error) { return graph.Ring(p.N), nil },
 		},
 		{
 			Name: "star", Sized: true,
 			CheckAxis: minSize(3),
-			Build:     func(p GraphParams) (*graph.Graph, error) { return graph.Star(p.N), nil },
+			Build:     func(p GraphSpec) (*graph.Graph, error) { return graph.Star(p.N), nil },
 		},
 		{
 			Name: "clique", Aliases: []string{"complete"}, Sized: true,
 			CheckAxis: minSize(3),
-			Build:     func(p GraphParams) (*graph.Graph, error) { return graph.Complete(p.N), nil },
+			Build:     func(p GraphSpec) (*graph.Graph, error) { return graph.Complete(p.N), nil },
 		},
 		{
 			Name: "bintree", Sized: true,
 			CheckAxis: minSize(3),
-			Build:     func(p GraphParams) (*graph.Graph, error) { return graph.BinaryTree(p.N), nil },
+			Build:     func(p GraphSpec) (*graph.Graph, error) { return graph.BinaryTree(p.N), nil },
 		},
 		{
 			Name: "tree", Sized: true,
 			CheckAxis: minSize(2),
-			AxisDefaults: func(p *GraphParams) {
+			AxisDefaults: func(p *GraphSpec) {
 				if p.Seed == 0 {
 					p.Seed = uxs.DefaultTreeSeed(p.N)
 				}
 			},
-			Build: func(p GraphParams) (*graph.Graph, error) { return graph.RandomTree(p.N, p.Seed), nil },
+			Build: func(p GraphSpec) (*graph.Graph, error) { return graph.RandomTree(p.N, p.Seed), nil },
 		},
 		{
 			Name: "random", Sized: true,
 			CheckAxis: minSize(2),
-			AxisDefaults: func(p *GraphParams) {
+			AxisDefaults: func(p *GraphSpec) {
 				if p.P == 0 {
 					p.P = uxs.DefaultRandomP
 				}
@@ -349,7 +427,7 @@ func init() {
 					p.Seed = uxs.DefaultRandomSeed(p.N)
 				}
 			},
-			Build: func(p GraphParams) (*graph.Graph, error) {
+			Build: func(p GraphSpec) (*graph.Graph, error) {
 				prob := p.P
 				if prob == 0 {
 					prob = uxs.DefaultRandomP
@@ -375,19 +453,19 @@ func init() {
 				}
 				return nil
 			},
-			Build: func(p GraphParams) (*graph.Graph, error) { return graph.Hypercube(p.N), nil },
+			Build: func(p GraphSpec) (*graph.Graph, error) { return graph.Hypercube(p.N), nil },
 		},
 		{
 			Name:      "grid",
 			NodeCount: gridNodeCount("grid"),
 			CheckAxis: gridCheckAxis,
-			Build:     func(p GraphParams) (*graph.Graph, error) { return graph.Grid(p.Rows, p.Cols), nil },
+			Build:     func(p GraphSpec) (*graph.Graph, error) { return graph.Grid(p.Rows, p.Cols), nil },
 		},
 		{
 			Name:      "torus",
 			NodeCount: gridNodeCount("torus"),
 			CheckAxis: gridCheckAxis,
-			Build:     func(p GraphParams) (*graph.Graph, error) { return graph.Torus(p.Rows, p.Cols), nil },
+			Build:     func(p GraphSpec) (*graph.Graph, error) { return graph.Torus(p.Rows, p.Cols), nil },
 		},
 		{
 			Name: "lollipop",
@@ -406,12 +484,12 @@ func init() {
 				}
 				return nil
 			},
-			Build: func(p GraphParams) (*graph.Graph, error) { return graph.Lollipop(p.Rows, p.Cols), nil },
+			Build: func(p GraphSpec) (*graph.Graph, error) { return graph.Lollipop(p.Rows, p.Cols), nil },
 		},
 		{
 			Name:      "petersen",
 			NodeCount: func(_, _, _ int) (int, error) { return 10, nil },
-			Build:     func(p GraphParams) (*graph.Graph, error) { return graph.Petersen(), nil },
+			Build:     func(p GraphSpec) (*graph.Graph, error) { return graph.Petersen(), nil },
 		},
 	}
 	for _, k := range builtins {

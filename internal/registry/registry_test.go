@@ -32,7 +32,7 @@ func TestBuiltinGraphKindsRegistered(t *testing.T) {
 }
 
 func TestRegisterGraphRejects(t *testing.T) {
-	build := func(p GraphParams) (*graph.Graph, error) { return graph.Ring(3), nil }
+	build := func(p GraphSpec) (*graph.Graph, error) { return graph.Ring(3), nil }
 	if err := RegisterGraph(GraphKind{Name: "", Build: build}); err == nil {
 		t.Error("nameless kind accepted")
 	}
@@ -67,9 +67,12 @@ func TestGraphNodeCount(t *testing.T) {
 		{kind: "hypercube", n: 12, wantErrContains: "cap"},
 		{kind: "hypercube", n: 0, want: 0},
 		{kind: "petersen", want: 10},
-		{kind: "moebius", wantErrContains: "unknown graph kind"},
 	} {
-		got, err := GraphNodeCount(tc.kind, tc.n, tc.rows, tc.cols)
+		k, ok := LookupGraph(tc.kind)
+		if !ok {
+			t.Fatalf("%s is not registered", tc.kind)
+		}
+		got, err := k.NodeCount(tc.n, tc.rows, tc.cols)
 		if tc.wantErrContains != "" {
 			if err == nil || !strings.Contains(err.Error(), tc.wantErrContains) {
 				t.Errorf("NodeCount(%s, %d, %d, %d): err = %v, want containing %q",

@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 
 	"meetpoly/internal/graph"
@@ -85,6 +86,17 @@ func init() {
 	}); err != nil {
 		panic(err)
 	}
+	if err := RegisterGraphKind(GraphKindDef{
+		Kind:         "testdefaults",
+		Sized:        true,
+		AxisDefaults: testDefaultsAxis,
+		Build: func(spec GraphSpec) (*Graph, error) {
+			testDefaultsBuilt.Store(spec, true)
+			return graph.Ring(spec.N), nil
+		},
+	}); err != nil {
+		panic(err)
+	}
 	if err := RegisterAdversary(AdversaryDef{
 		Name:        "testflake",
 		PerCellSeed: true,
@@ -140,6 +152,55 @@ func init() {
 		},
 	}); err != nil {
 		panic(err)
+	}
+}
+
+// testDefaultsAxis is the "testdefaults" kind's AxisDefaults: it sets
+// all three of P, Seed and Shuffle, with a seed no family default
+// produces.
+func testDefaultsAxis(spec *GraphSpec) {
+	spec.P = 0.5
+	spec.Seed = int64(100 + spec.N)
+	spec.Shuffle = true
+}
+
+// testDefaultsBuilt records every spec the "testdefaults" kind's Build
+// received.
+var testDefaultsBuilt sync.Map // GraphSpec -> true
+
+// TestCustomAxisDefaultsReachCells: every field a custom kind's
+// AxisDefaults sets, Shuffle included, lands on each expanded cell's
+// graph and reaches the kind's Build, and the cells are shuffled under
+// that kind-chosen seed rather than the family shuffle seed.
+func TestCustomAxisDefaultsReachCells(t *testing.T) {
+	spec := SweepSpec{
+		Seed:   "axis-defaults-v1",
+		Kinds:  []string{"rendezvous", "esst"},
+		Graphs: []SweepGraphAxis{{Kind: "testdefaults", Sizes: []int{4, 5}}},
+		Budget: 2000,
+	}
+	cells, scs, err := ExpandSweep(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range cells {
+		want := GraphSpec{Kind: "testdefaults", N: c.Graph.N}
+		testDefaultsAxis(&want)
+		if g := c.Graph; g.P != want.P || g.Seed != want.Seed || !g.Shuffle {
+			t.Errorf("cell %s graph %+v lacks the axis defaults %+v", c.ID, g, want)
+		}
+	}
+	rep, err := NewEngine(WithMaxN(4), WithSeed(1)).Sweep(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.OK() {
+		t.Fatalf("sweep failed oracles:\n%s", rep.Table())
+	}
+	for i, sc := range scs {
+		if _, ok := testDefaultsBuilt.Load(sc.Graph); !ok {
+			t.Errorf("cell %s: Build never received its graph %+v", cells[i].ID, sc.Graph)
+		}
 	}
 }
 

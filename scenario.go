@@ -4,10 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"strings"
 
-	"meetpoly/internal/campaign"
-	"meetpoly/internal/graph"
 	"meetpoly/internal/registry"
 	"meetpoly/internal/sched"
 )
@@ -34,31 +31,14 @@ const (
 )
 
 // GraphSpec declaratively describes a graph so that scenarios round-trip
-// through JSON. Builders are deterministic: the same spec always yields
-// the same port-numbered graph, which is what lets a shared verified
-// catalog recognize rebuilt family members without re-verification, and
-// what lets the spec act as the content address of the engine's
-// prepared-scenario cache.
-type GraphSpec struct {
-	// Kind names a registered graph kind: one of the built-ins
-	// (path|ring|star|clique|bintree|tree|random|grid|torus|hypercube|
-	// lollipop|petersen) or any kind added with RegisterGraphKind.
-	Kind string `json:"kind"`
-	// N is the node count (ignored for petersen; for hypercube it is
-	// the dimension; for grid/torus/lollipop see Rows/Cols).
-	N int `json:"n,omitempty"`
-	// Rows and Cols size grid and torus graphs; for lollipop they are
-	// the clique size and tail length.
-	Rows int `json:"rows,omitempty"`
-	Cols int `json:"cols,omitempty"`
-	// P is the edge probability for random graphs (default 0.3).
-	P float64 `json:"p,omitempty"`
-	// Seed drives random graph generation and port shuffling.
-	Seed int64 `json:"seed,omitempty"`
-	// Shuffle applies adversarially permuted port numbers (ShufflePorts
-	// with Seed) to the built graph.
-	Shuffle bool `json:"shuffle,omitempty"`
-}
+// through JSON: a registered graph kind plus its size, probability,
+// seed and port shuffling. It is the one graph descriptor of the module
+// — campaign cells carry it, registered builders receive it, and the
+// engine's prepared-scenario cache keys on it. See
+// internal/registry.GraphSpec for the field-by-field contract; Build
+// constructs the graph and String renders it compactly ("ring/64",
+// "grid/3x4", "ring/64?shuffle=7").
+type GraphSpec = registry.GraphSpec
 
 // MaxSpecNodes caps the node count a declarative GraphSpec may request.
 // The builders themselves are driven by trusted code and take any size,
@@ -67,76 +47,7 @@ type GraphSpec struct {
 // scenario. The cap is far above the small-graph regime the verified
 // catalogs target, and is shared with campaign sweep validation so a
 // SweepSpec that validates never expands into cells this check rejects.
-const MaxSpecNodes = campaign.MaxSpecNodes
-
-// String renders the spec compactly for error messages and logs:
-// "ring/64", "grid/3x4", "ring/64?shuffle=7", "random/12?p=0.4&seed=3".
-// Only meaningful fields appear — sized kinds print "/N", rows×cols
-// kinds "/RxC", dimensionless kinds just the name — so a failing spec
-// reads like the descriptor that was written, not a dump of every
-// zero-valued field.
-func (s GraphSpec) String() string {
-	var sb strings.Builder
-	sb.WriteString(s.Kind)
-	switch {
-	case s.Rows != 0 || s.Cols != 0:
-		fmt.Fprintf(&sb, "/%dx%d", s.Rows, s.Cols)
-	case s.N != 0:
-		fmt.Fprintf(&sb, "/%d", s.N)
-	}
-	sep := byte('?')
-	param := func(format string, args ...any) {
-		sb.WriteByte(sep)
-		sep = '&'
-		fmt.Fprintf(&sb, format, args...)
-	}
-	if s.P != 0 {
-		param("p=%g", s.P)
-	}
-	switch {
-	case s.Shuffle:
-		param("shuffle=%d", s.Seed)
-	case s.Seed != 0:
-		param("seed=%d", s.Seed)
-	}
-	return sb.String()
-}
-
-// Build constructs the described graph through the graph-kind registry.
-// All failures wrap ErrInvalidScenario.
-func (s GraphSpec) Build() (g *Graph, err error) {
-	k, ok := registry.LookupGraph(s.Kind)
-	if !ok {
-		return nil, fmt.Errorf("unknown graph kind %q: %w", s.Kind, ErrInvalidScenario)
-	}
-	// Size-cap the request before building: the kind's NodeCount is the
-	// single sizing formula shared with sweep-spec validation, so a
-	// SweepSpec that validates never expands into cells rejected here.
-	if _, err := k.NodeCount(s.N, s.Rows, s.Cols); err != nil {
-		return nil, fmt.Errorf("graph spec %s: %v: %w", s, err, ErrInvalidScenario)
-	}
-	defer func() {
-		// The generators panic on out-of-range parameters (they are
-		// driven by trusted code); a declarative spec is user input, so
-		// convert panics into typed errors.
-		if rec := recover(); rec != nil {
-			g, err = nil, fmt.Errorf("graph spec %s: %v: %w", s, rec, ErrInvalidScenario)
-		}
-	}()
-	g, err = k.Build(s.registryParams())
-	if err != nil {
-		return nil, fmt.Errorf("graph spec %s: %v: %w", s, err, ErrInvalidScenario)
-	}
-	if g == nil {
-		return nil, fmt.Errorf("graph spec %s: builder returned no graph: %w", s, ErrInvalidScenario)
-	}
-	// Port shuffling is applied here, outside the builders, so every
-	// registered kind supports it without writing any code.
-	if s.Shuffle {
-		g = graph.ShufflePorts(g, s.Seed)
-	}
-	return g, nil
-}
+const MaxSpecNodes = registry.MaxSpecNodes
 
 // GraphKindDef describes a custom graph kind for RegisterGraphKind.
 type GraphKindDef struct {
@@ -188,47 +99,22 @@ func RegisterGraphKind(def GraphKindDef) error {
 		return fmt.Errorf("meetpoly: graph kind %q needs a Build function", def.Kind)
 	}
 	rk := registry.GraphKind{
-		Name:        def.Kind,
-		Aliases:     def.Aliases,
-		Sized:       def.Sized,
-		NodeCount:   def.NodeCount,
-		Fingerprint: def.Fingerprint,
-		Build: func(p registry.GraphParams) (*graph.Graph, error) {
-			return def.Build(graphSpecFromParams(p))
-		},
+		Name:         def.Kind,
+		Aliases:      def.Aliases,
+		Sized:        def.Sized,
+		NodeCount:    def.NodeCount,
+		AxisDefaults: def.AxisDefaults,
+		Build:        def.Build,
+		Fingerprint:  def.Fingerprint,
 	}
 	if def.CheckAxis != nil {
 		check := def.CheckAxis
 		rk.CheckAxis = func(_ string, n, rows, cols int) error { return check(n, rows, cols) }
 	}
-	if def.AxisDefaults != nil {
-		defaults := def.AxisDefaults
-		rk.AxisDefaults = func(p *registry.GraphParams) {
-			spec := graphSpecFromParams(*p)
-			defaults(&spec)
-			*p = spec.registryParams()
-		}
-	}
 	if err := registry.RegisterGraph(rk); err != nil {
 		return fmt.Errorf("meetpoly: %v", err)
 	}
 	return nil
-}
-
-// graphSpecFromParams and GraphSpec.registryParams are the single
-// conversion pair between the public spec and the registry's shared
-// parameter form. Keep them inverse: a field added to GraphSpec must be
-// threaded through BOTH, or builders silently receive its zero value
-// while the prepared cache (keyed on the full spec) treats it as
-// significant.
-func graphSpecFromParams(p registry.GraphParams) GraphSpec {
-	return GraphSpec{Kind: p.Kind, N: p.N, Rows: p.Rows, Cols: p.Cols,
-		P: p.P, Seed: p.Seed, Shuffle: p.Shuffle}
-}
-
-func (s GraphSpec) registryParams() registry.GraphParams {
-	return registry.GraphParams{Kind: s.Kind, N: s.N, Rows: s.Rows, Cols: s.Cols,
-		P: s.P, Seed: s.Seed, Shuffle: s.Shuffle}
 }
 
 // Scenario is a declarative, JSON-serializable description of one

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -71,23 +72,58 @@ func TestSweepGoldenRegistryDifferential(t *testing.T) {
 	if err != nil {
 		t.Fatalf("missing golden file (generate with -update-golden): %v", err)
 	}
-	if !bytes.Equal(got, want) {
-		gl, wl := bytes.Split(got, []byte("\n")), bytes.Split(want, []byte("\n"))
-		line := 0
-		for line < len(gl) && line < len(wl) && bytes.Equal(gl[line], wl[line]) {
-			line++
-		}
-		ctx := func(ls [][]byte) string {
-			lo, hi := line-2, line+3
-			if lo < 0 {
-				lo = 0
-			}
-			if hi > len(ls) {
-				hi = len(ls)
-			}
-			return string(bytes.Join(ls[lo:hi], []byte("\n")))
-		}
-		t.Fatalf("sweep report diverges from the pre-refactor golden at line %d:\n--- got ---\n%s\n--- want ---\n%s",
-			line+1, ctx(gl), ctx(wl))
+	if msg := firstDiff(got, want); msg != "" {
+		t.Fatalf("sweep report diverges from the pre-refactor golden %s", msg)
 	}
+}
+
+// TestSweepStreamGolden pins the NDJSON cell encoding: the line bytes
+// `rvsweep -stream` prints, checkpoints store in results.ndjson, fleet
+// workers upload and /v1/sweep streams. One worker makes completion
+// order the expansion order. The golden is the output of
+//
+//	go run ./cmd/rvsweep -spec testdata/campaign-smoke.json -stream -parallelism 1
+//
+// and CI's campaign-smoke job diffs that command against it too.
+func TestSweepStreamGolden(t *testing.T) {
+	spec, err := LoadSweepSpecFile(filepath.Join("testdata", "campaign-smoke.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := NewEngine(WithMaxN(6), WithSeed(1), WithParallelism(1))
+	var got bytes.Buffer
+	enc := json.NewEncoder(&got)
+	for cr, err := range eng.SweepStream(context.Background(), spec) {
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := enc.Encode(cr); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", "campaign-smoke.stream.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if msg := firstDiff(got.Bytes(), want); msg != "" {
+		t.Fatalf("NDJSON stream diverges from the golden %s", msg)
+	}
+}
+
+// firstDiff locates the first line where got and want differ and shows
+// it in context; it returns "" when they are equal.
+func firstDiff(got, want []byte) string {
+	if bytes.Equal(got, want) {
+		return ""
+	}
+	gl, wl := bytes.Split(got, []byte("\n")), bytes.Split(want, []byte("\n"))
+	line := 0
+	for line < len(gl) && line < len(wl) && bytes.Equal(gl[line], wl[line]) {
+		line++
+	}
+	ctx := func(ls [][]byte) string {
+		lo, hi := max(line-2, 0), min(line+3, len(ls))
+		return string(bytes.Join(ls[lo:hi], []byte("\n")))
+	}
+	return fmt.Sprintf("at line %d:\n--- got ---\n%s\n--- want ---\n%s", line+1, ctx(gl), ctx(wl))
 }
