@@ -30,6 +30,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"log/slog"
 	"net/http"
 	"net/http/pprof"
 	"os"
@@ -40,7 +41,6 @@ import (
 	"meetpoly"
 	"meetpoly/internal/buildinfo"
 	"meetpoly/internal/serve/coord"
-	"meetpoly/internal/telemetry/logx"
 )
 
 func main() {
@@ -51,21 +51,16 @@ func main() {
 		leaseTTL   = flag.Duration("lease-ttl", coord.DefaultLeaseTTL, "lease lifetime without a heartbeat")
 		retryAfter = flag.Duration("retry-after", coord.DefaultRetryAfter, "Retry-After hint for waiting workers and premature report fetches")
 		pprofOn    = flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/")
-		logLevel   = flag.String("log-level", "info", "minimum log level: debug, info, warn, error")
 		version    = flag.Bool("version", false, "print version information and exit")
+		logLevel   slog.Level
 	)
+	flag.TextVar(&logLevel, "log-level", slog.LevelInfo, "minimum log level: debug, info, warn, error")
 	flag.Parse()
 	if *version {
 		fmt.Println(buildinfo.String("rvcoord"))
 		return
 	}
-	level, err := logx.ParseLevel(*logLevel)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "rvcoord:", err)
-		flag.Usage()
-		os.Exit(2)
-	}
-	logger := logx.New(os.Stderr, level)
+	logger := slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: logLevel}))
 	if *specPath == "" {
 		fmt.Fprintln(os.Stderr, "rvcoord: -spec is required")
 		flag.Usage()
@@ -104,8 +99,7 @@ func main() {
 	httpSrv := &http.Server{Addr: *addr, Handler: mux}
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.ListenAndServe() }()
-	logger.Info("listening",
-		logx.F("campaign", spec.Name), logx.F("cells", int64(total)), logx.F("addr", *addr))
+	logger.Info("listening", "campaign", spec.Name, "cells", total, "addr", *addr)
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

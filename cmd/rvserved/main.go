@@ -1,25 +1,28 @@
 // Command rvserved is the sweep service: a long-lived HTTP daemon that
-// accepts campaign SweepSpec JSON, executes this instance's shard of
-// the deterministic cell index-range over a shared engine, streams cell
-// results as NDJSON while they complete, and checkpoints completed
-// index ranges to disk so a crashed or restarted shard resumes without
-// recomputing a single cell. A campaign resumed across any number of
-// crashes produces the byte-identical report an uninterrupted
-// single-process `rvsweep -json` run produces.
+// accepts campaign SweepSpec JSON, executes the campaign's
+// deterministic cell index range (or the ?ranges= slice the request
+// names) over a shared engine, streams cell results as NDJSON while
+// they complete, and checkpoints completed index ranges to disk so a
+// crashed or restarted instance resumes without recomputing a single
+// cell. A campaign resumed across any number of crashes produces the
+// byte-identical report an uninterrupted single-process
+// `rvsweep -json` run produces.
 //
 // Endpoints (see internal/serve):
 //
-//	POST /v1/sweep        stream the shard's cell results as NDJSON
-//	POST /v1/sweep/report run the shard, respond with the report JSON
+//	POST /v1/sweep        stream the campaign's cell results as NDJSON
+//	POST /v1/sweep/report run the campaign, respond with the report JSON
 //	GET  /healthz         200 ok (with the build version); 503 once draining
 //	GET  /v1/stats        service counters and engine cache stats
 //	GET  /metrics         Prometheus text exposition of every series
 //	GET  /debug/pprof/*   runtime profiles (only with -pprof)
 //
-// Horizontal scale is the -shard flag: rvserved -shard 1/3 owns the
-// middle third of every campaign's index range, with its own
-// checkpoint subdirectory; the shards' streams fold into one report
-// through the order-independent aggregator.
+// To split a campaign across instances, give each its own -checkpoints
+// root and request a disjoint ?ranges= slice from each. The slices'
+// streams fold into one report through the order-independent
+// aggregator, but no command merges them; for that, run rvcoord, which
+// leases the slices to instances in -coordinator mode and serves the
+// folded report.
 //
 // SIGTERM/SIGINT drain gracefully: new sweeps are refused (503),
 // in-flight runs are canceled — their checkpoints flush everything
@@ -49,12 +52,11 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"log/slog"
 	"net/http"
 	"os"
 	"os/signal"
 	"path/filepath"
-	"strconv"
-	"strings"
 	"syscall"
 	"time"
 
@@ -63,14 +65,12 @@ import (
 	"meetpoly/internal/faultinject"
 	"meetpoly/internal/serve"
 	"meetpoly/internal/serve/coord"
-	"meetpoly/internal/telemetry/logx"
 )
 
 func main() {
 	var (
 		addr        = flag.String("addr", ":8747", "address to listen on")
 		checkpoints = flag.String("checkpoints", "", "checkpoint root directory (empty disables resume)")
-		shard       = flag.String("shard", "0/1", "this instance's shard as i/of (e.g. 1/3 = the middle third of every campaign)")
 		maxN        = flag.Int("maxn", 6, "size ceiling of the engine's verified catalog family")
 		seed        = flag.Int64("seed", 1, "seed of the engine's verified catalog")
 		parallelism = flag.Int("parallelism", 0, "worker pool size (0 = GOMAXPROCS)")
@@ -84,36 +84,26 @@ func main() {
 		chaos       = flag.String("chaos", "", "deterministic fault-injection spec (see internal/faultinject), e.g. 'seed=7,kill=2,reset=rand:30'")
 		compactDir  = flag.String("compact", "", "offline: compact this checkpoint directory's logs and exit")
 		pprofOn     = flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/ on the service mux")
-		logLevel    = flag.String("log-level", "info", "minimum log level: debug, info, warn, error")
 		version     = flag.Bool("version", false, "print version information and exit")
+		logLevel    slog.Level
 	)
+	flag.TextVar(&logLevel, "log-level", slog.LevelInfo, "minimum log level: debug, info, warn, error")
 	flag.Parse()
 	if *version {
 		fmt.Println(buildinfo.String("rvserved"))
 		return
 	}
-	level, err := logx.ParseLevel(*logLevel)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "rvserved:", err)
-		flag.Usage()
-		os.Exit(2)
-	}
-	logger := logx.New(os.Stderr, level)
-	shardIdx, shardOf, err := parseShard(*shard)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "rvserved:", err)
-		flag.Usage()
-		os.Exit(2)
-	}
+	logger := slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: logLevel}))
 	var inj *faultinject.Injector
 	if *chaos != "" {
+		var err error
 		inj, err = faultinject.New(*chaos)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "rvserved:", err)
 			os.Exit(2)
 		}
 		// The resolved plan is the reproduction recipe: log it.
-		logger.Info("chaos schedule resolved", logx.F("schedule", inj.Schedule()))
+		logger.Info("chaos schedule resolved", "schedule", inj.Schedule())
 	}
 
 	if *compactDir != "" {
@@ -147,8 +137,6 @@ func main() {
 	svc := serve.New(serve.Config{
 		Engine:          meetpoly.NewEngine(opts...),
 		CheckpointRoot:  *checkpoints,
-		Shard:           shardIdx,
-		Of:              shardOf,
 		FlushEvery:      *flushEvery,
 		MaxCells:        *maxCells,
 		MaxTenantSweeps: *maxTenant,
@@ -162,8 +150,7 @@ func main() {
 	httpSrv := &http.Server{Addr: *addr, Handler: svc.Handler()}
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.ListenAndServe() }()
-	logger.Info("listening",
-		logx.F("shard", fmt.Sprintf("%d/%d", shardIdx, shardOf)), logx.F("addr", *addr))
+	logger.Info("listening", "addr", *addr)
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -178,7 +165,6 @@ func main() {
 	// Drain before Shutdown: refuse new sweeps, cancel the in-flight
 	// ones (their checkpoints flush, so a restart resumes, not
 	// recomputes), then close the listener and idle connections.
-	logger.Info("draining")
 	drainCtx, cancel := context.WithTimeout(context.Background(), *drainWait)
 	defer cancel()
 	code := 0
@@ -196,18 +182,18 @@ func main() {
 // runWorker is the -coordinator mode: a lease-pulling fleet worker.
 // An injected kill (chaos kill=<k>) exits 137 like a real kill -9; the
 // coordinator's lease expiry handles the rest.
-func runWorker(coordURL, name, checkpoints string, flushEvery int, inj *faultinject.Injector, logger *logx.Logger, opts []meetpoly.Option) {
+func runWorker(coordURL, name, checkpoints string, flushEvery int, inj *faultinject.Injector, logger *slog.Logger, opts []meetpoly.Option) {
 	if name == "" {
 		name, _ = os.Hostname()
 	}
-	log := logger.With(logx.F("worker", name))
+	log := logger.With("worker", name)
 	dir := ""
 	if checkpoints != "" {
 		dir = filepath.Join(checkpoints, "worker-"+name)
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	log.Info("pulling leases", logx.F("coordinator", coordURL))
+	log.Info("pulling leases", "coordinator", coordURL)
 	err := coord.RunWorker(ctx, coord.WorkerConfig{
 		Coordinator: coordURL,
 		Engine:      meetpoly.NewEngine(opts...),
@@ -223,22 +209,7 @@ func runWorker(coordURL, name, checkpoints string, flushEvery int, inj *faultinj
 		log.Warn("injected kill")
 		os.Exit(137)
 	default:
-		log.Error("worker failed", logx.F("err", err))
+		log.Error("worker failed", "err", err)
 		os.Exit(1)
 	}
-}
-
-// parseShard parses the -shard flag's "i/of" form: of >= 1 and
-// 0 <= i < of.
-func parseShard(s string) (i, of int, err error) {
-	a, b, ok := strings.Cut(s, "/")
-	if !ok {
-		return 0, 0, fmt.Errorf("-shard must be i/of, got %q", s)
-	}
-	i, err1 := strconv.Atoi(a)
-	of, err2 := strconv.Atoi(b)
-	if err1 != nil || err2 != nil || of < 1 || i < 0 || i >= of {
-		return 0, 0, fmt.Errorf("-shard must be i/of with 0 <= i < of, got %q", s)
-	}
-	return i, of, nil
 }

@@ -52,6 +52,7 @@ import (
 	"fmt"
 	"io"
 	"iter"
+	"log/slog"
 	"os"
 	"os/signal"
 	"runtime"
@@ -62,7 +63,6 @@ import (
 	"meetpoly"
 	"meetpoly/internal/buildinfo"
 	"meetpoly/internal/serve/client"
-	"meetpoly/internal/telemetry/logx"
 )
 
 func main() {
@@ -82,21 +82,16 @@ func main() {
 		memProfile  = flag.String("memprofile", "", "write a heap profile after the sweep to this file")
 		tracePath   = flag.String("trace", "", "write a per-cell NDJSON span trace (begin/end events) of the sweep to this file")
 		metricsOut  = flag.Bool("metrics", false, "print the final telemetry snapshot (Prometheus text format) to stderr after the run")
-		logLevel    = flag.String("log-level", "warn", "minimum log level: debug, info, warn, error")
 		version     = flag.Bool("version", false, "print version information and exit")
+		logLevel    slog.Level
 	)
+	flag.TextVar(&logLevel, "log-level", slog.LevelWarn, "minimum log level: debug, info, warn, error")
 	flag.Parse()
 	if *version {
 		fmt.Println(buildinfo.String("rvsweep"))
 		return
 	}
-	level, err := logx.ParseLevel(*logLevel)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "rvsweep:", err)
-		flag.Usage()
-		os.Exit(2)
-	}
-	logger := logx.New(os.Stderr, level)
+	logger := slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: logLevel}))
 	if err := exclusiveModes(*count, *expand, *replay, *stream); err != nil {
 		fmt.Fprintln(os.Stderr, "rvsweep:", err)
 		flag.Usage()
@@ -337,8 +332,7 @@ func main() {
 	if rep.Canc > 0 {
 		// Report.OK is false for interrupted sweeps (canceled cells
 		// verified nothing); name the cause before the gate fires.
-		logger.Warn("sweep interrupted",
-			logx.F("canceled", int64(rep.Canc)), logx.F("cells", int64(rep.Cells)))
+		logger.Warn("sweep interrupted", "canceled", rep.Canc, "cells", rep.Cells)
 	}
 	if !rep.OK() {
 		exit(1)

@@ -1,10 +1,11 @@
 // Package serve turns the sweep engine into a long-lived campaign
-// service: it executes a shard's deterministic cell index-range with
-// crash-safe checkpointing (a restarted shard resumes without
-// recomputing a single completed cell, and the resumed campaign's
-// report is byte-identical to an uninterrupted run), and exposes the
-// whole pipeline over HTTP with per-tenant quotas, request budgets and
-// graceful drain (cmd/rvserved).
+// service: it executes a campaign, or explicit ranges of its
+// deterministic cell index space, with crash-safe checkpointing (a
+// restarted instance resumes without recomputing a single completed
+// cell, and the resumed campaign's report is byte-identical to an
+// uninterrupted run), and exposes the whole pipeline over HTTP with
+// per-tenant quotas, request budgets and graceful drain
+// (cmd/rvserved).
 //
 // The package leans on three invariants the engine already provides
 // (DESIGN.md §6): every cell is a pure function of its replay seed
@@ -28,13 +29,13 @@ import (
 	"meetpoly/internal/telemetry"
 )
 
-// Checkpoint file names inside a shard's checkpoint directory.
+// Checkpoint file names inside a campaign's checkpoint directory.
 const (
 	resultsFile = "results.ndjson"
 	rangesFile  = "ranges.log"
 )
 
-// Checkpoint is the durable record of one shard's completed cells: an
+// Checkpoint is the durable record of one campaign's completed cells: an
 // append-only NDJSON log of cell results and an append-only log of
 // sealed index ranges. The write protocol makes recovery crash-safe at
 // any kill point, kill -9 included:
@@ -203,7 +204,7 @@ func (cp *Checkpoint) recoverResults() error {
 func (cp *Checkpoint) Recovered() []meetpoly.SweepCellResult { return cp.recovered }
 
 // Completed returns the sealed index set as of recovery plus everything
-// sealed since: the indices a resuming shard must NOT re-execute.
+// sealed since: the indices a resuming run must NOT re-execute.
 func (cp *Checkpoint) Completed() *campaign.IndexSet {
 	out := &campaign.IndexSet{}
 	out.AddSet(&cp.sealed)

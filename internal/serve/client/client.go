@@ -25,6 +25,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log/slog"
 	"math/rand"
 	"net/http"
 	"strconv"
@@ -33,7 +34,6 @@ import (
 
 	"meetpoly"
 	"meetpoly/internal/campaign"
-	"meetpoly/internal/telemetry/logx"
 )
 
 // Config configures a Client.
@@ -71,8 +71,8 @@ type Config struct {
 	// cells dropped. Nil records nothing.
 	Metrics *meetpoly.Metrics
 
-	// Log receives retry/heal events. Nil logs nothing.
-	Log *logx.Logger
+	// Log receives retry/heal events. Nil discards them.
+	Log *slog.Logger
 }
 
 // Client retry defaults.
@@ -101,7 +101,7 @@ type Client struct {
 	cfg Config
 	rng *rand.Rand
 	m   *clientMetrics
-	log *logx.Logger
+	log *slog.Logger
 }
 
 // New builds a client. The zero-ish Config{BaseURL: url} is usable.
@@ -117,6 +117,9 @@ func New(cfg Config) *Client {
 	}
 	if cfg.MaxBackoff <= 0 {
 		cfg.MaxBackoff = DefaultMaxBackoff
+	}
+	if cfg.Log == nil {
+		cfg.Log = slog.New(slog.DiscardHandler)
 	}
 	seed := cfg.JitterSeed
 	if seed == 0 {
@@ -177,10 +180,8 @@ func (c *Client) Sweep(ctx context.Context, spec meetpoly.SweepSpec, emit func(m
 			if c.cfg.OnRetry != nil {
 				c.cfg.OnRetry(attemptErr, stalls, wait)
 			}
-			c.log.Warn("retrying after failure",
-				logx.F("err", attemptErr), logx.F("stalls", int64(stalls)),
-				logx.F("wait", wait), logx.F("done", int64(done.Len())),
-				logx.F("total", int64(total)))
+			c.log.Warn("retrying after failure", "err", attemptErr, "stalls", stalls,
+				"wait", wait, "done", done.Len(), "total", total)
 		}
 		if wait > 0 {
 			c.m.backedOff(wait)
@@ -209,9 +210,10 @@ func (e *retryAfterError) Error() string {
 
 // attempt performs one HTTP round: request the current gap set, stream
 // until the connection ends (cleanly or not), fold what arrived.
-// Returns how many new cells landed; the error is nil only on a clean
-// trailer.
+// Returns how many new cells landed; the error is nil only when a clean
+// trailer ends a stream that delivered every requested cell.
 func (c *Client) attempt(ctx context.Context, spec []byte, done *campaign.IndexSet, total int, agg *campaign.Aggregator, emit func(meetpoly.SweepCellResult) bool) (int, error) {
+	requested := total - done.Len()
 	url := c.cfg.BaseURL + "/v1/sweep"
 	if done.Len() > 0 {
 		// Resume: request exactly the gaps. The server replays nothing
@@ -223,8 +225,7 @@ func (c *Client) attempt(ctx context.Context, spec []byte, done *campaign.IndexS
 		}
 		url += "?ranges=" + strings.Join(parts, ",")
 		c.m.healed(len(parts))
-		c.log.Debug("healing stream",
-			logx.F("gaps", int64(len(parts))), logx.F("done", int64(done.Len())))
+		c.log.Debug("healing stream", "gaps", len(parts), "done", done.Len())
 	}
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(spec))
 	if err != nil {
@@ -317,6 +318,12 @@ func (c *Client) attempt(ctx context.Context, spec []byte, done *campaign.IndexS
 	if trailerErr != "" {
 		c.m.retriedHTTP()
 		return got, fmt.Errorf("client: server reported: %s", trailerErr)
+	}
+	if missing := total - done.Len(); missing > 0 {
+		// A clean trailer can still leave gaps: the server's budget
+		// canceled them. They are re-requested like any cut stream's.
+		c.m.retriedStream()
+		return got, fmt.Errorf("client: stream ended with %d of %d requested cells undelivered", missing, requested)
 	}
 	return got, nil
 }

@@ -5,7 +5,11 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"io"
+	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -120,31 +124,66 @@ func TestClientTerminal(t *testing.T) {
 	}
 }
 
-// TestClientStalls: a server that never makes progress (draining
-// forever) trips MaxStalls instead of spinning.
+// TestClientStalls: a server that never makes progress trips
+// MaxStalls instead of spinning, and every stalled attempt is a retry
+// with a cause: a draining server refuses with 503, and a server whose
+// stream ends in a clean trailer while requested cells are still
+// missing (every gap cell canceled by its budget) is a stream failure
+// that names the undelivered cells.
 func TestClientStalls(t *testing.T) {
-	srv := serve.New(serve.Config{Engine: newClientEngine()})
-	if err := srv.Drain(context.Background()); err != nil {
+	drained := serve.New(serve.Config{Engine: newClientEngine()})
+	if err := drained.Drain(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
+	total, _ := meetpoly.CountSweep(clientSpec())
+	for _, c := range []struct {
+		name    string
+		handler http.Handler
+		reason  string // the retries_total label every attempt counts under
+		errText string
+	}{
+		{"draining", drained.Handler(), "retry_after", "refused with 503"},
+		{"bare trailer", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			io.WriteString(w, `{"done":true,"cells":0,"failures":0,"canceled":0}`+"\n")
+		}), "stream", fmt.Sprintf("%d of %d requested cells undelivered", total, total)},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			ts := httptest.NewServer(c.handler)
+			defer ts.Close()
 
-	cl := New(Config{
-		BaseURL:     ts.URL,
-		MaxStalls:   3,
-		BaseBackoff: time.Millisecond,
-		MaxBackoff:  2 * time.Millisecond,
-	})
-	start := time.Now()
-	_, err := cl.Sweep(context.Background(), clientSpec(), nil)
-	if !errors.Is(err, ErrStalled) {
-		t.Fatalf("draining server returned %v, want ErrStalled", err)
-	}
-	// The 503s carry Retry-After: 1; the stall cap must fire after 2
-	// waits, not retry forever.
-	if elapsed := time.Since(start); elapsed > 5*time.Second {
-		t.Fatalf("stall detection took %s", elapsed)
+			reg := meetpoly.NewMetrics()
+			retries := 0
+			cl := New(Config{
+				BaseURL:     ts.URL,
+				MaxStalls:   3,
+				BaseBackoff: time.Millisecond,
+				MaxBackoff:  2 * time.Millisecond,
+				OnRetry:     func(error, int, time.Duration) { retries++ },
+				Metrics:     reg,
+			})
+			start := time.Now()
+			_, err := cl.Sweep(context.Background(), clientSpec(), nil)
+			if !errors.Is(err, ErrStalled) || !strings.Contains(err.Error(), c.errText) {
+				t.Fatalf("Sweep returned %v, want ErrStalled naming %q", err, c.errText)
+			}
+			// The stall cap fires on the third attempt, after two
+			// retries (each 503 waits its Retry-After: 1).
+			if elapsed := time.Since(start); elapsed > 5*time.Second {
+				t.Fatalf("stall detection took %s", elapsed)
+			}
+			if retries != 2 {
+				t.Errorf("OnRetry fired %d times, want 2", retries)
+			}
+			counted := 0.0
+			for _, p := range reg.Snapshot() {
+				if p.Name == "meetpoly_client_retries_total" && len(p.Labels) == 1 && p.Labels[0].Value == c.reason {
+					counted = p.Value
+				}
+			}
+			if counted != 3 {
+				t.Errorf("retries{reason=%q} = %v, want 3 (one per attempt)", c.reason, counted)
+			}
+		})
 	}
 }
 

@@ -34,6 +34,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"sort"
 	"strconv"
@@ -43,7 +44,6 @@ import (
 	"meetpoly"
 	"meetpoly/internal/buildinfo"
 	"meetpoly/internal/campaign"
-	"meetpoly/internal/telemetry/logx"
 )
 
 // Config configures a Coordinator.
@@ -76,8 +76,8 @@ type Config struct {
 	Metrics *meetpoly.Metrics
 
 	// Log receives lease-lifecycle events (grants, expiries, stale
-	// completes). Nil logs nothing.
-	Log *logx.Logger
+	// completes). Nil discards them.
+	Log *slog.Logger
 }
 
 // Coordinator tuning defaults.
@@ -102,7 +102,7 @@ type Coordinator struct {
 	cfg   Config
 	total int
 	m     *coordMetrics
-	log   *logx.Logger
+	log   *slog.Logger
 
 	mu     sync.Mutex
 	done   campaign.IndexSet // cells whose results have been folded
@@ -133,6 +133,9 @@ func New(cfg Config) (*Coordinator, error) {
 	if cfg.Metrics == nil {
 		cfg.Metrics = meetpoly.NewMetrics()
 	}
+	if cfg.Log == nil {
+		cfg.Log = slog.New(slog.DiscardHandler)
+	}
 	c := &Coordinator{
 		cfg:    cfg,
 		total:  total,
@@ -159,9 +162,7 @@ func (c *Coordinator) expireLocked(now time.Time) {
 		if now.After(l.expires) {
 			delete(c.leases, id)
 			c.m.expired.Inc()
-			c.log.Warn("lease expired",
-				logx.F("lease", id), logx.F("worker", l.worker),
-				logx.F("cells", int64(l.set.Len())))
+			c.log.Warn("lease expired", "lease", id, "worker", l.worker, "cells", l.set.Len())
 		}
 	}
 }
@@ -219,9 +220,7 @@ func (c *Coordinator) Lease(worker string) LeaseResponse {
 	}
 	c.leases[l.id] = l
 	c.m.granted.Inc()
-	c.log.Debug("lease granted",
-		logx.F("lease", l.id), logx.F("worker", worker),
-		logx.F("cells", int64(grant.Len())))
+	c.log.Debug("lease granted", "lease", l.id, "worker", worker, "cells", grant.Len())
 	return LeaseResponse{
 		Status: "lease",
 		Lease:  l.id,
@@ -276,11 +275,9 @@ func (c *Coordinator) Complete(id string, results []campaign.CellResult) (accept
 		// worker reporting late still folds (the duplicate guard makes a
 		// double fold a no-op), but the staleness is worth counting.
 		c.m.staleCompletes.Inc()
-		c.log.Info("stale complete accepted",
-			logx.F("lease", id), logx.F("cells", int64(accepted)))
+		c.log.Info("stale complete accepted", "lease", id, "cells", accepted)
 	} else {
-		c.log.Debug("lease completed",
-			logx.F("lease", id), logx.F("cells", int64(accepted)))
+		c.log.Debug("lease completed", "lease", id, "cells", accepted)
 	}
 	// Whatever the lease still owed returns to the pool; a partial
 	// completion (worker drained mid-lease) re-leases just the rest.

@@ -46,12 +46,11 @@ type WorkerConfig struct {
 
 	// HTTP overrides the transport; nil means http.DefaultClient.
 	HTTP *http.Client
-
-	// WaitFloor bounds how briefly the worker will sleep on a "wait"
-	// response regardless of the coordinator's hint; <= 0 means 10ms.
-	// Tests lower coordinator RetryAfter instead of touching this.
-	WaitFloor time.Duration
 }
+
+// waitFloor bounds how briefly a worker sleeps on a "wait" response,
+// whatever the coordinator's hint.
+const waitFloor = 10 * time.Millisecond
 
 // RunWorker pulls leases until the coordinator reports the campaign
 // done, executing each lease's exact ranges through serve.RunShard and
@@ -63,9 +62,6 @@ func RunWorker(ctx context.Context, cfg WorkerConfig) error {
 	client := cfg.HTTP
 	if client == nil {
 		client = http.DefaultClient
-	}
-	if cfg.WaitFloor <= 0 {
-		cfg.WaitFloor = 10 * time.Millisecond
 	}
 
 	spec, err := fetchSpec(ctx, client, cfg.Coordinator)
@@ -82,10 +78,7 @@ func RunWorker(ctx context.Context, cfg WorkerConfig) error {
 		case "done":
 			return nil
 		case "wait":
-			wait := time.Duration(lr.RetryMs) * time.Millisecond
-			if wait < cfg.WaitFloor {
-				wait = cfg.WaitFloor
-			}
+			wait := max(time.Duration(lr.RetryMs)*time.Millisecond, waitFloor)
 			select {
 			case <-ctx.Done():
 				return ctx.Err()

@@ -10,9 +10,9 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
-	"time"
 
 	"meetpoly"
 	"meetpoly/internal/campaign"
@@ -113,8 +113,8 @@ func TestRunShardFaultedFlushResumes(t *testing.T) {
 	}
 }
 
-// TestRunShardRanges: explicit ranges run exactly their cells,
-// intersected with the shard range.
+// TestRunShardRanges: explicit ranges run exactly their cells, once
+// each, and ranges reaching past [0, total) are clamped to it.
 func TestRunShardRanges(t *testing.T) {
 	ctx := context.Background()
 	spec := serveSpec()
@@ -123,32 +123,31 @@ func TestRunShardRanges(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var got campaign.IndexSet
-	_, err = RunShard(ctx, ShardConfig{
-		Engine: newServeEngine(), Spec: spec,
-		Ranges: []campaign.Interval{{Lo: 3, Hi: 7}, {Lo: 20, Hi: 22}},
-	}, func(cr meetpoly.SweepCellResult) bool { got.Add(cr.Cell.Index); return true })
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := campaign.IndexSet{}
-	want.AddRange(3, 7)
-	want.AddRange(20, 22)
-	if got.Len() != want.Len() || len(want.Gaps(0, total)) != len(got.Gaps(0, total)) {
-		t.Fatalf("ranges run emitted %v, want %v", got.Ranges(), want.Ranges())
-	}
-
-	// A sharded instance clips the request to its own slice.
-	var clipped campaign.IndexSet
-	_, err = RunShard(ctx, ShardConfig{
-		Engine: newServeEngine(), Spec: spec, Shard: 0, Of: 2,
-		Ranges: []campaign.Interval{{Lo: 0, Hi: total}},
-	}, func(cr meetpoly.SweepCellResult) bool { clipped.Add(cr.Cell.Index); return true })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hi := total / 2; clipped.Len() != hi || clipped.Contains(hi) {
-		t.Fatalf("shard 0/2 with full-range request emitted %v, want [0, %d)", clipped.Ranges(), hi)
+	for _, c := range []struct{ ranges, want []campaign.Interval }{
+		{
+			ranges: []campaign.Interval{{Lo: 3, Hi: 7}, {Lo: 20, Hi: 22}},
+			want:   []campaign.Interval{{Lo: 3, Hi: 7}, {Lo: 20, Hi: 22}},
+		},
+		{
+			ranges: []campaign.Interval{{Lo: -5, Hi: 2}, {Lo: total - 1, Hi: total + 9}},
+			want:   []campaign.Interval{{Lo: 0, Hi: 2}, {Lo: total - 1, Hi: total}},
+		},
+	} {
+		var got campaign.IndexSet
+		_, err := RunShard(ctx, ShardConfig{
+			Engine: newServeEngine(), Spec: spec, Ranges: c.ranges,
+		}, func(cr meetpoly.SweepCellResult) bool {
+			if !got.Add(cr.Cell.Index) {
+				t.Errorf("ranges %v emitted cell %d twice", c.ranges, cr.Cell.Index)
+			}
+			return true
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got.Ranges(), c.want) {
+			t.Fatalf("ranges %v emitted %v, want %v", c.ranges, got.Ranges(), c.want)
+		}
 	}
 }
 
@@ -216,14 +215,14 @@ func TestServerRetryAfter(t *testing.T) {
 		t.Fatalf("quota refusal: code=%d Retry-After=%q, want 429 with hint", w.Code, w.Header().Get("Retry-After"))
 	}
 
-	drained := New(Config{Engine: newServeEngine(), RetryAfter: 3 * time.Second})
+	drained := New(Config{Engine: newServeEngine()})
 	if err := drained.Drain(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	w = httptest.NewRecorder()
 	drained.admit(w, "bob", "")
-	if w.Code != http.StatusServiceUnavailable || w.Header().Get("Retry-After") != "3" {
-		t.Fatalf("drain refusal: code=%d Retry-After=%q, want 503 with hint 3", w.Code, w.Header().Get("Retry-After"))
+	if w.Code != http.StatusServiceUnavailable || w.Header().Get("Retry-After") != "1" {
+		t.Fatalf("drain refusal: code=%d Retry-After=%q, want 503 with hint 1", w.Code, w.Header().Get("Retry-After"))
 	}
 
 	chaos := New(Config{Engine: newServeEngine(), Faults: faultinject.MustNew("unavail=1x1")})

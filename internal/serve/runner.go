@@ -3,7 +3,6 @@ package serve
 import (
 	"context"
 	"errors"
-	"fmt"
 
 	"meetpoly"
 	"meetpoly/internal/campaign"
@@ -15,26 +14,21 @@ import (
 // Whatever was checkpointed stays durable; a later run resumes from it.
 var ErrStopped = errors.New("serve: shard run stopped by consumer")
 
-// ShardConfig describes one shard's slice of a campaign. Shard i of n
-// owns the half-open cell index range [i*total/n, (i+1)*total/n) — the
-// same arithmetic on every process, so n shards partition the expansion
-// exactly. A single-process run is shard 0 of 1.
+// ShardConfig describes one run over a slice of a campaign's cell
+// index range.
 type ShardConfig struct {
 	Engine *meetpoly.Engine
 	Spec   meetpoly.SweepSpec
 
-	// Shard / Of select this process's index range. Of must be >= 1 and
-	// 0 <= Shard < Of; both zero means "shard 0 of 1".
-	Shard, Of int
-
-	// Ranges restricts the run to an explicit set of absolute cell
-	// index intervals, intersected with the shard's own range — the
-	// primitive behind lease execution (a coordinator worker runs
-	// exactly its lease) and client resume (a reconnecting client
-	// requests exactly its gap set). Empty means the whole shard range.
+	// Ranges restricts the run to explicit absolute cell index
+	// intervals, clamped to [0, total): the primitive behind lease
+	// execution (a coordinator worker runs exactly its lease), client
+	// resume (a reconnecting client requests exactly its gap set) and
+	// ?ranges= (an operator splits a campaign across instances). Empty
+	// means the whole campaign.
 	Ranges []campaign.Interval
 
-	// Dir is the shard's checkpoint directory. Empty disables
+	// Dir is the run's checkpoint directory. Empty disables
 	// checkpointing (the run is stateless and cannot resume).
 	Dir string
 
@@ -66,26 +60,20 @@ type ShardConfig struct {
 // cells) when ShardConfig.FlushEvery is unset.
 const DefaultFlushEvery = 32
 
-// RunShard executes cfg's index range (narrowed to cfg.Ranges when
-// set), streaming each cell result to emit (return false to stop
-// early) and folding everything into the shard's aggregate report.
-// With a checkpoint directory the run is resumable: results recovered
-// from a previous run are replayed into the stream and fold without
+// RunShard executes cfg.Ranges (the whole campaign when empty),
+// streaming each cell result to emit (return false to stop early) and
+// folding everything into the slice's aggregate report. With a
+// checkpoint directory the run is resumable: results recovered from a
+// previous run are replayed into the stream and fold without
 // re-execution, only the sealed-range gaps run, and completed cells
 // are flushed durably every FlushEvery cells. Canceled cells are
 // folded and emitted but never checkpointed — a resumed run must
 // re-execute them for real.
 //
 // The fold is the engine's own order-independent aggregator, so a
-// shard-0-of-1 run's report — interrupted and resumed any number of
+// whole-campaign run's report — interrupted and resumed any number of
 // times — is byte-identical to an uninterrupted Engine.Sweep.
 func RunShard(ctx context.Context, cfg ShardConfig, emit func(meetpoly.SweepCellResult) bool) (*meetpoly.SweepReport, error) {
-	if cfg.Of == 0 && cfg.Shard == 0 {
-		cfg.Of = 1
-	}
-	if cfg.Of < 1 || cfg.Shard < 0 || cfg.Shard >= cfg.Of {
-		return nil, fmt.Errorf("serve: invalid shard %d of %d", cfg.Shard, cfg.Of)
-	}
 	if cfg.FlushEvery <= 0 {
 		cfg.FlushEvery = DefaultFlushEvery
 	}
@@ -93,21 +81,12 @@ func RunShard(ctx context.Context, cfg ShardConfig, emit func(meetpoly.SweepCell
 	if err != nil {
 		return nil, err
 	}
-	lo := cfg.Shard * total / cfg.Of
-	hi := (cfg.Shard + 1) * total / cfg.Of
-
-	// The run's target set: the shard range, optionally narrowed to the
-	// caller's explicit ranges (a lease, a resume gap set). Intersection
-	// with the shard range keeps a sharded instance inside its slice no
-	// matter what a client asks for.
 	var want campaign.IndexSet
 	if len(cfg.Ranges) == 0 {
-		want.AddRange(lo, hi)
-	} else {
-		for _, r := range cfg.Ranges {
-			rlo, rhi := max(r.Lo, lo), min(r.Hi, hi)
-			want.AddRange(rlo, rhi)
-		}
+		want.AddRange(0, total)
+	}
+	for _, r := range cfg.Ranges {
+		want.AddRange(max(r.Lo, 0), min(r.Hi, total))
 	}
 
 	m := newShardMetrics(cfg.Metrics)

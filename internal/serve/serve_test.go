@@ -172,9 +172,10 @@ func TestRunShardCrashResume(t *testing.T) {
 	}
 }
 
-// TestRunShardPartition: n shards with disjoint checkpoint dirs fold
-// into the uninterrupted single-process report, and each shard stays
-// inside its index range.
+// TestRunShardPartition: disjoint range slices, each run on a fresh
+// engine with its own checkpoint dir, stay inside their ranges, emit
+// every cell once between them, and fold into the uninterrupted
+// single-process report.
 func TestRunShardPartition(t *testing.T) {
 	ctx := context.Background()
 	spec := serveSpec()
@@ -184,21 +185,27 @@ func TestRunShardPartition(t *testing.T) {
 	}
 	want := referenceReport(t)
 
-	for _, of := range []int{2, 3} {
+	for _, slicesOf := range [][][]campaign.Interval{
+		{{{Lo: 0, Hi: total / 2}}, {{Lo: total / 2, Hi: total}}},
+		{{{Lo: 0, Hi: 5}, {Lo: 30, Hi: total}}, {{Lo: 5, Hi: 17}}, {{Lo: 17, Hi: 30}}},
+	} {
 		agg := campaign.NewAggregator(spec, nil)
 		var seen campaign.IndexSet
-		for shard := 0; shard < of; shard++ {
-			lo, hi := shard*total/of, (shard+1)*total/of
+		for _, ranges := range slicesOf {
+			var own campaign.IndexSet
+			for _, r := range ranges {
+				own.AddRange(r.Lo, r.Hi)
+			}
 			_, err := RunShard(ctx, ShardConfig{
 				Engine: newServeEngine(), Spec: spec,
-				Shard: shard, Of: of,
-				Dir: filepath.Join(t.TempDir(), "cp"),
+				Ranges: ranges,
+				Dir:    t.TempDir(),
 			}, func(cr meetpoly.SweepCellResult) bool {
-				if cr.Cell.Index < lo || cr.Cell.Index >= hi {
-					t.Fatalf("shard %d/%d emitted out-of-range cell %d", shard, of, cr.Cell.Index)
+				if !own.Contains(cr.Cell.Index) {
+					t.Fatalf("slice %v emitted out-of-range cell %d", ranges, cr.Cell.Index)
 				}
 				if !seen.Add(cr.Cell.Index) {
-					t.Fatalf("cell %d emitted by two shards", cr.Cell.Index)
+					t.Fatalf("cell %d emitted by two slices", cr.Cell.Index)
 				}
 				agg.Add(cr)
 				return true
@@ -208,21 +215,10 @@ func TestRunShardPartition(t *testing.T) {
 			}
 		}
 		if seen.Len() != total {
-			t.Fatalf("%d shards emitted %d cells, want %d", of, seen.Len(), total)
+			t.Fatalf("%d slices emitted %d cells, want %d", len(slicesOf), seen.Len(), total)
 		}
 		if got := reportBytes(t, agg.Report()); !bytes.Equal(got, want) {
-			t.Fatalf("%d-shard merged report diverges from single-process run", of)
-		}
-	}
-}
-
-// TestRunShardInvalid covers the config rejections.
-func TestRunShardInvalid(t *testing.T) {
-	emit := func(meetpoly.SweepCellResult) bool { return true }
-	for _, c := range []struct{ shard, of int }{{1, 1}, {-1, 2}, {2, 2}, {0, -1}} {
-		cfg := ShardConfig{Engine: newServeEngine(), Spec: serveSpec(), Shard: c.shard, Of: c.of}
-		if _, err := RunShard(context.Background(), cfg, emit); err == nil {
-			t.Errorf("shard %d of %d accepted, want error", c.shard, c.of)
+			t.Fatalf("%d-slice merged report diverges from single-process run", len(slicesOf))
 		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
+	"log/slog"
 	"net/http"
 	"net/http/pprof"
 	"path/filepath"
@@ -20,7 +21,6 @@ import (
 	"meetpoly/internal/campaign"
 	"meetpoly/internal/faultinject"
 	"meetpoly/internal/telemetry"
-	"meetpoly/internal/telemetry/logx"
 )
 
 // Config configures a sweep service instance.
@@ -31,15 +31,10 @@ type Config struct {
 	// execution is pure.
 	Engine *meetpoly.Engine
 
-	// CheckpointRoot is the directory under which per-campaign,
-	// per-shard checkpoints live (root/<campaign key>/shard-<i>of<n>).
-	// Empty disables checkpointing: every request recomputes.
+	// CheckpointRoot is the directory under which per-campaign
+	// checkpoints live (root/<campaign key>). Empty disables
+	// checkpointing: every request recomputes.
 	CheckpointRoot string
-
-	// Shard / Of select which slice of each campaign this instance
-	// executes (the same flag pair cmd/rvserved exposes); zero values
-	// mean "shard 0 of 1", i.e. the whole expansion.
-	Shard, Of int
 
 	// FlushEvery is the checkpoint flush interval in completed cells
 	// (DefaultFlushEvery when <= 0).
@@ -62,12 +57,6 @@ type Config struct {
 	// re-request resumes and finishes the remainder.
 	RequestTimeout time.Duration
 
-	// RetryAfter is the hint sent in the Retry-After header of every
-	// 429 (tenant over quota) and 503 (draining, chaos-unavailable)
-	// response, so backoff-aware clients wait what the server asks
-	// instead of guessing. <= 0 means DefaultRetryAfter.
-	RetryAfter time.Duration
-
 	// Faults threads the chaos harness through the service (rvserved
 	// -chaos): checkpoint write/fsync faults and worker kills via
 	// RunShard, stream resets after the scheduled NDJSON line, delayed
@@ -84,9 +73,9 @@ type Config struct {
 	// either way.
 	Metrics *meetpoly.Metrics
 
-	// Log receives the service's structured log lines (admissions
-	// refused, sweeps completed, drain progress). Nil logs nothing.
-	Log *logx.Logger
+	// Log receives the service's structured log records (admissions
+	// refused, sweeps completed, drain progress). Nil discards them.
+	Log *slog.Logger
 
 	// Pprof mounts net/http/pprof's profiling endpoints under
 	// /debug/pprof/ (rvserved -pprof). Off by default: profiling
@@ -95,8 +84,10 @@ type Config struct {
 	Pprof bool
 }
 
-// DefaultRetryAfter is the Retry-After hint when Config.RetryAfter is
-// unset.
+// DefaultRetryAfter is the hint sent in the Retry-After header of
+// every 429 (tenant over quota) and 503 (draining, chaos-unavailable)
+// response, so backoff-aware clients wait what the server asks instead
+// of guessing.
 const DefaultRetryAfter = time.Second
 
 // DefaultMaxTenantSweeps is the per-tenant in-flight cap when
@@ -121,22 +112,19 @@ type Server struct {
 	// cannot drift (DESIGN.md §7).
 	reg *meetpoly.Metrics
 	m   *serveMetrics
-	log *logx.Logger
+	log *slog.Logger
 }
 
 // New builds a Server over cfg, applying defaults.
 func New(cfg Config) *Server {
-	if cfg.Of == 0 && cfg.Shard == 0 {
-		cfg.Of = 1
-	}
 	if cfg.MaxTenantSweeps <= 0 {
 		cfg.MaxTenantSweeps = DefaultMaxTenantSweeps
 	}
-	if cfg.RetryAfter <= 0 {
-		cfg.RetryAfter = DefaultRetryAfter
-	}
 	if cfg.Metrics == nil {
 		cfg.Metrics = meetpoly.NewMetrics()
+	}
+	if cfg.Log == nil {
+		cfg.Log = slog.New(slog.DiscardHandler)
 	}
 	drainCtx, cancel := context.WithCancel(context.Background())
 	return &Server{
@@ -153,8 +141,8 @@ func New(cfg Config) *Server {
 
 // Handler returns the service's route table:
 //
-//	POST /v1/sweep        — stream the shard's cell results as NDJSON
-//	POST /v1/sweep/report — run the shard, respond with the report JSON
+//	POST /v1/sweep        — stream the campaign's cell results as NDJSON
+//	POST /v1/sweep/report — run the campaign, respond with the report JSON
 //	GET  /healthz         — 200 ok (with the build version), 503 once draining
 //	GET  /v1/stats        — service counters and engine cache stats
 //	GET  /metrics         — the registry in Prometheus text exposition
@@ -163,8 +151,8 @@ func New(cfg Config) *Server {
 // Both sweep endpoints take a SweepSpec JSON body and accept
 // ?budget_ms= to bound the run (see Config.RequestTimeout) and
 // ?ranges=lo-hi[,lo-hi...] to execute only those absolute cell index
-// intervals (intersected with this instance's shard range) — the
-// resume primitive a reconnecting client requests its gap set with.
+// intervals — the resume primitive a reconnecting client requests its
+// gap set with, and the way to split a campaign across instances.
 //
 // With a fault injector configured, requests pass its schedule first:
 // delayed responses and 503 bursts land here, stream resets inside
@@ -206,12 +194,8 @@ func (s *Server) Handler() http.Handler {
 // hint, so a backoff-aware client waits what the server asks.
 func (s *Server) refuse(w http.ResponseWriter, msg string, code int) {
 	s.m.refused(code)
-	s.log.Warn("request refused", logx.F("code", code), logx.F("reason", msg))
-	secs := int(s.cfg.RetryAfter / time.Second)
-	if secs < 1 {
-		secs = 1
-	}
-	w.Header().Set("Retry-After", strconv.Itoa(secs))
+	s.log.Warn("request refused", "code", code, "reason", msg)
+	w.Header().Set("Retry-After", strconv.Itoa(int(DefaultRetryAfter/time.Second)))
 	http.Error(w, msg, code)
 }
 
@@ -223,7 +207,7 @@ func (s *Server) Drain(ctx context.Context) error {
 	s.mu.Lock()
 	s.draining = true
 	s.mu.Unlock()
-	s.log.Info("draining", logx.F("inflight", s.m.inflight.Value()))
+	s.log.Info("draining", "inflight", s.m.inflight.Value())
 	s.startDrain()
 	done := make(chan struct{})
 	go func() {
@@ -268,13 +252,10 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	// snapshot, never a parallel tally that could drift from it.
 	st := struct {
 		Draining bool                `json:"draining"`
-		Shard    int                 `json:"shard"`
-		Of       int                 `json:"of"`
 		Served   int64               `json:"served"`
 		Inflight int                 `json:"inflight"`
 		Cache    meetpoly.CacheStats `json:"cache"`
-	}{draining, s.cfg.Shard, s.cfg.Of,
-		int64(s.m.served.Value()), int(s.m.inflight.Value()), s.cfg.Engine.CacheStats()}
+	}{draining, int64(s.m.served.Value()), int(s.m.inflight.Value()), s.cfg.Engine.CacheStats()}
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(st)
 }
@@ -296,8 +277,8 @@ func (s *Server) admit(w http.ResponseWriter, tenant, key string) func() {
 		// Two concurrent runs over one checkpoint dir would interleave
 		// appends; the second caller retries after the first finishes.
 		s.m.refused(http.StatusConflict)
-		s.log.Warn("campaign already running", logx.F("tenant", tenant), logx.F("campaign", key))
-		http.Error(w, fmt.Sprintf("campaign %s already running on this shard", key), http.StatusConflict)
+		s.log.Warn("campaign already running", "tenant", tenant, "campaign", key)
+		http.Error(w, fmt.Sprintf("campaign %s already running on this instance", key), http.StatusConflict)
 		return nil
 	}
 	s.tenants[tenant]++
@@ -352,7 +333,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request, stream bool
 	}
 	if s.cfg.MaxCells > 0 && total > s.cfg.MaxCells {
 		s.m.refused(http.StatusRequestEntityTooLarge)
-		s.log.Warn("campaign over cell limit", logx.F("cells", total), logx.F("limit", s.cfg.MaxCells))
+		s.log.Warn("campaign over cell limit", "cells", total, "limit", s.cfg.MaxCells)
 		http.Error(w, fmt.Sprintf("campaign expands to %d cells, limit %d", total, s.cfg.MaxCells), http.StatusRequestEntityTooLarge)
 		return
 	}
@@ -401,20 +382,18 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request, stream bool
 
 	cfg := ShardConfig{
 		Engine: s.cfg.Engine, Spec: spec,
-		Shard: s.cfg.Shard, Of: s.cfg.Of,
 		Ranges: ranges,
 		Dir:    dir, FlushEvery: s.cfg.FlushEvery,
 		Faults:  s.cfg.Faults,
 		Metrics: s.reg,
 	}
-	log := s.log.With(logx.F("tenant", tenant), logx.F("campaign", spec.Name),
-		logx.F("shard", fmt.Sprintf("%d/%d", s.cfg.Shard, s.cfg.Of)))
-	log.Debug("sweep admitted", logx.F("cells", total), logx.F("stream", stream))
+	log := s.log.With("tenant", tenant, "campaign", spec.Name)
+	log.Debug("sweep admitted", "cells", total, "stream", stream)
 
 	if !stream {
 		rep, err := RunShard(ctx, cfg, func(meetpoly.SweepCellResult) bool { return true })
 		if err != nil {
-			log.Error("sweep failed", logx.F("err", err))
+			log.Error("sweep failed", "err", err)
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 			return
 		}
@@ -427,7 +406,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request, stream bool
 		}
 		w.Header().Set("Content-Type", "application/json")
 		w.Write(append(out, '\n'))
-		log.Info("sweep served", logx.F("cells", rep.Cells), logx.F("failures", rep.Fail))
+		log.Info("sweep served", "cells", rep.Cells, "failures", rep.Fail)
 		return
 	}
 
@@ -460,15 +439,15 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request, stream bool
 	switch {
 	case err == nil:
 		enc.Encode(streamTrailer{Done: true, Cells: rep.Cells, Failures: rep.Fail, Canceled: rep.Canc})
-		log.Info("sweep streamed", logx.F("cells", rep.Cells), logx.F("failures", rep.Fail))
+		log.Info("sweep streamed", "cells", rep.Cells, "failures", rep.Fail)
 	case errors.Is(err, ErrStopped):
 		// Nobody is listening.
 		log.Info("stream consumer went away")
 	case !wrote:
-		log.Error("sweep failed", logx.F("err", err))
+		log.Error("sweep failed", "err", err)
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 	default:
-		log.Error("sweep failed mid-stream", logx.F("err", err))
+		log.Error("sweep failed mid-stream", "err", err)
 		enc.Encode(streamTrailer{Error: err.Error()})
 	}
 }
@@ -484,7 +463,7 @@ type streamTrailer struct {
 
 // parseRanges parses the ?ranges=lo-hi[,lo-hi...] query parameter into
 // cell index intervals: each half-open [lo, hi) needs 0 <= lo < hi <=
-// total. Empty input means "the whole shard range" (nil).
+// total. Empty input means "the whole campaign" (nil).
 func parseRanges(q string, total int) ([]campaign.Interval, error) {
 	if q == "" {
 		return nil, nil
@@ -505,8 +484,8 @@ func parseRanges(q string, total int) ([]campaign.Interval, error) {
 	return out, nil
 }
 
-// checkpointDir maps a campaign onto this shard's checkpoint directory:
-// root/<name>-<fnv of the canonical spec JSON>/shard-<i>of<n>. The hash
+// checkpointDir maps a campaign onto its checkpoint directory:
+// root/<name>-<fnv of the canonical spec JSON>. The hash
 // keeps two different campaigns sharing a name from sharing (and
 // corrupting) a resume state; the name keeps the tree navigable. The
 // returned key identifies the dir for the one-live-run lock. Both are
@@ -528,5 +507,5 @@ func (s *Server) checkpointDir(spec meetpoly.SweepSpec) (dir, key string) {
 		}
 	}
 	key = fmt.Sprintf("%s-%08x", name, h.Sum32())
-	return filepath.Join(s.cfg.CheckpointRoot, key, fmt.Sprintf("shard-%dof%d", s.cfg.Shard, s.cfg.Of)), key
+	return filepath.Join(s.cfg.CheckpointRoot, key), key
 }
