@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"iter"
+	"math"
 	"math/big"
 	"runtime"
 	"sync"
@@ -64,7 +65,7 @@ type Engine struct {
 	// expansion caps admit in one engine's lifetime.
 	cacheStats   atomic.Uint64
 	catalogEpoch atomic.Int64 // bumped on catalog extension: route books expire
-	boundModel   atomic.Pointer[boundModelEpoch]
+	epochMemo    atomic.Pointer[epochMemo]
 
 	// tele holds the engine's pre-resolved metric handles (nil without
 	// WithTelemetry: the nil check is the whole disabled cost, and the
@@ -533,25 +534,35 @@ func (e *Engine) RunBatch(ctx context.Context, scs []Scenario) []BatchResult {
 // catalog epoch — its internal recurrence tables amortize across every
 // run and oracle of the engine's lifetime, and a catalog extension
 // (which changes sequence lengths) swaps in a fresh one.
-func (e *Engine) BoundModel() *costmodel.Model {
-	epoch := e.catalogEpoch.Load()
-	for {
-		bm := e.boundModel.Load()
-		if bm != nil && bm.epoch == epoch {
-			return bm.m
-		}
-		next := &boundModelEpoch{epoch: epoch,
-			m: costmodel.NewFromLengths(func(k int) int { return e.env.Catalog().P(k) })}
-		if e.boundModel.CompareAndSwap(bm, next) {
-			return next.m
-		}
-	}
-}
+func (e *Engine) BoundModel() *costmodel.Model { return e.memo().m }
 
-// boundModelEpoch pins a memoized cost model to a catalog epoch.
-type boundModelEpoch struct {
+// epochMemo pins the engine's memos of catalog-derived values to a
+// catalog epoch: the cost model, and the 4D values of fourD.
+// An extension changes sequence lengths, and with them both.
+type epochMemo struct {
 	epoch int64
 	m     *costmodel.Model
+
+	mu     sync.Mutex
+	limits map[horizonKey]int
+}
+
+// memo returns the current catalog epoch's memos, replacing those of an
+// earlier epoch.
+func (e *Engine) memo() *epochMemo {
+	epoch := e.catalogEpoch.Load()
+	for {
+		em := e.epochMemo.Load()
+		if em != nil && em.epoch == epoch {
+			return em
+		}
+		next := &epochMemo{epoch: epoch,
+			m:      costmodel.NewFromLengths(func(k int) int { return e.env.Catalog().P(k) }),
+			limits: make(map[horizonKey]int)}
+		if e.epochMemo.CompareAndSwap(em, next) {
+			return next
+		}
+	}
 }
 
 // piBound returns Π(n, min(|l1|, |l2|)) for an instance, as a copy:
@@ -564,6 +575,59 @@ func (e *Engine) piBound(n int, l1, l2 Label) *big.Int {
 		mLen = l
 	}
 	return new(big.Int).Set(e.BoundModel().Pi(n, mLen))
+}
+
+// horizonKey names one memoized 4D: D is symmetric in the labels, and
+// only the baseline's depends on the graph size and the smaller label.
+type horizonKey struct {
+	kind   byte
+	n      int
+	lo, hi Label
+}
+
+// withinHorizon reports whether budget ≤ 4D for a walker run of route
+// kind 'R' or 'B' on n nodes: whether, on clean-symmetric starts, every
+// event of the run is a contact-free alternation
+// (ScenarioRunContext.decide). Both agents reach D after exactly 4D
+// events. For the baseline, D is the shorter agent's whole trajectory,
+// baseline.CostBound at the smaller label, after which it halts.
+func (e *Engine) withinHorizon(kind byte, n int, l1, l2 Label, budget int) bool {
+	if kind == 'B' {
+		return budget <= e.fourD(horizonKey{kind: 'B', n: n, lo: min(l1, l2)})
+	}
+	// Every modified label begins 11, so two labels first differ at bit
+	// 3 or later and D is at least that of labels 1 and 3, which differ
+	// there: one memoized floor answers every budget below it.
+	return budget <= e.fourD(horizonKey{kind: 'R', lo: 1, hi: 3}) ||
+		budget <= e.fourD(horizonKey{kind: 'R', lo: min(l1, l2), hi: max(l1, l2)})
+}
+
+// fourD returns key's 4D, clamped to the int range: for the master
+// trajectory D is core.SymmetryHorizon, for the baseline CostBound at
+// the smaller label. Values are memoized per catalog epoch, so a warm
+// lookup allocates nothing.
+func (e *Engine) fourD(key horizonKey) int {
+	em := e.memo()
+	em.mu.Lock()
+	limit, ok := em.limits[key]
+	em.mu.Unlock()
+	if ok {
+		return limit
+	}
+	var d *big.Int
+	if key.kind == 'B' {
+		d = baseline.CostBound(e.env, key.n, key.lo)
+	} else {
+		d = core.SymmetryHorizon(key.lo, key.hi, e.env)
+	}
+	limit = math.MaxInt
+	if d.Lsh(d, 2).IsInt64() && d.Int64() < math.MaxInt {
+		limit = int(d.Int64())
+	}
+	em.mu.Lock()
+	em.limits[key] = limit
+	em.mu.Unlock()
+	return limit
 }
 
 // Sweep expands a campaign spec into scenarios, executes them over the

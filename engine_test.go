@@ -264,11 +264,16 @@ func TestCancelRendezvousMidRun(t *testing.T) {
 	res, err := eng.Run(ctx, Scenario{
 		Name: "rv-symmetric",
 		Kind: ScenarioRendezvous,
-		// Oriented ring, rotation-equivalent starts: no meeting for
-		// ~1e11 traversals, so only cancellation ends this run early.
+		// Oriented ring, rotation-equivalent starts: no meeting before
+		// the labels' first differing bit, D = 468,692,439,206,816
+		// traversals out on this catalog, so only cancellation ends this
+		// run early. Under round-robin itself the engine would decide
+		// the run (its budget is below 4D); the perEvent wrapper keeps
+		// it simulated.
 		Graph:  GraphSpec{Kind: "ring", N: 4},
 		Starts: []int{0, 2}, Labels: []Label{1, 3},
-		Budget: 1 << 40,
+		Budget:            1 << 40,
+		AdversaryInstance: perEvent{&sched.RoundRobin{}},
 	})
 	if !errors.Is(err, ErrCanceled) {
 		t.Fatalf("want ErrCanceled, got %v", err)
@@ -525,5 +530,42 @@ func TestObserverEvents(t *testing.T) {
 	}
 	if !found {
 		t.Errorf("observer missed ESST phase announcements; saw %v", phases)
+	}
+}
+
+// TestBaselineBoundFollowsCatalogExtension pins the trajectory lengths
+// to the catalog state a run executes under. A fresh engine runs a
+// ring-7 baseline, then five more 7-node graphs that each extend its
+// catalog; the ring-7 bound must then read what a fresh engine over
+// the extended catalog reads, |X(7)|·((2P(7)+1) + (2P(7)+1)²) with the
+// extended P(7). A length memo that outlived the extensions kept
+// |X(7)| at its first value and read 5,023,860.
+func TestBaselineBoundFollowsCatalogExtension(t *testing.T) {
+	ctx := context.Background()
+	eng := NewEngine()
+	ring7 := Scenario{Kind: ScenarioBaseline, Graph: GraphSpec{Kind: "ring", N: 7},
+		Starts: []int{0, 3}, Labels: []Label{1, 2}, Adversary: "random:1", Budget: 1000}
+	bound := func(eng *Engine) int64 {
+		t.Helper()
+		res, err := eng.Run(ctx, ring7)
+		if err != nil && !errors.Is(err, ErrBudgetExhausted) {
+			t.Fatal(err)
+		}
+		return res.Baseline.Bound.Int64()
+	}
+	bound(eng)
+	for _, kind := range []string{"path", "star", "clique", "tree", "random"} {
+		sc := ring7
+		sc.Graph = GraphSpec{Kind: kind, N: 7}
+		if _, err := eng.Run(ctx, sc); err != nil && !errors.Is(err, ErrBudgetExhausted) {
+			t.Fatal(err)
+		}
+	}
+	if epoch := eng.catalogEpoch.Load(); epoch != 6 {
+		t.Fatalf("catalog epoch %d after six 7-node graphs, want 6", epoch)
+	}
+	got, fresh := bound(eng), bound(NewEngine(WithCatalog(eng.Env().Catalog())))
+	if got != 6_331_440 || fresh != 6_331_440 {
+		t.Errorf("ring-7 baseline bound %d after the extensions, %d on a fresh engine; want 6,331,440", got, fresh)
 	}
 }

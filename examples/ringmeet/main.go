@@ -3,8 +3,11 @@
 // clockwise everywhere) with rotation-equivalent starts, both agents'
 // early trajectories coincide (every modified label begins 11), their
 // walks are exact rotations of one another, and no schedule produces a
-// meeting until the first differing label bit — which the paper's exact
-// trajectory definitions place ~1e11 traversals out even for n = 4.
+// meeting until the first differing label bit. For labels 1 and 3 on
+// this example's catalog, even for n = 4, the paper's exact trajectory
+// definitions place that bit's segment (S_3 of piece 3)
+// D = 211,403,783,987,330,144 traversals out. The engine answers such a
+// run in closed form instead of walking its budget (DESIGN.md §2.2).
 // Shuffling the ports breaks the translation symmetry and the same agents
 // meet within a few hundred traversals.
 package main

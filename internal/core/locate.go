@@ -106,16 +106,47 @@ func PieceLen(l labels.Label, env *trajectory.Env, k int) *big.Int {
 	m := min(k, len(bits))
 	total := new(big.Int)
 	for i := 1; i <= m; i++ {
-		if bits[i-1] == 1 {
-			total.Add(total, new(big.Int).Lsh(env.LenB(2*k), 1))
-		} else {
-			total.Add(total, new(big.Int).Lsh(env.LenA(4*k), 1))
-		}
+		addSegment(total, env, k, bits[i-1])
 		if i < m {
 			total.Add(total, env.LenK(k))
 		}
 	}
 	return total
+}
+
+// addSegment adds the length of one segment of piece k to total: two
+// atoms B(2k) for a 1 bit, two atoms A(4k) for a 0 bit.
+func addSegment(total *big.Int, env *trajectory.Env, k int, bit byte) {
+	atom := env.LenA(4 * k)
+	if bit == 1 {
+		atom = env.LenB(2 * k)
+	}
+	total.Add(total, atom)
+	total.Add(total, atom)
+}
+
+// SymmetryHorizon returns D, the exact traversal index at which segment
+// S_{i*} of piece i* begins, where i* is the first bit (1-based) at
+// which the modified labels of l1 and l2 differ. Before D the two
+// master trajectories run the same component sequence: the pieces
+// 1..i*−1 with their fences, then the first i*−1 segments of piece i*
+// and the borders after them. Every length depends only on the catalog,
+// so two agents whose starts are related by a port-preserving
+// automorphism emit the same ports for their first D traversals. D is
+// HorizonLen(i*−1) plus those segments and borders. The labels must
+// differ.
+func SymmetryHorizon(l1, l2 labels.Label, env *trajectory.Env) *big.Int {
+	if l1 == l2 {
+		panic("core: SymmetryHorizon needs distinct labels")
+	}
+	bits := l1.Modified()
+	i := labels.FirstDiff(bits, l2.Modified()) + 1
+	d := HorizonLen(l1, env, i-1)
+	for j := 1; j < i; j++ {
+		addSegment(d, env, i, bits[j-1])
+		d.Add(d, env.LenK(i))
+	}
+	return d
 }
 
 // HorizonLen returns the exact number of traversals from the start of

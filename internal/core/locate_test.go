@@ -127,3 +127,71 @@ func testRing(t *testing.T) *graph.Graph {
 	t.Helper()
 	return graph.Ring(4)
 }
+
+// TestSymmetryHorizonMatchesSchedule pins SymmetryHorizon to the
+// flattened schedule: D is the summed length of the components the two
+// labels' schedules share before their first difference, that first
+// difference is atom 1 of segment S_{i*} in piece i*, and Locate puts
+// index D of both trajectories at its first move. D is symmetric in
+// the labels. The catalogs are the unit one and the default verified
+// one of the examples (family up to 6 nodes, seed 1), where labels 1
+// and 3 first differ at bit 3 and D is pinned to its exact value.
+func TestSymmetryHorizonMatchesSchedule(t *testing.T) {
+	pairs := [][2]labels.Label{{1, 2}, {1, 3}, {2, 5}, {3, 12}, {7, 6}, {4, 5}, {15, 44}, {1, 64}}
+	envs := map[string]*trajectory.Env{
+		"unit":    unitEnv(),
+		"default": trajectory.NewEnv(uxs.NewVerified(uxs.DefaultFamily(6), 1)),
+	}
+	for name, env := range envs {
+		for _, p := range pairs {
+			l1, l2 := p[0], p[1]
+			d := SymmetryHorizon(l1, l2, env)
+			if r := SymmetryHorizon(l2, l1, env); r.Cmp(d) != 0 {
+				t.Errorf("%s %v: SymmetryHorizon is %v one way, %v the other", name, p, d, r)
+			}
+			istar := labels.FirstDiff(l1.Modified(), l2.Modified()) + 1
+			s1, s2 := Schedule(l1, istar), Schedule(l2, istar)
+			shared := new(big.Int)
+			j := 0
+			for ; j < len(s1) && j < len(s2) && s1[j] == s2[j]; j++ {
+				shared.Add(shared, componentLen(env, s1[j]))
+			}
+			if shared.Cmp(d) != 0 {
+				t.Errorf("%s %v: SymmetryHorizon = %v, shared schedule prefix %v", name, p, d, shared)
+			}
+			for _, c := range []Component{s1[j], s2[j]} {
+				if c.K != istar || c.I != istar || (c.Kind != CompAtomA && c.Kind != CompAtomB) {
+					t.Errorf("%s %v: first difference at %+v, want an atom of S_%d in piece %d", name, p, c, istar, istar)
+				}
+			}
+			for _, l := range []labels.Label{l1, l2} {
+				loc := Locate(l, env, d)
+				if loc.Component.K != istar || loc.Component.I != istar || loc.AtomIndex != 0 || loc.Offset.Sign() != 0 {
+					t.Errorf("%s %v: Locate(%v, D) = %v, want the first move of S_%d in piece %d", name, p, l, loc, istar, istar)
+				}
+			}
+		}
+	}
+	d := SymmetryHorizon(1, 3, envs["default"])
+	if want, _ := new(big.Int).SetString("211403783987330144", 10); d.Cmp(want) != 0 {
+		t.Errorf("default catalog: SymmetryHorizon(1, 3) = %v, want %v", d, want)
+	}
+}
+
+// TestSymmetryHorizonFloor pins the floor the engine decides most runs
+// by: every modified label begins 11, so two distinct labels first
+// differ at bit 3 or later, and no pair's D is below that of labels 1
+// and 3, which differ at bit 3 (and pairs differing there share it).
+func TestSymmetryHorizonFloor(t *testing.T) {
+	env := trajectory.NewEnv(uxs.NewVerified(uxs.DefaultFamily(6), 1))
+	floor := SymmetryHorizon(1, 3, env)
+	for a := labels.Label(1); a <= 64; a++ {
+		for b := a + 1; b <= 64; b++ {
+			d := SymmetryHorizon(a, b, env)
+			c := d.Cmp(floor)
+			if c < 0 || (c == 0) != (labels.FirstDiff(a.Modified(), b.Modified()) == 2) {
+				t.Fatalf("SymmetryHorizon(%d, %d) = %v against the floor %v", a, b, d, floor)
+			}
+		}
+	}
+}

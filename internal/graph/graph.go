@@ -43,6 +43,11 @@ type Graph struct {
 	// may ask for it once per run, so the all-pairs BFS is paid once.
 	diamOnce sync.Once
 	diam     int
+
+	// sym memoizes CleanSymmetric verdicts by start pair: runs ask once
+	// per run, and a warm answer is one locked map lookup.
+	symMu sync.Mutex
+	sym   map[[2]int32]bool
 }
 
 // Builder incrementally constructs a Graph. Nodes are added implicitly by
@@ -326,6 +331,89 @@ func (g *Graph) Diameter() int {
 		g.diam = diam
 	})
 	return g.diam
+}
+
+// CleanSymmetric reports whether a port-preserving automorphism σ of g
+// maps s1 to s2 and is clean: σ fixes no node, and no edge {u, v} has
+// σ(u) = v and σ(v) = u. Two agents that start at s1 and s2 and emit
+// the same ports observe the same degrees and entry ports, so their
+// positions stay σ-images of each other; when σ is clean, two such
+// positions are never one node and never the two directions of one
+// edge. On a connected graph σ is unique when it exists: one BFS over
+// ports from s1 builds it in O(n + m). The verdict is memoized per
+// start pair, so a warm call allocates nothing.
+func (g *Graph) CleanSymmetric(s1, s2 int) bool {
+	key := [2]int32{int32(s1), int32(s2)}
+	g.symMu.Lock()
+	clean, ok := g.sym[key]
+	g.symMu.Unlock()
+	if ok {
+		return clean
+	}
+	clean = g.cleanSymmetric(s1, s2)
+	g.symMu.Lock()
+	if g.sym == nil {
+		g.sym = make(map[[2]int32]bool)
+	}
+	g.sym[key] = clean
+	g.symMu.Unlock()
+	return clean
+}
+
+// cleanSymmetric computes CleanSymmetric's verdict. A port-preserving
+// automorphism commutes with Succ, so σ(s1) = s2 forces σ on every
+// neighbour, port by port; any disagreement in degree or entry port, a
+// node mapped twice, or a node left unmapped rules σ out.
+func (g *Graph) cleanSymmetric(s1, s2 int) bool {
+	n := len(g.adj)
+	if len(g.adj[s1]) != len(g.adj[s2]) {
+		return false
+	}
+	buf := make([]int32, 3*n)
+	sigma, inv, queue := buf[:n], buf[n:2*n], buf[2*n:2*n]
+	for i := range buf[:2*n] {
+		buf[i] = -1
+	}
+	sigma[s1], inv[s2] = int32(s2), int32(s1)
+	queue = append(queue, int32(s1))
+	for head := 0; head < len(queue); head++ {
+		u := queue[head]
+		image := g.adj[sigma[u]]
+		for p, h := range g.adj[u] {
+			t := image[p]
+			if h.toPort != t.toPort || len(g.adj[h.to]) != len(g.adj[t.to]) {
+				return false
+			}
+			switch sigma[h.to] {
+			case -1:
+				if inv[t.to] != -1 {
+					return false // σ would not be injective
+				}
+				sigma[h.to], inv[t.to] = int32(t.to), int32(h.to)
+				queue = append(queue, int32(h.to))
+			case int32(t.to):
+			default:
+				return false
+			}
+		}
+	}
+	if len(queue) != n {
+		return false // σ must be total
+	}
+	for u, su := range sigma {
+		if int(su) == u {
+			return false
+		}
+		if int(sigma[su]) != u {
+			continue
+		}
+		for _, h := range g.adj[u] {
+			if h.to == int(su) {
+				return false // σ swaps the endpoints of edge {u, σ(u)}
+			}
+		}
+	}
+	return true
 }
 
 // String renders a compact adjacency summary, primarily for debugging.

@@ -625,6 +625,43 @@ func (r *Runner) lockstep() bool {
 	return steps == limit
 }
 
+// Alternates reports whether adv alternates the two agents of a
+// two-agent run from its rotation while neither's preferred half-step
+// creates contact: a *RoundRobin or an *Avoider, the adversaries
+// lockstep serves.
+func Alternates(adv Adversary) bool {
+	_, ok := adv.(rotator)
+	return ok
+}
+
+// Alternation is the closed form of a two-agent run, both agents awake
+// and holding moves, whose every event up to budget is a contact-free
+// half-step of an Alternates adversary — the run lockstep would apply
+// stretch by stretch, answered without walking it. From rotation i0 (2
+// wraps to 0), agent i0 makes ⌈budget/2⌉ half-steps and the other
+// ⌊budget/2⌋; an agent's traversals are its half-steps / 2, and an odd
+// count leaves it inside an edge, which Committed counts. Alternation
+// writes the rotation back exactly as lockstep does and returns the
+// Summary Run would: no meeting, the budget consumed. The caller proves
+// the alternation contact-free and the agents' routes long enough.
+func Alternation(adv Adversary, budget int) Summary {
+	rot := adv.(rotator).rotation()
+	i0 := *rot
+	if i0 >= 2 {
+		i0 = 0
+	}
+	var halves [2]int
+	halves[i0], halves[1-i0] = budget-budget/2, budget/2
+	s := Summary{Steps: budget, Exhausted: true, Traversals: []int{halves[0] / 2, halves[1] / 2}}
+	for k, t := range s.Traversals {
+		s.TotalCost += t
+		s.Account.MaxPerAgent = max(s.Account.MaxPerAgent, t)
+		s.Account.Committed += t + halves[k]%2
+	}
+	*rot = 2 - (i0+budget%2)%2
+	return s
+}
+
 // anyActionable reports whether some agent is dormant or has a pending move.
 func (r *Runner) anyActionable() bool {
 	return r.dormantCount > 0 || r.pendingCount > 0

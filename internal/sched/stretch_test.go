@@ -202,3 +202,61 @@ func FuzzStretchMatchesPerEvent(f *testing.F) {
 		checkStretch(t, c)
 	})
 }
+
+// TestAlternationMatchesRun pins Alternation, the closed form of a
+// contact-free alternation, to the per-event path: two walkers repeat
+// the same ports on an oriented ring from distinct starts, so their
+// positions stay rotations of each other and never touch, and every
+// event of the run is an alternating half-step. For both adversaries,
+// every starting rotation and budgets on both sides of each parity,
+// the run's Summary and final rotation must equal the closed form's.
+func TestAlternationMatchesRun(t *testing.T) {
+	g := graph.Ring(6)
+	var budgets []int
+	for b := 1; b <= 130; b++ {
+		budgets = append(budgets, b)
+	}
+	budgets = append(budgets, 1000, 1001, 4097)
+	newAdv := func(avoider bool, rot int) Adversary {
+		if avoider {
+			return &Avoider{next: rot}
+		}
+		return &RoundRobin{next: rot}
+	}
+	for _, ports := range [][]int{{0}, {1}, {0, 0, 1}, {1, 0, 1, 1, 0}} {
+		for _, starts := range [][]int{{0, 3}, {1, 2}, {5, 1}} {
+			for _, avoider := range []bool{false, true} {
+				for rot := 0; rot <= 2; rot++ {
+					for _, budget := range budgets {
+						ref := newAdv(avoider, rot)
+						r, err := NewRunner(Config{
+							Graph: g, Starts: starts,
+							Agents: []Agent{
+								&Walker{Stepper: &cycleWalk{ports: ports}, StopAtMeeting: true},
+								&Walker{Stepper: &cycleWalk{ports: ports}, StopAtMeeting: true},
+							},
+							InitiallyAwake: []int{0, 1}, MaxSteps: budget, StopAtFirstMeeting: true,
+						}, perEvent{ref})
+						if err != nil {
+							t.Fatal(err)
+						}
+						want := r.Run()
+						r.Close()
+						adv := newAdv(avoider, rot)
+						if !Alternates(adv) || Alternates(perEvent{adv}) {
+							t.Fatal("Alternates must hold for the rotators alone")
+						}
+						if got := Alternation(adv, budget); !reflect.DeepEqual(got, want) {
+							t.Fatalf("ports %v starts %v avoider %v rotation %d budget %d: closed form %+v, run %+v",
+								ports, starts, avoider, rot, budget, got, want)
+						}
+						if !reflect.DeepEqual(adv, ref) {
+							t.Fatalf("ports %v starts %v avoider %v rotation %d budget %d: closed form leaves %+v, run %+v",
+								ports, starts, avoider, rot, budget, adv, ref)
+						}
+					}
+				}
+			}
+		}
+	}
+}

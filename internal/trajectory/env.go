@@ -12,9 +12,17 @@ import (
 // and their exact lengths. Env is safe for concurrent use.
 type Env struct {
 	cat uxs.Catalog
+	gen generational // cat's extension count, nil if it never changes
 
-	mu   sync.Mutex
-	memo map[lenKey]*big.Int
+	mu      sync.Mutex
+	memoGen uint64 // the generation memo's lengths were computed under
+	memo    map[lenKey]*big.Int
+}
+
+// generational is a catalog whose sequences can change after use
+// (uxs.Verified.Extend). Generation moves whenever they may have.
+type generational interface {
+	Generation() uint64
 }
 
 type lenKey struct {
@@ -24,7 +32,9 @@ type lenKey struct {
 
 // NewEnv returns an Env over the given catalog.
 func NewEnv(cat uxs.Catalog) *Env {
-	return &Env{cat: cat, memo: make(map[lenKey]*big.Int)}
+	e := &Env{cat: cat, memo: make(map[lenKey]*big.Int)}
+	e.gen, _ = cat.(generational)
+	return e
 }
 
 // Catalog returns the exploration-sequence catalog backing the Env.
@@ -94,10 +104,20 @@ func (e *Env) Omega(k int) Stepper {
 	return Repeat(func() Stepper { return e.X(k) }, count)
 }
 
-// lenMemo computes-and-caches a length.
+// lenMemo computes-and-caches a length. The memo expires with the
+// catalog's generation: an extension can change P(k), and with it
+// every length and every repeat count derived from one.
 func (e *Env) lenMemo(kind byte, k int, f func() *big.Int) *big.Int {
 	key := lenKey{kind, k}
+	var gen uint64
+	if e.gen != nil {
+		gen = e.gen.Generation()
+	}
 	e.mu.Lock()
+	if gen > e.memoGen {
+		clear(e.memo)
+		e.memoGen = gen
+	}
 	if v, ok := e.memo[key]; ok {
 		e.mu.Unlock()
 		return v
@@ -105,7 +125,9 @@ func (e *Env) lenMemo(kind byte, k int, f func() *big.Int) *big.Int {
 	e.mu.Unlock()
 	v := f()
 	e.mu.Lock()
-	e.memo[key] = v
+	if e.memoGen == gen {
+		e.memo[key] = v
+	}
 	e.mu.Unlock()
 	return v
 }

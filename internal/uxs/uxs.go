@@ -236,12 +236,13 @@ type verifiedSnap struct {
 	family []*graph.Graph
 	cache  map[int]Sequence
 	maxN   int
+	gen    uint64 // Extend count: see Generation
 }
 
 // withCache returns a copy of the snapshot with the extra sequences
 // merged into a fresh cache map.
 func (s *verifiedSnap) withCache(extra map[int]Sequence) *verifiedSnap {
-	n := &verifiedSnap{family: s.family, maxN: s.maxN,
+	n := &verifiedSnap{family: s.family, maxN: s.maxN, gen: s.gen,
 		cache: make(map[int]Sequence, len(s.cache)+len(extra))}
 	for k, v := range s.cache {
 		n.cache[k] = v
@@ -362,6 +363,7 @@ func (v *Verified) Extend(gs ...*graph.Graph) {
 		family: append(append([]*graph.Graph(nil), old.family...), gs...),
 		cache:  make(map[int]Sequence),
 		maxN:   old.maxN,
+		gen:    old.gen + 1,
 	}
 	for _, g := range gs {
 		if g.N() > n.maxN {
@@ -370,6 +372,11 @@ func (v *Verified) Extend(gs ...*graph.Graph) {
 	}
 	v.snap.Store(n)
 }
+
+// Generation counts the catalog's extensions. Sequences, and with them
+// P(k), can change only when it moves, so a memo of values derived
+// from P (trajectory.Env's lengths) stays valid while it holds still.
+func (v *Verified) Generation() uint64 { return v.snap.Load().gen }
 
 // Covers reports whether g is part of the verified family.
 func (v *Verified) Covers(g *graph.Graph) bool {

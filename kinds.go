@@ -328,13 +328,40 @@ func runBaselineKind(rc *ScenarioRunContext) (*Result, error) {
 
 // runWalkers runs the scenario's two agents through core.Rendezvous on
 // the trajectories of the given route kind ('R' master, 'B' baseline),
-// reporting bound as the instance's guarantee.
+// reporting bound as the instance's guarantee. A run the engine can
+// decide is answered in closed form instead, before any stepper or
+// runner exists.
 func (rc *ScenarioRunContext) runWalkers(kind byte, bound *big.Int) (*core.Result, error) {
+	if sum, ok := rc.decide(kind); ok {
+		return &core.Result{Summary: sum, Bound: bound}, nil
+	}
 	e, sc, n := rc.Engine, rc.Scenario, rc.Graph.N()
 	s1 := e.routeStepper(rc.routes, n, kind, sc.Starts[0], sc.Labels[0])
 	s2 := e.routeStepper(rc.routes, n, kind, sc.Starts[1], sc.Labels[1])
 	return core.Rendezvous(rc.schedOpts(), rc.Graph, sc.Starts[0], sc.Starts[1], sc.Labels[0], sc.Labels[1],
 		s1, s2, bound, rc.Adversary, sc.Budget)
+}
+
+// decide answers a walker run whose every event is provably a
+// contact-free alternation (DESIGN.md §2.2, "Decided symmetric cells"):
+// it replays a route book, runs under a round-robin or avoider
+// instance with no observer and a live context, its starts are related
+// by a clean automorphism σ, and its budget is at most 4D. The agents
+// then emit the same ports for their first D traversals, stay σ-images
+// of each other and never touch, so the run is sched.Alternation's
+// closed form, with the adversary's rotation left where the
+// simulation would leave it. Every other run is simulated.
+func (rc *ScenarioRunContext) decide(kind byte) (sched.Summary, bool) {
+	e, sc := rc.Engine, rc.Scenario
+	if rc.routes == nil || e.obs != nil || rc.Context.Err() != nil || !sched.Alternates(rc.Adversary) ||
+		!rc.Graph.CleanSymmetric(sc.Starts[0], sc.Starts[1]) ||
+		!e.withinHorizon(kind, rc.Graph.N(), sc.Labels[0], sc.Labels[1], sc.Budget) {
+		return sched.Summary{}, false
+	}
+	if e.tele != nil {
+		e.tele.observeDecided(kind, sc.Budget)
+	}
+	return sched.Alternation(rc.Adversary, sc.Budget), true
 }
 
 func runESSTKind(rc *ScenarioRunContext) (*Result, error) {

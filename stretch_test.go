@@ -51,11 +51,15 @@ func (r *callRecorder) OnPhase(int, string) {}
 // two engines built alike, with telemetry and an observer, and must
 // agree on the whole result (the Summary with its FirstMeeting,
 // Traversals, Account and Exhausted, the bound), the error text, the
-// observer stream and the adversary's final rotation; a third, unobserved
-// stretch engine must agree on the result and error. After the matrix
-// the engines' route books must hold the same bytes: stretches grow
-// routes exactly as the per-event path does. The budgets straddle the
-// 64-event context poll and the 64- and 1,024-move route batches.
+// observer stream and the adversary's final rotation; a third,
+// unobserved engine must agree on the result, error and rotation. That
+// engine decides the symmetric ring runs whose budget ends before 4D
+// (TestDecidedMatchesSimulated) and stretches the rest. After the
+// matrix the observed engines' route books must hold the same bytes:
+// stretches grow routes exactly as the per-event path does; the
+// unobserved engine's may hold fewer, because decided runs grow none.
+// The budgets straddle the 64-event context poll and the 64- and
+// 1,024-move route batches.
 func TestStretchMatchesPerEvent(t *testing.T) {
 	graphs := []struct {
 		spec   GraphSpec
@@ -124,10 +128,10 @@ func TestStretchMatchesPerEvent(t *testing.T) {
 									gr.spec.Kind, starts, labels, kind, advName, budget),
 								Kind: kind, Graph: gr.spec, Starts: starts, Labels: labels, Budget: budget,
 							}
-							stretchAdv, perEventAdv := newAdv(), newAdv()
+							stretchAdv, plainAdv, perEventAdv := newAdv(), newAdv(), newAdv()
 							sc.AdversaryInstance = stretchAdv
 							stretchRes, stretchErr := stretchEng.Run(ctx, sc)
-							sc.AdversaryInstance = newAdv()
+							sc.AdversaryInstance = plainAdv
 							plainRes, plainErr := plainEng.Run(ctx, sc)
 							sc.AdversaryInstance = perEvent{perEventAdv}
 							perEventRes, perEventErr := perEventEng.Run(ctx, sc)
@@ -147,9 +151,9 @@ func TestStretchMatchesPerEvent(t *testing.T) {
 								t.Fatalf("%s: observer streams differ: %d calls with stretches, %d per event",
 									sc.Name, len(stretchRec.calls), len(perEventRec.calls))
 							}
-							if !reflect.DeepEqual(stretchAdv, perEventAdv) {
-								t.Fatalf("%s: adversary ends as %+v with stretches, %+v per event",
-									sc.Name, stretchAdv, perEventAdv)
+							if !reflect.DeepEqual(stretchAdv, perEventAdv) || !reflect.DeepEqual(plainAdv, perEventAdv) {
+								t.Fatalf("%s: adversary ends as %+v with stretches (%+v unobserved), %+v per event",
+									sc.Name, stretchAdv, plainAdv, perEventAdv)
 							}
 							stretchRec.calls, perEventRec.calls = stretchRec.calls[:0], perEventRec.calls[:0]
 							scenarios++
@@ -163,7 +167,7 @@ func TestStretchMatchesPerEvent(t *testing.T) {
 		}
 	}
 	stretchBytes, perEventBytes := routeBytesGauge(t, stretchReg), routeBytesGauge(t, perEventReg)
-	if plainBytes := routeBytesGauge(t, plainReg); stretchBytes != perEventBytes || plainBytes != perEventBytes {
+	if plainBytes := routeBytesGauge(t, plainReg); stretchBytes != perEventBytes || plainBytes > perEventBytes {
 		t.Errorf("route books hold %d bytes with stretches (%d unobserved), %d per event",
 			stretchBytes, plainBytes, perEventBytes)
 	}

@@ -68,6 +68,9 @@ type engineMetrics struct {
 
 	verdicts [5]*telemetry.Counter // indexed by verdict class below
 
+	decidedR, decidedB *telemetry.Counter // decided walker runs, by kind
+	decidedEvents      *telemetry.Counter // their budgets, in events
+
 	byKind   labelCache // kind  -> cells counter
 	byOracle labelCache // oracle -> failure counter
 }
@@ -113,6 +116,15 @@ func newEngineMetrics(e *Engine, reg *Metrics) *engineMetrics {
 			"Judged sweep cells by outcome class.", telemetry.L("verdict", v))
 	}
 
+	decided := func(kind ScenarioKind) *telemetry.Counter {
+		return reg.Counter("meetpoly_engine_cells_decided_total",
+			"Rendezvous and baseline runs answered in closed form (clean-symmetric starts, budget within 4D), by scenario kind.",
+			telemetry.L("kind", string(kind)))
+	}
+	m.decidedR, m.decidedB = decided(ScenarioRendezvous), decided(ScenarioBaseline)
+	m.decidedEvents = reg.Counter("meetpoly_engine_events_decided_total",
+		"Adversary events of the runs answered in closed form; they count in Steps but are never simulated.")
+
 	m.byKind.init(func(kind string) any {
 		return reg.Counter("meetpoly_engine_cells_total",
 			"Sweep cells judged, by scenario kind.", telemetry.L("kind", kind))
@@ -144,6 +156,17 @@ func (m *engineMetrics) observeJudge(cell SweepCell, cr SweepCellResult) {
 	for _, f := range cr.Failures {
 		m.byOracle.get(f.Oracle).(*telemetry.Counter).Inc()
 	}
+}
+
+// observeDecided records one decided walker run of route kind 'R'
+// (rendezvous) or 'B' (baseline) and its events.
+func (m *engineMetrics) observeDecided(kind byte, events int) {
+	if kind == 'B' {
+		m.decidedB.Inc()
+	} else {
+		m.decidedR.Inc()
+	}
+	m.decidedEvents.Add(uint64(events))
 }
 
 // labelCache memoizes per-label-value metric handles, so recording

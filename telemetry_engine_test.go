@@ -89,10 +89,17 @@ func TestSweepTelemetryInvisibleToResults(t *testing.T) {
 		"meetpoly_engine_cache_misses_total",
 		"meetpoly_engine_cell_verdicts_total",
 		"meetpoly_engine_route_replays_total",
+		"meetpoly_engine_cells_decided_total",
+		"meetpoly_engine_events_decided_total",
 	} {
 		if snap[name] == 0 {
 			t.Errorf("series %s missing from the instrumented sweep's snapshot", name)
 		}
+	}
+	// The ring cells under round-robin and the avoider are
+	// clean-symmetric and end before 4D: the sweep decides them.
+	if counterSum(reg, "meetpoly_engine_cells_decided_total") == 0 || counterSum(reg, "meetpoly_engine_events_decided_total") == 0 {
+		t.Error("the instrumented sweep decided no cell")
 	}
 }
 
