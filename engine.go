@@ -595,11 +595,7 @@ func (e *Engine) withinHorizon(kind byte, n int, l1, l2 Label, budget int) bool 
 	if kind == 'B' {
 		return budget <= e.fourD(horizonKey{kind: 'B', n: n, lo: min(l1, l2)})
 	}
-	// Every modified label begins 11, so two labels first differ at bit
-	// 3 or later and D is at least that of labels 1 and 3, which differ
-	// there: one memoized floor answers every budget below it.
-	return budget <= e.fourD(horizonKey{kind: 'R', lo: 1, hi: 3}) ||
-		budget <= e.fourD(horizonKey{kind: 'R', lo: min(l1, l2), hi: max(l1, l2)})
+	return budget <= e.fourD(horizonKey{kind: 'R', lo: min(l1, l2), hi: max(l1, l2)})
 }
 
 // fourD returns key's 4D, clamped to the int range: for the master

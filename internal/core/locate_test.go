@@ -177,21 +177,3 @@ func TestSymmetryHorizonMatchesSchedule(t *testing.T) {
 		t.Errorf("default catalog: SymmetryHorizon(1, 3) = %v, want %v", d, want)
 	}
 }
-
-// TestSymmetryHorizonFloor pins the floor the engine decides most runs
-// by: every modified label begins 11, so two distinct labels first
-// differ at bit 3 or later, and no pair's D is below that of labels 1
-// and 3, which differ at bit 3 (and pairs differing there share it).
-func TestSymmetryHorizonFloor(t *testing.T) {
-	env := trajectory.NewEnv(uxs.NewVerified(uxs.DefaultFamily(6), 1))
-	floor := SymmetryHorizon(1, 3, env)
-	for a := labels.Label(1); a <= 64; a++ {
-		for b := a + 1; b <= 64; b++ {
-			d := SymmetryHorizon(a, b, env)
-			c := d.Cmp(floor)
-			if c < 0 || (c == 0) != (labels.FirstDiff(a.Modified(), b.Modified()) == 2) {
-				t.Fatalf("SymmetryHorizon(%d, %d) = %v against the floor %v", a, b, d, floor)
-			}
-		}
-	}
-}

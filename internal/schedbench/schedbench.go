@@ -2,7 +2,9 @@
 // by the test-suite benchmark BenchmarkRunnerHalfSteps and perfbench's
 // sched.halfstep_ns so both measure exactly the same workload: two
 // co-rotating agents on a 6-ring driven by the round-robin adversary,
-// one adversary event (= one half-step) per benchmark iteration.
+// one adversary event (= one half-step) per benchmark iteration. Stretch
+// runs that workload on route-book replays, for BenchmarkRunnerStretch
+// and the root package's TestPerfGates.
 //
 // The package lives outside internal/sched because it imports the
 // testing package (testing.Benchmark powers Measure, which perfbench
@@ -10,10 +12,12 @@
 package schedbench
 
 import (
+	"fmt"
 	"testing"
 
 	"meetpoly/internal/graph"
 	"meetpoly/internal/sched"
+	"meetpoly/internal/trajectory"
 )
 
 // endless is an infinite port-0 stepper: the agents co-rotate around
@@ -49,6 +53,43 @@ func HalfSteps() func(b *testing.B) {
 			b.Fatalf("executed %d of %d half-steps", sum.Steps, b.N)
 		}
 	}
+}
+
+// StretchEvents is the longest Stretch run: runs this long bound the
+// routes a stretch book holds.
+const StretchEvents = 1 << 16
+
+// NewStretchBook returns an empty route book for Stretch.
+func NewStretchBook() *trajectory.RouteBook {
+	return trajectory.NewRouteBook(graph.Ring(6))
+}
+
+// Stretch executes budget (at most StretchEvents) adversary events of
+// the half-step workload on one runner, with both agents replaying
+// book's routes: once the routes exist, every half-step runs in a
+// contact-free stretch (Runner.lockstep) rather than the per-event
+// path. It reports an error unless the run executes its whole budget
+// without a meeting.
+func Stretch(book *trajectory.RouteBook, budget int) error {
+	gen := func() trajectory.Stepper { return endless{} }
+	r, err := sched.NewRunner(sched.Config{
+		Graph:  book.Graph(),
+		Starts: []int{0, 3},
+		Agents: []sched.Agent{
+			&sched.Walker{Stepper: book.Stepper(trajectory.RouteKey{Start: 0}, gen)},
+			&sched.Walker{Stepper: book.Stepper(trajectory.RouteKey{Start: 3}, gen)},
+		},
+		InitiallyAwake: []int{0, 1},
+		MaxSteps:       budget,
+	}, &sched.RoundRobin{})
+	if err != nil {
+		return err
+	}
+	defer r.Close()
+	if sum := r.Run(); sum.Steps != budget || sum.FirstMeeting != nil {
+		return fmt.Errorf("schedbench: executed %d of %d half-steps (met: %v)", sum.Steps, budget, sum.FirstMeeting != nil)
+	}
+	return nil
 }
 
 // Measure runs the half-step benchmark standalone (outside go test) and

@@ -19,7 +19,9 @@ import (
 
 	"meetpoly/internal/graph"
 	"meetpoly/internal/sched"
+	"meetpoly/internal/schedbench"
 	"meetpoly/internal/telemetry"
+	"meetpoly/internal/trajectory"
 )
 
 // warmSweepSpec is the 18-cell E4-style campaign the floors run on:
@@ -91,8 +93,14 @@ const perfSamples = 7
 //   - at most 383.8 allocations per cell (4x the 95.96 recorded on the
 //     72-cell version of the campaign), which per-cell set-up creeping
 //     back breaks;
+//   - at most 0.05 allocations per event on each runner path, per-event
+//     and stretch, run directly: the engine decides 200,000 of the warm
+//     sweep's 200,222 events without simulating them (DESIGN.md §2.2),
+//     so the sweep's own per-event figure no longer sees either loop;
 //   - a per-event half-step costs at most 0.08561 goroutine hand-off
 //     round trips (twice the 30.459 / 711.580 ns recorded);
+//   - a stretch half-step costs at most 0.0168 hand-off round trips
+//     (twice the median 0.0084 of ten runs on one machine);
 //   - warm campaign cells/s times hand-off ns is at least 372,414
 //     (half of 1,046.73 cells/s x 711.58 ns recorded);
 //   - the telemetry record path (a counter increment and a histogram
@@ -120,23 +128,44 @@ func TestPerfGates(t *testing.T) {
 		t.Errorf("warm sweep allocates %.1f times per cell, ceiling 383.8", perCell)
 	}
 
-	var half, handoff, record, plainRate, instrRate []float64
+	book := schedbench.NewStretchBook()
+	stretchNs(t, book, 1) // materialize both routes
+	for _, p := range []struct {
+		path string
+		run  func()
+	}{
+		{"per-event", func() { halfStepNs(t, schedbench.StretchEvents) }},
+		{"stretch", func() { stretchNs(t, book, 1) }},
+	} {
+		a := testing.AllocsPerRun(3, p.run) / schedbench.StretchEvents
+		t.Logf("%s runner: %.5f allocs/event", p.path, a)
+		if a > 0.05 {
+			t.Errorf("%s runner allocates %.5f times per event, ceiling 0.05", p.path, a)
+		}
+	}
+
+	var half, stretch, handoff, record, plainRate, instrRate []float64
 	for range perfSamples {
 		half = append(half, halfStepNs(t, 1<<21))
+		stretch = append(stretch, stretchNs(t, book, 32))
 		handoff = append(handoff, handoffNs(1<<15))
 		record = append(record, recordNs(1<<20))
 		plainRate = append(plainRate, cellsPerSec(t, plain))
 		instrRate = append(instrRate, cellsPerSec(t, instr))
 	}
 	t.Logf("half-step ns %.1f", half)
+	t.Logf("stretch ns   %.2f", stretch)
 	t.Logf("hand-off ns  %.1f", handoff)
 	t.Logf("record ns    %.1f", record)
 	t.Logf("plain cells/s %.0f", plainRate)
 	t.Logf("instr cells/s %.0f", instrRate)
-	h, ho, rec := median(half), median(handoff), median(record)
+	h, st, ho, rec := median(half), median(stretch), median(handoff), median(record)
 	pr, ir := median(plainRate), median(instrRate)
 	if r := h / ho; r > 0.08561 {
 		t.Errorf("half-step costs %.5f hand-offs (%.1f / %.1f ns), ceiling 0.08561", r, h, ho)
+	}
+	if r := st / ho; r > 0.0168 {
+		t.Errorf("stretch half-step costs %.5f hand-offs (%.2f / %.1f ns), ceiling 0.0168", r, st, ho)
 	}
 	if n := pr * ho; n < 372_414 {
 		t.Errorf("warm sweep: %.0f cells/s x %.1f ns hand-off = %.0f, floor 372,414", pr, ho, n)
@@ -184,6 +213,22 @@ func halfStepNs(t *testing.T, n int) float64 {
 		t.Fatalf("executed %d of %d half-steps", sum.Steps, n)
 	}
 	return float64(time.Since(start).Nanoseconds()) / float64(n)
+}
+
+// stretchNs times runs runs of schedbench.StretchEvents adversary
+// events of BenchmarkRunnerStretch's workload: halfStepNs's, but with
+// both agents replaying book's routes, so every event runs in
+// Runner.lockstep. The runner set-up each run adds is part of the
+// measurement.
+func stretchNs(t *testing.T, book *trajectory.RouteBook, runs int) float64 {
+	t.Helper()
+	start := time.Now()
+	for range runs {
+		if err := schedbench.Stretch(book, schedbench.StretchEvents); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return float64(time.Since(start).Nanoseconds()) / float64(runs*schedbench.StretchEvents)
 }
 
 // handoffNs times n round trips over unbuffered channels between two
