@@ -67,6 +67,15 @@ func withRotation(t *testing.T, adv Adversary, rot int) Adversary {
 	return adv
 }
 
+// alternators builds the two adversaries the engine decides under, at a
+// starting rotation.
+func alternators(t *testing.T) map[string]func(rot int) Adversary {
+	return map[string]func(rot int) Adversary{
+		"roundrobin": func(rot int) Adversary { return withRotation(t, &sched.RoundRobin{}, rot) },
+		"avoider":    func(rot int) Adversary { return withRotation(t, &sched.Avoider{}, rot) },
+	}
+}
+
 // TestDecidedMatchesSimulated pins the decided path to the simulation,
 // run by run, through Engine.Run. Every scenario runs on one engine
 // under a round-robin or avoider instance, from starting rotation 0, 1
@@ -117,29 +126,11 @@ func TestDecidedMatchesSimulated(t *testing.T) {
 		// pair of ring 3–6 rather than one per rotation class.
 		budgets = budgets[:len(budgets)-1]
 	}
-	adversaries := map[string]func(rot int) Adversary{
-		"roundrobin": func(rot int) Adversary { return withRotation(t, &sched.RoundRobin{}, rot) },
-		"avoider":    func(rot int) Adversary { return withRotation(t, &sched.Avoider{}, rot) },
-	}
+	adversaries := alternators(t)
 
 	reg, refReg := NewMetrics(), NewMetrics()
 	eng, ref := NewEngine(WithTelemetry(reg)), NewEngine(WithTelemetry(refReg))
 	ctx := context.Background()
-	errText := func(err error) string {
-		if err == nil {
-			return ""
-		}
-		return err.Error()
-	}
-	outcome := func(res *Result) *RendezvousResult {
-		if res == nil {
-			return nil
-		}
-		if res.Rendezvous != nil {
-			return res.Rendezvous
-		}
-		return res.Baseline
-	}
 	// Cover every graph first, so no catalog extension lands mid-matrix
 	// and 4D is computed under the catalog state every run executes in.
 	for _, p := range placements {
@@ -181,7 +172,7 @@ func TestDecidedMatchesSimulated(t *testing.T) {
 								res, err := eng.Run(ctx, sc)
 								sc.AdversaryInstance = perEvent{refAdv}
 								refRes, refErr := ref.Run(ctx, sc)
-								if got, want := outcome(res), outcome(refRes); !reflect.DeepEqual(got, want) {
+								if got, want := walkerOutcome(res), walkerOutcome(refRes); !reflect.DeepEqual(got, want) {
 									t.Fatalf("%s: result %+v, simulated %+v", sc.Name, got, want)
 								}
 								if errText(err) != errText(refErr) {
@@ -228,15 +219,27 @@ func TestDecidedMatchesSimulated(t *testing.T) {
 // simulated through contact-free stretches; the decided run must
 // allocate no more than the simulated one.
 func TestDecidedRunAllocatesNoMoreThanStretch(t *testing.T) {
+	decidedAllocs(t, GraphSpec{Kind: "ring", N: 4}, []int{0, 2})
+}
+
+// decidedAllocs runs a label (1, 2) baseline scenario on spec from
+// starts on a warm engine, at budget 4D, which the engine must decide,
+// and at 4D + 1, which it simulates through contact-free stretches, and
+// fails if the decided run allocates more. The baseline's 4D is also
+// its 4H, where a periodic decision ends.
+func decidedAllocs(t *testing.T, spec GraphSpec, starts []int) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops the run scratch at random under -race")
 	}
 	reg := NewMetrics()
 	eng := NewEngine(WithTelemetry(reg))
 	ctx := context.Background()
-	sc := Scenario{Kind: ScenarioBaseline, Graph: GraphSpec{Kind: "ring", N: 4},
-		Starts: []int{0, 2}, Labels: []Label{1, 2}}
-	limit := eng.fourD(horizonKey{kind: 'B', n: 4, lo: 1})
+	sc := Scenario{Kind: ScenarioBaseline, Graph: spec, Starts: starts, Labels: []Label{1, 2}}
+	g, err := spec.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	limit := eng.fourTimes(lengthKey{kind: 'B', n: g.N(), lo: 1})
 	run := func(budget int) func() {
 		return func() {
 			sc.Budget, sc.AdversaryInstance = budget, &sched.RoundRobin{}
@@ -255,7 +258,7 @@ func TestDecidedRunAllocatesNoMoreThanStretch(t *testing.T) {
 	if decided > simulated {
 		t.Errorf("a decided run allocates %v times, the simulated run one event longer %v", decided, simulated)
 	}
-	t.Logf("budget %d: %v allocations decided, %v simulated", limit, decided, simulated)
+	t.Logf("%s from %v, budget %d: %v allocations decided, %v simulated", spec, starts, limit, decided, simulated)
 }
 
 // TestCertifierNeverForcesCleanSymmetricPairs cross-checks the

@@ -537,14 +537,14 @@ func (e *Engine) RunBatch(ctx context.Context, scs []Scenario) []BatchResult {
 func (e *Engine) BoundModel() *costmodel.Model { return e.memo().m }
 
 // epochMemo pins the engine's memos of catalog-derived values to a
-// catalog epoch: the cost model, and the 4D values of fourD.
+// catalog epoch: the cost model, and the lengths of fourTimes.
 // An extension changes sequence lengths, and with them both.
 type epochMemo struct {
 	epoch int64
 	m     *costmodel.Model
 
 	mu     sync.Mutex
-	limits map[horizonKey]int
+	limits map[lengthKey]int
 }
 
 // memo returns the current catalog epoch's memos, replacing those of an
@@ -558,7 +558,7 @@ func (e *Engine) memo() *epochMemo {
 		}
 		next := &epochMemo{epoch: epoch,
 			m:      costmodel.NewFromLengths(func(k int) int { return e.env.Catalog().P(k) }),
-			limits: make(map[horizonKey]int)}
+			limits: make(map[lengthKey]int)}
 		if e.epochMemo.CompareAndSwap(em, next) {
 			return next
 		}
@@ -577,9 +577,15 @@ func (e *Engine) piBound(n int, l1, l2 Label) *big.Int {
 	return new(big.Int).Set(e.BoundModel().Pi(n, mLen))
 }
 
-// horizonKey names one memoized 4D: D is symmetric in the labels, and
-// only the baseline's depends on the graph size and the smaller label.
-type horizonKey struct {
+// lengthKey names one memoized trajectory length the engine compares
+// budgets with, four events per traversal:
+//   - 'R' and 'B': D for a rendezvous label pair, and for the baseline
+//     on n nodes at the smaller label, up to which a clean-symmetric run
+//     is decided;
+//   - 'Y' and 'S': the rendezvous opening's period L = |Y(2)| and length
+//     H = |S_1(1)|, the same for every label pair;
+//   - 'X': the baseline's period L = |X(n)|, whose H is its D.
+type lengthKey struct {
 	kind   byte
 	n      int
 	lo, hi Label
@@ -593,16 +599,27 @@ type horizonKey struct {
 // baseline.CostBound at the smaller label, after which it halts.
 func (e *Engine) withinHorizon(kind byte, n int, l1, l2 Label, budget int) bool {
 	if kind == 'B' {
-		return budget <= e.fourD(horizonKey{kind: 'B', n: n, lo: min(l1, l2)})
+		return budget <= e.fourTimes(lengthKey{kind: 'B', n: n, lo: min(l1, l2)})
 	}
-	return budget <= e.fourD(horizonKey{kind: 'R', lo: min(l1, l2), hi: max(l1, l2)})
+	return budget <= e.fourTimes(lengthKey{kind: 'R', lo: min(l1, l2), hi: max(l1, l2)})
 }
 
-// fourD returns key's 4D, clamped to the int range: for the master
-// trajectory D is core.SymmetryHorizon, for the baseline CostBound at
-// the smaller label. Values are memoized per catalog epoch, so a warm
-// lookup allocates nothing.
-func (e *Engine) fourD(key horizonKey) int {
+// opening returns 4L and 4H for a walker run of route kind 'R' or 'B' on
+// n nodes: each agent's ports repeat with period L, from its own start,
+// until traversal H (ScenarioRunContext.decidePeriodic). For the master
+// trajectory L and H are core.Opening's; for the baseline L = |X(n)|
+// and H is its D, the shorter agent's whole trajectory.
+func (e *Engine) opening(kind byte, n int, l1, l2 Label) (fourL, fourH int) {
+	if kind == 'B' {
+		return e.fourTimes(lengthKey{kind: 'X', n: n}), e.fourTimes(lengthKey{kind: 'B', n: n, lo: min(l1, l2)})
+	}
+	return e.fourTimes(lengthKey{kind: 'Y'}), e.fourTimes(lengthKey{kind: 'S'})
+}
+
+// fourTimes returns four times key's length, clamped to the int range.
+// Values are memoized per catalog epoch, so a warm lookup allocates
+// nothing.
+func (e *Engine) fourTimes(key lengthKey) int {
 	em := e.memo()
 	em.mu.Lock()
 	limit, ok := em.limits[key]
@@ -611,10 +628,17 @@ func (e *Engine) fourD(key horizonKey) int {
 		return limit
 	}
 	var d *big.Int
-	if key.kind == 'B' {
+	switch key.kind {
+	case 'B':
 		d = baseline.CostBound(e.env, key.n, key.lo)
-	} else {
+	case 'R':
 		d = core.SymmetryHorizon(key.lo, key.hi, e.env)
+	case 'X':
+		d = new(big.Int).Set(e.env.LenX(key.n))
+	case 'Y':
+		d, _ = core.Opening(e.env)
+	default: // 'S'
+		_, d = core.Opening(e.env)
 	}
 	limit = math.MaxInt
 	if d.Lsh(d, 2).IsInt64() && d.Int64() < math.MaxInt {

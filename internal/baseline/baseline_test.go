@@ -151,3 +151,72 @@ func TestExponentialGrowthMeasured(t *testing.T) {
 		t.Errorf("growth factors %v,%v, want %d", r12, r23, factor)
 	}
 }
+
+// TestStepperIsPeriodic pins the baseline's period, on which the
+// engine's periodic decision rests: an agent's exit ports repeat with
+// period |X(n)|, and it stands at its start after every multiple of it,
+// until CostBound, where its route ends. Labels 1, 2, 3, 12, 44, 63 and
+// 64 run on ring, path, star, clique and tree with 3–8 nodes, the 2×4
+// grid, hypercube 3 and petersen, over min(CostBound, 60,000) moves.
+// |X(n)| follows the catalog's generation, so the checks run on the
+// family-6 catalog fresh and again after it is extended with the grid,
+// the hypercube and petersen.
+func TestStepperIsPeriodic(t *testing.T) {
+	const walk = 60_000
+	cat := uxs.NewVerified(uxs.DefaultFamily(6), 1)
+	env := trajectory.NewEnv(cat)
+	gs := []*graph.Graph{graph.Grid(4, 2), graph.Hypercube(3), graph.Petersen()}
+	for n := 3; n <= 8; n++ {
+		gs = append(gs, graph.Ring(n), graph.Path(n), graph.Star(n), graph.Complete(n),
+			graph.RandomTree(n, uxs.DefaultTreeSeed(n)))
+	}
+	ports := make([]int, walk)
+	ended := 0
+	for gen := 0; gen < 2; gen++ {
+		if gen == 1 {
+			cat.Extend(gs[:3]...)
+		}
+		for _, g := range gs {
+			n, start := g.N(), g.N()-1
+			period := env.LenX(n)
+			if want := 2 * int64(cat.P(n)); period.Int64() != want {
+				t.Fatalf("generation %d, n %d: |X(n)| = %v, want 2P(n) = %d", cat.Generation(), n, period, want)
+			}
+			l := int(period.Int64())
+			for _, lab := range []labels.Label{1, 2, 3, 12, 44, 63, 64} {
+				cb := CostBound(env, n, lab)
+				moves := walk
+				if cb.IsInt64() && cb.Int64() < walk {
+					moves = int(cb.Int64())
+				}
+				s, cur, entry := NewStepper(env, n, lab), start, 0
+				for i := range ports[:moves] {
+					var ok bool
+					if ports[i], ok = s.Next(g.Degree(cur), entry); !ok {
+						t.Fatalf("generation %d, %s, label %v: route ends after %d moves, CostBound %v",
+							cat.Generation(), g, lab, i, cb)
+					}
+					cur, entry = g.Succ(cur, ports[i])
+					if i >= l && ports[i] != ports[i-l] {
+						t.Fatalf("generation %d, %s, label %v: port %d is %d, port %d is %d",
+							cat.Generation(), g, lab, i, ports[i], i-l, ports[i-l])
+					}
+					if (i+1)%l == 0 && cur != start {
+						t.Fatalf("generation %d, %s, label %v: after %d moves at node %d, not at start %d",
+							cat.Generation(), g, lab, i+1, cur, start)
+					}
+				}
+				if moves < walk {
+					if _, ok := s.Next(g.Degree(cur), entry); ok {
+						t.Errorf("generation %d, %s, label %v: route goes on past CostBound %v", cat.Generation(), g, lab, cb)
+					}
+					ended++
+				}
+			}
+		}
+	}
+	if ended == 0 {
+		t.Error("no route ended within the walk: the matrix misses CostBound")
+	}
+	t.Logf("%d routes walked to their end", ended)
+}

@@ -114,9 +114,9 @@ func TestRendezvousAcrossGraphsAndAdversaries(t *testing.T) {
 	env := testEnv(t)
 	// Oriented rings from rotation-equivalent starts are excluded here:
 	// the two walks are exact translates until the first differing label
-	// bit's piece, which the exact trajectory definitions place ~1e11
-	// traversals out (see TestOrientedRingSymmetryDodges). Port-shuffled
-	// rings break the translation symmetry and meet quickly.
+	// bit, which SymmetryHorizon places ≈2×10^17 traversals out on this
+	// catalog (see TestOrientedRingSymmetryDodges). Port-shuffled rings
+	// break the translation symmetry and meet quickly.
 	cases := []struct {
 		g      *graph.Graph
 		s1, s2 int
@@ -254,8 +254,8 @@ func TestLemma31NeedsIntegrality(t *testing.T) {
 // 11), the walks are exact rotations of one another, and no online
 // adversary run within a realistic budget produces a meeting. The paper's
 // guarantee is untouched — it kicks in at the first differing bit — but
-// the exact trajectory definitions place that ~1e11 traversals out even
-// for n = 4 (see the cost tables of experiment E3).
+// SymmetryHorizon places that bit 211,403,783,987,330,144 traversals out
+// for labels 1 and 3 on testEnv's catalog, whatever the graph.
 func TestOrientedRingSymmetryDodges(t *testing.T) {
 	env := testEnv(t)
 	res, err := Rendezvous(sched.RunOpts{}, graph.Ring(4), 0, 2, 1, 3,

@@ -149,6 +149,18 @@ func SymmetryHorizon(l1, l2 labels.Label, env *trajectory.Env) *big.Int {
 	return d
 }
 
+// Opening returns the period L and the length H of the opening every
+// master trajectory shares. Every modified label begins 11, so piece 1
+// is the single segment S_1 = B(2)B(2), and each atom B(2) repeats the
+// closed walk Y(2), each copy a fresh stepper from the agent's start.
+// An agent's ports therefore repeat with period L = |Y(2)|, and it
+// stands at its start after every multiple of L, until traversal
+// H = |S_1(1)| = 2|B(2)|, where the fence Ω(1) begins. Both values are
+// fresh copies and depend only on the catalog.
+func Opening(env *trajectory.Env) (period, length *big.Int) {
+	return new(big.Int).Set(env.LenY(2)), new(big.Int).Lsh(env.LenB(2), 1)
+}
+
 // HorizonLen returns the exact number of traversals from the start of
 // the schedule through the fence of piece kMax: sum of pieces plus
 // fences. Tests pin it against materialized executions.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/big"
 	"strings"
 	"testing"
@@ -175,5 +176,85 @@ func TestSymmetryHorizonMatchesSchedule(t *testing.T) {
 	d := SymmetryHorizon(1, 3, envs["default"])
 	if want, _ := new(big.Int).SetString("211403783987330144", 10); d.Cmp(want) != 0 {
 		t.Errorf("default catalog: SymmetryHorizon(1, 3) = %v, want %v", d, want)
+	}
+}
+
+// openingGraphs returns the graphs the opening's period is pinned on:
+// ring, path, star, clique and tree with 3–8 nodes, the 2×4 grid,
+// hypercube 3 and petersen.
+func openingGraphs() map[string]*graph.Graph {
+	gs := map[string]*graph.Graph{
+		"grid2x4":    graph.Grid(4, 2),
+		"hypercube3": graph.Hypercube(3),
+		"petersen":   graph.Petersen(),
+	}
+	for n := 3; n <= 8; n++ {
+		gs[fmt.Sprintf("ring%d", n)] = graph.Ring(n)
+		gs[fmt.Sprintf("path%d", n)] = graph.Path(n)
+		gs[fmt.Sprintf("star%d", n)] = graph.Star(n)
+		gs[fmt.Sprintf("clique%d", n)] = graph.Complete(n)
+		gs[fmt.Sprintf("tree%d", n)] = graph.RandomTree(n, uxs.DefaultTreeSeed(n))
+	}
+	return gs
+}
+
+// TestOpeningIsPeriodic pins Opening to the master trajectory. Every
+// label's route opens with exit ports that repeat with period
+// L = |Y(2)| over its first 60,000 moves, and the agent stands at its
+// start after every multiple of L. Index H − 1 is the last move of atom
+// 2 of B(2) in segment S_1 of piece 1, and index H is move 0 of the
+// fence Ω(1). Both lengths follow the catalog's generation, so the
+// checks run on the family-6 catalog fresh and again after it is
+// extended with the graphs larger than its family that rendezvous-long
+// campaigns add (the 2×4 grid, hypercube 3 and petersen): H moves from
+// 27,526,753,600 to 46,781,048,800.
+func TestOpeningIsPeriodic(t *testing.T) {
+	const moves = 60_000
+	cat := uxs.NewVerified(uxs.DefaultFamily(6), 1)
+	env := trajectory.NewEnv(cat)
+	gs := openingGraphs()
+	for _, want := range []int64{27_526_753_600, 46_781_048_800} {
+		if want != 27_526_753_600 {
+			cat.Extend(gs["grid2x4"], gs["hypercube3"], gs["petersen"])
+		}
+		period, length := Opening(env)
+		if length.Cmp(big.NewInt(want)) != 0 {
+			t.Fatalf("generation %d: H = %v, want %d", cat.Generation(), length, want)
+		}
+		if p := env.LenY(2); period.Cmp(p) != 0 {
+			t.Fatalf("generation %d: L = %v, |Y(2)| = %v", cat.Generation(), period, p)
+		}
+		if new(big.Int).Rem(length, period).Sign() != 0 {
+			t.Errorf("generation %d: H = %v is not a multiple of L = %v", cat.Generation(), length, period)
+		}
+		l := int(period.Int64())
+		ports := make([]int, moves)
+		for _, lab := range []labels.Label{1, 2, 3, 12, 44, 63, 64} {
+			for name, g := range gs {
+				start := g.N() - 1
+				s, cur, entry := NewStepper(lab, env), start, 0
+				for i := range ports {
+					ports[i], _ = s.Next(g.Degree(cur), entry)
+					cur, entry = g.Succ(cur, ports[i])
+					if i >= l && ports[i] != ports[i-l] {
+						t.Fatalf("generation %d, %s, label %v: port %d is %d, port %d is %d",
+							cat.Generation(), name, lab, i, ports[i], i-l, ports[i-l])
+					}
+					if (i+1)%l == 0 && cur != start {
+						t.Fatalf("generation %d, %s, label %v: after %d moves at node %d, not at start %d",
+							cat.Generation(), name, lab, i+1, cur, start)
+					}
+				}
+			}
+			last := Locate(lab, env, new(big.Int).Sub(length, big.NewInt(1)))
+			if c := last.Component; c.Kind != CompAtomB || c.K != 1 || c.I != 1 || c.Arg != 2 || last.AtomIndex != 1 ||
+				new(big.Int).Add(last.Offset, big.NewInt(1)).Cmp(last.ComponentLen) != 0 {
+				t.Errorf("generation %d, label %v: Locate(H−1) = %v, want the last move of atom 2 of B(2) in S_1 of piece 1",
+					cat.Generation(), lab, last)
+			}
+			if fence := Locate(lab, env, length); fence.Component.Kind != CompOmega || fence.Component.K != 1 || fence.Offset.Sign() != 0 {
+				t.Errorf("generation %d, label %v: Locate(H) = %v, want move 0 of the fence Ω(1)", cat.Generation(), lab, fence)
+			}
+		}
 	}
 }

@@ -201,6 +201,6 @@ func E4Symmetry(eng *meetpoly.Engine, budget int) *Table {
 	t.Notes = append(t.Notes,
 		"every modified label starts 11, so piece-1 trajectories coincide; on an oriented ring from",
 		"rotation-equivalent starts the walks are exact rotations and meeting waits for the first",
-		"differing bit — which the exact trajectory definitions place ~1e11 traversals out (table E3)")
+		"differing bit, which core.SymmetryHorizon places ≈2×10^17 traversals out on the default catalog")
 	return t
 }

@@ -634,6 +634,11 @@ func Alternates(adv Adversary) bool {
 	return ok
 }
 
+// Rotation returns the rotation of an Alternates adversary (2 wraps to
+// 0): the agent whose half-step it prefers next. Callers save and set it
+// to run a schedule again from the same starting point.
+func Rotation(adv Adversary) *int { return adv.(rotator).rotation() }
+
 // Alternation is the closed form of a two-agent run, both agents awake
 // and holding moves, whose every event up to budget is a contact-free
 // half-step of an Alternates adversary — the run lockstep would apply
@@ -642,9 +647,11 @@ func Alternates(adv Adversary) bool {
 // ⌊budget/2⌋; an agent's traversals are its half-steps / 2, and an odd
 // count leaves it inside an edge, which Committed counts. Alternation
 // writes the rotation back exactly as lockstep does and returns the
-// Summary Run would: no meeting, the budget consumed. The caller proves
-// the alternation contact-free and the agents' routes long enough.
-func Alternation(adv Adversary, budget int) Summary {
+// Summary Run would: no meeting, the budget consumed. Its Traversals
+// reuse trav's array when trav holds two counts, and are allocated
+// otherwise. The caller proves the alternation contact-free and the
+// agents' routes long enough.
+func Alternation(adv Adversary, budget int, trav []int) Summary {
 	rot := adv.(rotator).rotation()
 	i0 := *rot
 	if i0 >= 2 {
@@ -652,7 +659,11 @@ func Alternation(adv Adversary, budget int) Summary {
 	}
 	var halves [2]int
 	halves[i0], halves[1-i0] = budget-budget/2, budget/2
-	s := Summary{Steps: budget, Exhausted: true, Traversals: []int{halves[0] / 2, halves[1] / 2}}
+	if len(trav) != 2 {
+		trav = make([]int, 2)
+	}
+	trav[0], trav[1] = halves[0]/2, halves[1]/2
+	s := Summary{Steps: budget, Exhausted: true, Traversals: trav}
 	for k, t := range s.Traversals {
 		s.TotalCost += t
 		s.Account.MaxPerAgent = max(s.Account.MaxPerAgent, t)

@@ -210,6 +210,7 @@ func FuzzStretchMatchesPerEvent(f *testing.F) {
 // event of the run is an alternating half-step. For both adversaries,
 // every starting rotation and budgets on both sides of each parity,
 // the run's Summary and final rotation must equal the closed form's.
+// Odd budgets hand the closed form a stale two-count buffer to reuse.
 func TestAlternationMatchesRun(t *testing.T) {
 	g := graph.Ring(6)
 	var budgets []int
@@ -246,7 +247,11 @@ func TestAlternationMatchesRun(t *testing.T) {
 						if !Alternates(adv) || Alternates(perEvent{adv}) {
 							t.Fatal("Alternates must hold for the rotators alone")
 						}
-						if got := Alternation(adv, budget); !reflect.DeepEqual(got, want) {
+						var trav []int
+						if budget%2 == 1 {
+							trav = []int{-1, -1}
+						}
+						if got := Alternation(adv, budget, trav); !reflect.DeepEqual(got, want) {
 							t.Fatalf("ports %v starts %v avoider %v rotation %d budget %d: closed form %+v, run %+v",
 								ports, starts, avoider, rot, budget, got, want)
 						}

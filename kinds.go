@@ -329,39 +329,107 @@ func runBaselineKind(rc *ScenarioRunContext) (*Result, error) {
 // runWalkers runs the scenario's two agents through core.Rendezvous on
 // the trajectories of the given route kind ('R' master, 'B' baseline),
 // reporting bound as the instance's guarantee. A run the engine can
-// decide is answered in closed form instead, before any stepper or
-// runner exists.
+// decide is answered in closed form instead (decide).
 func (rc *ScenarioRunContext) runWalkers(kind byte, bound *big.Int) (*core.Result, error) {
-	if sum, ok := rc.decide(kind); ok {
-		return &core.Result{Summary: sum, Bound: bound}, nil
+	if r, ok, err := rc.decide(kind, bound); ok {
+		return r, err
 	}
+	return rc.walk(kind, bound, rc.Adversary, rc.Scenario.Budget)
+}
+
+// walk simulates the scenario's walkers under adv for budget events.
+func (rc *ScenarioRunContext) walk(kind byte, bound *big.Int, adv Adversary, budget int) (*core.Result, error) {
 	e, sc, n := rc.Engine, rc.Scenario, rc.Graph.N()
 	s1 := e.routeStepper(rc.routes, n, kind, sc.Starts[0], sc.Labels[0])
 	s2 := e.routeStepper(rc.routes, n, kind, sc.Starts[1], sc.Labels[1])
 	return core.Rendezvous(rc.schedOpts(), rc.Graph, sc.Starts[0], sc.Starts[1], sc.Labels[0], sc.Labels[1],
-		s1, s2, bound, rc.Adversary, sc.Budget)
+		s1, s2, bound, adv, budget)
 }
 
 // decide answers a walker run whose every event is provably a
-// contact-free alternation (DESIGN.md §2.2, "Decided symmetric cells"):
-// it replays a route book, runs under a round-robin or avoider
-// instance with no observer and a live context, its starts are related
-// by a clean automorphism σ, and its budget is at most 4D. The agents
-// then emit the same ports for their first D traversals, stay σ-images
-// of each other and never touch, so the run is sched.Alternation's
-// closed form, with the adversary's rotation left where the
-// simulation would leave it. Every other run is simulated.
-func (rc *ScenarioRunContext) decide(kind byte) (sched.Summary, bool) {
+// contact-free alternation (DESIGN.md §2.2, "Decided symmetric cells"
+// and "Decided periodic cells"). The run must replay a route book and
+// run under a round-robin or avoider instance with no observer and a
+// live context. Two proofs qualify it:
+//   - its starts are related by a clean automorphism σ and its budget
+//     is at most 4D. The agents then emit the same ports for their
+//     first D traversals, stay σ-images of each other and never touch.
+//     This proof simulates nothing and reaches furthest, so it runs
+//     first.
+//   - 4L < budget ≤ 4H and its first period of 4L events is a
+//     contact-free alternation (decidePeriodic).
+//
+// A decided run is sched.Alternation's closed form, with the
+// adversary's rotation left where the simulation would leave it. ok
+// reports that r and err are the run's outcome; every other run is
+// simulated.
+func (rc *ScenarioRunContext) decide(kind byte, bound *big.Int) (r *core.Result, ok bool, err error) {
 	e, sc := rc.Engine, rc.Scenario
-	if rc.routes == nil || e.obs != nil || rc.Context.Err() != nil || !sched.Alternates(rc.Adversary) ||
-		!rc.Graph.CleanSymmetric(sc.Starts[0], sc.Starts[1]) ||
-		!e.withinHorizon(kind, rc.Graph.N(), sc.Labels[0], sc.Labels[1], sc.Budget) {
-		return sched.Summary{}, false
+	if rc.routes == nil || e.obs != nil || rc.Context.Err() != nil || !sched.Alternates(rc.Adversary) {
+		return nil, false, nil
+	}
+	if rc.Graph.CleanSymmetric(sc.Starts[0], sc.Starts[1]) &&
+		e.withinHorizon(kind, rc.Graph.N(), sc.Labels[0], sc.Labels[1], sc.Budget) {
+		if e.tele != nil {
+			e.tele.observeDecided(kind, sc.Budget)
+		}
+		return &core.Result{Summary: sched.Alternation(rc.Adversary, sc.Budget, nil), Bound: bound}, true, nil
+	}
+	return rc.decidePeriodic(kind, bound)
+}
+
+// decidePeriodic decides a run whose budget B has 4L < B ≤ 4H by
+// simulating its first period of 4L events. Each agent opens by
+// repeating a closed walk of L moves from its own start, a fresh
+// stepper each time, until traversal H (Engine.opening). Under
+// alternation each agent makes 2L half-steps per 4L events, so at event
+// 4L the positions, route phases and rotation are those at event 0, and
+// a contact-free first period is contact-free up to 4H. The avoider
+// never meets a contact to dodge there, so it alternates exactly as
+// round-robin does. The first period runs under the run's own
+// adversary:
+//   - a meeting at event s ≤ 4L < B, a run that ended early and a
+//     canceled run are the whole run's outcome;
+//   - an unmet round-robin period decides the run;
+//   - an unmet avoider period may hold dodges, so a round-robin from the
+//     same rotation confirms it for 4L events. If that one meets, the
+//     avoider's rotation is set back and the whole run is simulated.
+//
+// Decided runs count their B − 4L unsimulated events.
+func (rc *ScenarioRunContext) decidePeriodic(kind byte, bound *big.Int) (*core.Result, bool, error) {
+	e, sc := rc.Engine, rc.Scenario
+	fourL, fourH := e.opening(kind, rc.Graph.N(), sc.Labels[0], sc.Labels[1])
+	if sc.Budget <= fourL || sc.Budget > fourH {
+		return nil, false, nil
+	}
+	rot := sched.Rotation(rc.Adversary)
+	start := *rot
+	r, err := rc.walk(kind, bound, rc.Adversary, fourL)
+	if err != nil {
+		return nil, true, err
+	}
+	if r.Met || !r.Summary.Exhausted {
+		r.Summary.Exhausted = false // it stopped by event 4L < B, even meeting at 4L
+		return r, true, nil
+	}
+	if _, avoider := rc.Adversary.(*sched.Avoider); avoider {
+		rr := &sched.RoundRobin{}
+		*sched.Rotation(rr) = start
+		check, err := rc.walk(kind, bound, rr, fourL)
+		if err != nil {
+			return nil, true, err
+		}
+		if !check.Summary.Exhausted || check.Met {
+			*rot = start
+			return nil, false, nil
+		}
 	}
 	if e.tele != nil {
-		e.tele.observeDecided(kind, sc.Budget)
+		e.tele.observeDecided(kind, sc.Budget-fourL)
 	}
-	return sched.Alternation(rc.Adversary, sc.Budget), true
+	*rot = start
+	r.Summary = sched.Alternation(rc.Adversary, sc.Budget, r.Summary.Traversals)
+	return r, true, nil
 }
 
 func runESSTKind(rc *ScenarioRunContext) (*Result, error) {

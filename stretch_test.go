@@ -19,6 +19,25 @@ type perEvent struct{ a Adversary }
 
 func (p perEvent) Next(v *View) (Event, bool) { return p.a.Next(v) }
 
+// walkerOutcome returns a rendezvous or baseline run's result.
+func walkerOutcome(res *Result) *RendezvousResult {
+	if res == nil {
+		return nil
+	}
+	if res.Rendezvous != nil {
+		return res.Rendezvous
+	}
+	return res.Baseline
+}
+
+// errText returns err's text, "" for nil.
+func errText(err error) string {
+	if err == nil {
+		return ""
+	}
+	return err.Error()
+}
+
 // observedCall is one recorded observer callback.
 type observedCall struct {
 	kind    byte // 'e' event, 't' traversal, 'm' meeting
@@ -90,21 +109,6 @@ func TestStretchMatchesPerEvent(t *testing.T) {
 	plainEng := NewEngine(WithTelemetry(plainReg))
 	ctx := context.Background()
 
-	outcome := func(res *Result) *RendezvousResult {
-		if res == nil {
-			return nil
-		}
-		if res.Rendezvous != nil {
-			return res.Rendezvous
-		}
-		return res.Baseline
-	}
-	errText := func(err error) string {
-		if err == nil {
-			return ""
-		}
-		return err.Error()
-	}
 	// Cover every graph first: a catalog extension starts a new route
 	// epoch, and the gauge counts the current epoch's books only.
 	for _, gr := range graphs {
@@ -136,11 +140,11 @@ func TestStretchMatchesPerEvent(t *testing.T) {
 							sc.AdversaryInstance = perEvent{perEventAdv}
 							perEventRes, perEventErr := perEventEng.Run(ctx, sc)
 
-							want := outcome(perEventRes)
-							if got := outcome(stretchRes); !reflect.DeepEqual(got, want) {
+							want := walkerOutcome(perEventRes)
+							if got := walkerOutcome(stretchRes); !reflect.DeepEqual(got, want) {
 								t.Fatalf("%s: stretch result %+v, per-event %+v", sc.Name, got, want)
 							}
-							if got := outcome(plainRes); !reflect.DeepEqual(got, want) {
+							if got := walkerOutcome(plainRes); !reflect.DeepEqual(got, want) {
 								t.Fatalf("%s: unobserved stretch result %+v, per-event %+v", sc.Name, got, want)
 							}
 							if errText(stretchErr) != errText(perEventErr) || errText(plainErr) != errText(perEventErr) {

@@ -69,7 +69,7 @@ type engineMetrics struct {
 	verdicts [5]*telemetry.Counter // indexed by verdict class below
 
 	decidedR, decidedB *telemetry.Counter // decided walker runs, by kind
-	decidedEvents      *telemetry.Counter // their budgets, in events
+	decidedEvents      *telemetry.Counter // the events they did not simulate
 
 	byKind   labelCache // kind  -> cells counter
 	byOracle labelCache // oracle -> failure counter
@@ -118,12 +118,12 @@ func newEngineMetrics(e *Engine, reg *Metrics) *engineMetrics {
 
 	decided := func(kind ScenarioKind) *telemetry.Counter {
 		return reg.Counter("meetpoly_engine_cells_decided_total",
-			"Rendezvous and baseline runs answered in closed form (clean-symmetric starts, budget within 4D), by scenario kind.",
+			"Rendezvous and baseline runs answered in closed form (clean-symmetric starts within 4D, or a contact-free first period within 4H), by scenario kind.",
 			telemetry.L("kind", string(kind)))
 	}
 	m.decidedR, m.decidedB = decided(ScenarioRendezvous), decided(ScenarioBaseline)
 	m.decidedEvents = reg.Counter("meetpoly_engine_events_decided_total",
-		"Adversary events of the runs answered in closed form; they count in Steps but are never simulated.")
+		"Adversary events the runs answered in closed form count in Steps without simulating: a periodic run's budget less its first period.")
 
 	m.byKind.init(func(kind string) any {
 		return reg.Counter("meetpoly_engine_cells_total",
@@ -159,7 +159,7 @@ func (m *engineMetrics) observeJudge(cell SweepCell, cr SweepCellResult) {
 }
 
 // observeDecided records one decided walker run of route kind 'R'
-// (rendezvous) or 'B' (baseline) and its events.
+// (rendezvous) or 'B' (baseline) and the events it did not simulate.
 func (m *engineMetrics) observeDecided(kind byte, events int) {
 	if kind == 'B' {
 		m.decidedB.Inc()
