@@ -537,14 +537,16 @@ func (e *Engine) RunBatch(ctx context.Context, scs []Scenario) []BatchResult {
 func (e *Engine) BoundModel() *costmodel.Model { return e.memo().m }
 
 // epochMemo pins the engine's memos of catalog-derived values to a
-// catalog epoch: the cost model, and the lengths of fourTimes.
-// An extension changes sequence lengths, and with them both.
+// catalog epoch: the cost model, the lengths of fourTimes and the
+// baseline bounds of baselineBound. An extension changes sequence
+// lengths, and with them all three.
 type epochMemo struct {
 	epoch int64
 	m     *costmodel.Model
 
 	mu     sync.Mutex
 	limits map[lengthKey]int
+	bounds map[lengthKey]*big.Int
 }
 
 // memo returns the current catalog epoch's memos, replacing those of an
@@ -558,7 +560,7 @@ func (e *Engine) memo() *epochMemo {
 		}
 		next := &epochMemo{epoch: epoch,
 			m:      costmodel.NewFromLengths(func(k int) int { return e.env.Catalog().P(k) }),
-			limits: make(map[lengthKey]int)}
+			limits: make(map[lengthKey]int), bounds: make(map[lengthKey]*big.Int)}
 		if e.epochMemo.CompareAndSwap(em, next) {
 			return next
 		}
@@ -575,6 +577,34 @@ func (e *Engine) piBound(n int, l1, l2 Label) *big.Int {
 		mLen = l
 	}
 	return new(big.Int).Set(e.BoundModel().Pi(n, mLen))
+}
+
+// baselineMemoMax is the largest label whose baseline bound the engine
+// memoizes. Campaigns draw labels 1..64; a Scenario may carry any label,
+// and a larger one is computed afresh rather than kept.
+const baselineMemoMax = 64
+
+// baselineBound returns baseline.CostBound(env, n, l), memoized per
+// catalog epoch for l ≤ baselineMemoMax. It is the baseline's D at
+// smaller label l, so it shares that length's key. Every baseline cell
+// reports the sum of two such bounds, each a big.Int power
+// (2P(n)+1)^l. The value may be shared: callers must not modify it.
+func (e *Engine) baselineBound(n int, l Label) *big.Int {
+	if l > baselineMemoMax {
+		return baseline.CostBound(e.env, n, l)
+	}
+	em, key := e.memo(), lengthKey{kind: 'B', n: n, lo: l}
+	em.mu.Lock()
+	b, ok := em.bounds[key]
+	em.mu.Unlock()
+	if ok {
+		return b
+	}
+	b = baseline.CostBound(e.env, n, l)
+	em.mu.Lock()
+	em.bounds[key] = b
+	em.mu.Unlock()
+	return b
 }
 
 // lengthKey names one memoized trajectory length the engine compares

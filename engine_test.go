@@ -3,12 +3,14 @@ package meetpoly
 import (
 	"context"
 	"errors"
+	"math/big"
 	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"meetpoly/internal/baseline"
 	"meetpoly/internal/sched"
 )
 
@@ -530,6 +532,58 @@ func TestObserverEvents(t *testing.T) {
 	}
 	if !found {
 		t.Errorf("observer missed ESST phase announcements; saw %v", phases)
+	}
+}
+
+// TestResultBoundIsTheCallers pins Result.Bound to its definition and
+// to the caller. The engine memoizes Π and the baseline bounds per
+// catalog epoch, so each run must report exactly Π(n, ℓ) or the sum of
+// baseline.CostBound at its graph size and labels, and a caller that
+// modifies a returned bound in place must not change what the next run
+// reports: a rendezvous run (piBound's copy), baseline runs on two
+// sizes with the same labels (runBaselineKind's fresh sum of memoized
+// addends), and a baseline run whose larger label is above the memo
+// cap, which is computed afresh.
+func TestResultBoundIsTheCallers(t *testing.T) {
+	ctx := context.Background()
+	eng := NewEngine()
+	bound := func(sc Scenario) *big.Int {
+		t.Helper()
+		res, err := eng.Run(ctx, sc)
+		if err != nil && !errors.Is(err, ErrBudgetExhausted) {
+			t.Fatal(err)
+		}
+		if res.Baseline != nil {
+			return res.Baseline.Bound
+		}
+		return res.Rendezvous.Bound
+	}
+	want := func(sc Scenario) *big.Int {
+		n, l1, l2 := sc.Graph.N, sc.Labels[0], sc.Labels[1]
+		if sc.Kind == ScenarioRendezvous {
+			return new(big.Int).Set(eng.BoundModel().Pi(n, min(l1.Len(), l2.Len())))
+		}
+		env := eng.Env()
+		return new(big.Int).Add(baseline.CostBound(env, n, l1), baseline.CostBound(env, n, l2))
+	}
+	base := Scenario{Kind: ScenarioBaseline, Graph: GraphSpec{Kind: "ring", N: 5},
+		Starts: []int{0, 2}, Labels: []Label{3, 7}, Adversary: "random:1", Budget: 1000}
+	path6 := base
+	path6.Graph = GraphSpec{Kind: "path", N: 6}
+	rv := base
+	rv.Kind = ScenarioRendezvous
+	uncapped := base
+	uncapped.Labels = []Label{2, baselineMemoMax + 1}
+	for _, sc := range []Scenario{base, path6, rv, uncapped} {
+		first := bound(sc)
+		w := want(sc)
+		if first.Cmp(w) != 0 {
+			t.Errorf("%s on %s, labels %v: bound %v, want %v", sc.Kind, sc.Graph, sc.Labels, first, w)
+		}
+		first.SetInt64(-1)
+		if got := bound(sc); got.Cmp(w) != 0 {
+			t.Errorf("%s on %s, labels %v: bound %v after the caller modified the first, want %v", sc.Kind, sc.Graph, sc.Labels, got, w)
+		}
 	}
 }
 

@@ -38,7 +38,7 @@ func determinismFlags() flag.FlagSet {
 	fs := flag.NewFlagSet("determinism", flag.ExitOnError)
 	fs.StringVar(&determinismPkgs,
 		"pkgs",
-		`^meetpoly$|^meetpoly/internal/(sched|campaign|costmodel|core|baseline|esst|sgl|trajectory)$`,
+		`^meetpoly$|^meetpoly/internal/(sched|campaign|costmodel|core|baseline|esst|sgl|trajectory|lazyrand)$`,
 		"regexp of package paths the determinism rules apply to")
 	return *fs
 }

@@ -21,6 +21,7 @@ import (
 	"strconv"
 	"strings"
 
+	"meetpoly/internal/lazyrand"
 	"meetpoly/internal/registry"
 	"meetpoly/internal/uxs"
 )
@@ -382,10 +383,10 @@ func Expand(spec Spec) ([]Cell, error) {
 // per-expansion memo of derived instance draws, and the one random
 // source every draw re-seeds. The memo exists because placements and
 // label assignments are shared across every cell with the same
-// (graph, sp[, lp]) key — re-seeding a math/rand source per cell to
-// re-derive an identical pair was a measurable slice of sweep
-// expansion. Re-seeding rng yields exactly the stream a fresh
-// rand.NewSource would, without allocating a new ~5 KB source per key.
+// (graph, sp[, lp]) key, and a memo hit skips the source altogether.
+// The source is a lazyrand.Source: re-seeding it yields exactly the
+// stream a fresh rand.NewSource would, and a key's two draws build 32
+// of its register words instead of filling all 607.
 type expander struct {
 	spec  Spec
 	index int
@@ -504,7 +505,7 @@ func WalkRange(spec Spec, lo, hi int, yield func(Cell) bool) error {
 	spec = spec.normalized()
 	x := &expander{
 		spec:      spec,
-		rng:       rand.New(rand.NewSource(0)),
+		rng:       rand.New(lazyrand.New(0)),
 		startMemo: make(map[string][2]int),
 		labelMemo: make(map[string][2]uint64),
 	}

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"meetpoly/internal/costmodel"
+	"meetpoly/internal/lazyrand"
 	"meetpoly/internal/registry"
 )
 
@@ -151,11 +152,12 @@ func TestInstanceSharingAcrossAxes(t *testing.T) {
 }
 
 // TestExpanderReseedMatchesFreshSource pins the expander's one shared
-// random source to the per-key fresh sources it replaces: re-seeding,
-// even a partly consumed stream, draws exactly what rand.NewSource
-// draws, so start and label derivations are unchanged.
+// random source, a lazyrand.Source, to the per-key fresh math/rand
+// sources it replaces: re-seeding, even a partly consumed stream, draws
+// exactly what rand.NewSource draws, so start and label derivations are
+// unchanged.
 func TestExpanderReseedMatchesFreshSource(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
+	rng := rand.New(lazyrand.New(7))
 	for i, seed := range []int64{0, 1, 42, hash64("unit-seed/path4/start0"), 1<<63 - 1} {
 		for j := 0; j < 3*i; j++ {
 			rng.Int63() // leave the stream partly consumed
@@ -169,7 +171,7 @@ func TestExpanderReseedMatchesFreshSource(t *testing.T) {
 		}
 	}
 
-	x := &expander{spec: testSpec(), rng: rand.New(rand.NewSource(0)),
+	x := &expander{spec: testSpec(), rng: rand.New(lazyrand.New(0)),
 		startMemo: make(map[string][2]int), labelMemo: make(map[string][2]uint64)}
 	for _, gp := range []graphCell{{registry.GraphSpec{Kind: "path", N: 4}, 4}, {registry.GraphSpec{Kind: "ring", N: 9}, 9}} {
 		label := axisLabel(gp.spec)

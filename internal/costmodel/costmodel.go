@@ -68,7 +68,19 @@ type Model struct {
 	prefixHi  map[byte]int            // highest index with a computed prefix sum
 	piMemo    map[[2]int]*big.Int     // Pi cached per (n, mLen): oracles re-ask per run
 	lemmaMemo map[[2]int]lemmaVerdict // LemmasHold cached per (n, l), for the same reason
+	baseMemo  map[baseKey]*big.Int    // baselineCost per (n, label ≤ baseMemoMax), likewise
 }
+
+// baseKey names one memoized baseline cost.
+type baseKey struct {
+	n     int
+	label uint64
+}
+
+// baseMemoMax is the largest label whose baseline cost a Model keeps.
+// Campaign cells carry labels 1..64; a larger label, whose cost grows
+// with its value, is computed afresh rather than kept.
+const baseMemoMax = 64
 
 // lemmaVerdict is one memoized LemmasHold result.
 type lemmaVerdict struct {
@@ -89,6 +101,7 @@ func New(p PFunc) *Model {
 		prefixHi:  make(map[byte]int),
 		piMemo:    make(map[[2]int]*big.Int),
 		lemmaMemo: make(map[[2]int]lemmaVerdict),
+		baseMemo:  make(map[baseKey]*big.Int),
 	}
 }
 
@@ -254,15 +267,37 @@ func (m *Model) Pi(n, mLen int) *big.Int {
 //
 // The exact integer is materialized, so labelValue is capped: beyond
 // 2^20 the value would occupy gigabytes (that blow-up IS the paper's
-// point); use BaselineLog2 for large labels.
+// point); use BaselineLog2 for large labels. The result is the
+// caller's to modify.
 func (m *Model) BaselineCost(n int, labelValue uint64) *big.Int {
+	return new(big.Int).Set(m.baselineCost(n, labelValue))
+}
+
+// baselineCost is BaselineCost, cached per (n, labelValue) for labels up
+// to baseMemoMax, as Pi is: the baseline oracle asks per executed run.
+// The value may be shared, so callers must not modify it.
+func (m *Model) baselineCost(n int, labelValue uint64) *big.Int {
 	if labelValue > 1<<20 {
 		panic("costmodel: BaselineCost would materialize gigabytes; use BaselineLog2")
 	}
+	bk := baseKey{n, labelValue}
+	if labelValue <= baseMemoMax {
+		m.mu.Lock()
+		v, ok := m.baseMemo[bk]
+		m.mu.Unlock()
+		if ok {
+			return v
+		}
+	}
 	base := m.XStar(n) // 2P(n)+1
-	exp := new(big.Int).Exp(base, new(big.Int).SetUint64(labelValue), nil)
-	per := new(big.Int).Lsh(m.p(n), 1)
-	return exp.Mul(exp, per)
+	v := new(big.Int).Exp(base, new(big.Int).SetUint64(labelValue), nil)
+	v.Mul(v, new(big.Int).Lsh(m.p(n), 1))
+	if labelValue <= baseMemoMax {
+		m.mu.Lock()
+		m.baseMemo[bk] = v
+		m.mu.Unlock()
+	}
+	return v
 }
 
 // BaselineLog2 returns log2 of the baseline's per-agent cost without
@@ -272,10 +307,10 @@ func (m *Model) BaselineLog2(n int, labelValue uint64) float64 {
 	return float64(labelValue)*ApproxLog2(m.XStar(n)) + ApproxLog2(per)
 }
 
-// BaselineTotal returns the baseline's total cost for two agents.
+// BaselineTotal returns the baseline's total cost for two agents, as a
+// fresh value.
 func (m *Model) BaselineTotal(n int, l1, l2 uint64) *big.Int {
-	t := m.BaselineCost(n, l1)
-	return t.Add(t, m.BaselineCost(n, l2))
+	return new(big.Int).Add(m.baselineCost(n, l1), m.baselineCost(n, l2))
 }
 
 // ApproxLog2 returns a float approximation of log2 of a positive big

@@ -1,6 +1,7 @@
 package costmodel
 
 import (
+	"math"
 	"math/big"
 	"strings"
 	"testing"
@@ -152,12 +153,51 @@ func TestBaselineDoublyExponentialInLabelLength(t *testing.T) {
 	}
 }
 
+// TestBaselineTotal pins BaselineTotal to the sum of the two per-agent
+// costs, and WithinBaseline to BaselineTotal at the sum and one past it.
+// The model caches the costs, so some cases first modify a value the
+// model returned: a caller's arithmetic must not reach the cache. The
+// last two reach WithinBaseline's int64 edges: an addend of 2^63 or
+// more, and two int64 addends whose sum is not an int64.
 func TestBaselineTotal(t *testing.T) {
-	m := New(PLinear(1))
-	tot := m.BaselineTotal(3, 1, 2)
-	want := new(big.Int).Add(m.BaselineCost(3, 1), m.BaselineCost(3, 2))
-	if tot.Cmp(want) != 0 {
-		t.Errorf("BaselineTotal = %v, want %v", tot, want)
+	p30 := func(int) *big.Int { return big.NewInt(1 << 30) } // BaselineCost(n, 1) = 2^62 + 2^31
+	for _, tc := range []struct {
+		name   string
+		p      PFunc
+		l1, l2 uint64
+		mutate func(m *Model)
+	}{
+		{"untouched", PLinear(1), 1, 2, func(*Model) {}},
+		{"BaselineCost modified", PLinear(1), 1, 2, func(m *Model) { m.BaselineCost(3, 1).SetInt64(-1) }},
+		{"BaselineTotal modified", PLinear(1), 1, 2, func(m *Model) { m.BaselineTotal(3, 1, 2).SetInt64(-1) }},
+		{"addend beyond int64", PLinear(1), 2, 64, func(*Model) {}},
+		{"sum beyond int64", p30, 1, 1, func(*Model) {}},
+	} {
+		m := New(tc.p)
+		m.BaselineTotal(3, tc.l1, tc.l2) // fill the cache
+		tc.mutate(m)
+		fresh := New(tc.p)
+		want := new(big.Int).Add(fresh.BaselineCost(3, tc.l1), fresh.BaselineCost(3, tc.l2))
+		if tot := m.BaselineTotal(3, tc.l1, tc.l2); tot.Cmp(want) != 0 {
+			t.Errorf("%s: BaselineTotal = %v, want %v", tc.name, tot, want)
+		}
+		if c := m.BaselineCost(3, tc.l1); c.Cmp(fresh.BaselineCost(3, tc.l1)) != 0 {
+			t.Errorf("%s: BaselineCost = %v, want %v", tc.name, c, fresh.BaselineCost(3, tc.l1))
+		}
+		within := func(cost int64) bool {
+			ok, err := m.WithinBaseline(3, tc.l1, tc.l2, cost)
+			if err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+			return ok
+		}
+		if want.IsInt64() {
+			if w := want.Int64(); !within(w) || within(w+1) {
+				t.Errorf("%s: WithinBaseline at %d, %d = %v, %v; want true, false", tc.name, w, w+1, within(w), within(w+1))
+			}
+		} else if !within(math.MaxInt64) {
+			t.Errorf("%s: WithinBaseline rejects cost 2^63-1 under a bound of %v", tc.name, want)
+		}
 	}
 }
 

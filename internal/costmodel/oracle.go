@@ -2,6 +2,7 @@ package costmodel
 
 import (
 	"fmt"
+	"math"
 	"math/big"
 )
 
@@ -49,7 +50,8 @@ func (m *Model) WithinPiTotal(n, mLen int, cost int64) bool {
 // WithinBaseline reports whether a total meeting cost of the exponential
 // comparator respects its own bound BaselineTotal(n, l1, l2). Label
 // values beyond the BaselineCost materialization cap are rejected rather
-// than evaluated.
+// than evaluated. It compares against the two cached per-agent costs
+// without building their sum.
 func (m *Model) WithinBaseline(n int, l1, l2 uint64, cost int64) (bool, error) {
 	if l1 > 1<<20 || l2 > 1<<20 {
 		return false, fmt.Errorf("costmodel: baseline oracle caps label values at 2^20 (got %d, %d)", l1, l2)
@@ -57,7 +59,12 @@ func (m *Model) WithinBaseline(n int, l1, l2 uint64, cost int64) (bool, error) {
 	if cost < 0 {
 		return false, nil
 	}
-	return big.NewInt(cost).Cmp(m.BaselineTotal(n, l1, l2)) <= 0, nil
+	a, b := m.baselineCost(n, l1), m.baselineCost(n, l2)
+	if !a.IsInt64() || !b.IsInt64() {
+		return true, nil // a nonnegative addend of 2^63 or more exceeds any int64 cost
+	}
+	x, y := a.Int64(), b.Int64()
+	return x > math.MaxInt64-y || cost <= x+y, nil
 }
 
 // LemmasHold reports whether every counting inequality of Lemmas 3.2-3.6

@@ -3,6 +3,8 @@ package sched
 import (
 	"fmt"
 	"math/rand"
+
+	"meetpoly/internal/lazyrand"
 )
 
 // RoundRobin wakes every agent immediately and then advances agents in
@@ -132,9 +134,11 @@ type Random struct {
 	buf []Event // candidate scratch, reused so Next allocates nothing
 }
 
-// NewRandom returns a Random adversary with the given seed.
+// NewRandom returns a Random adversary with the given seed. Its source
+// draws rand.NewSource(seed)'s stream but seeds at the cost of the
+// draws a run makes (internal/lazyrand).
 func NewRandom(seed int64) *Random {
-	return &Random{rng: rand.New(rand.NewSource(seed))}
+	return &Random{rng: rand.New(lazyrand.New(seed))}
 }
 
 // Next implements Adversary.

@@ -6,7 +6,6 @@ import (
 	"math/big"
 	"sync"
 
-	"meetpoly/internal/baseline"
 	"meetpoly/internal/core"
 	"meetpoly/internal/esst"
 	"meetpoly/internal/registry"
@@ -317,9 +316,9 @@ func runRendezvousKind(rc *ScenarioRunContext) (*Result, error) {
 }
 
 func runBaselineKind(rc *ScenarioRunContext) (*Result, error) {
-	env, n, sc := rc.Engine.env, rc.Graph.N(), rc.Scenario
-	r, err := rc.runWalkers('B', new(big.Int).Add(
-		baseline.CostBound(env, n, sc.Labels[0]), baseline.CostBound(env, n, sc.Labels[1])))
+	e, n, sc := rc.Engine, rc.Graph.N(), rc.Scenario
+	// A fresh sum: Result.Bound is public, and the addends are memoized.
+	r, err := rc.runWalkers('B', new(big.Int).Add(e.baselineBound(n, sc.Labels[0]), e.baselineBound(n, sc.Labels[1])))
 	if err != nil {
 		return nil, err
 	}
