@@ -76,6 +76,15 @@ func alternators(t *testing.T) map[string]func(rot int) Adversary {
 	}
 }
 
+// decidedOutcome returns the part of a run's result a decision
+// answers: the SGL result, or the walkers'.
+func decidedOutcome(res *Result) any {
+	if res != nil && res.SGL != nil {
+		return res.SGL
+	}
+	return walkerOutcome(res)
+}
+
 // TestDecidedMatchesSimulated pins the decided path to the simulation,
 // run by run, through Engine.Run. Every scenario runs on one engine
 // under a round-robin or avoider instance, from starting rotation 0, 1
@@ -83,15 +92,20 @@ func alternators(t *testing.T) map[string]func(rot int) Adversary {
 // wrapped in perEvent, which hides the rotation and so is never decided
 // (nor stretched). The matrix holds every ordered start pair of ring
 // 3–6 and three of ring 7 and 8 (all clean-symmetric) and path 5 and
-// petersen placements (never clean) as controls; both walker kinds;
-// five label pairs; budgets that straddle the context poll and the
-// route batches, plus 4D−1, 4D and 4D+1 where the baseline's 4D is
-// small enough to simulate (the race build drops the 60,000 budget and
-// keeps the ring 3–6 pairs that start at node 0). The two engines must
-// agree on the whole result, the error text and the adversary's final
-// state. The decided counters must count exactly the ring runs whose
-// budget is at most 4D, and the decided engine's route books may hold
-// no more than the simulating engine's.
+// petersen placements (never clean) as controls; the two walker kinds
+// and SGL, whose two travellers are walkers until they meet; five
+// label pairs; budgets that straddle the context poll and the route
+// batches, plus 4D−1, 4D and 4D+1 where the baseline's 4D is small
+// enough to simulate (the race build drops the 60,000 budget and keeps
+// the ring 3–6 pairs that start at node 0). SGL also runs three-agent
+// ring placements, a third label added to each pair, which are never
+// decided. No simulation reaches the master trajectory's 4D
+// (core.SymmetryHorizon), so no rendezvous or SGL run straddles it.
+// The two engines must agree on the whole result, the error text and
+// the adversary's final state. The decided counters must count
+// exactly the two-agent ring runs whose budget is at most 4D, and the
+// decided engine's route books may hold no more than the simulating
+// engine's.
 func TestDecidedMatchesSimulated(t *testing.T) {
 	type placement struct {
 		spec   GraphSpec
@@ -116,6 +130,10 @@ func TestDecidedMatchesSimulated(t *testing.T) {
 		placement{GraphSpec{Kind: "ring", N: 8}, [][]int{{0, 4}, {1, 3}, {7, 2}}, true},
 		placement{GraphSpec{Kind: "path", N: 5}, [][]int{{0, 4}, {1, 3}, {2, 0}}, false},
 		placement{GraphSpec{Kind: "petersen"}, [][]int{{0, 5}, {0, 1}, {2, 8}}, false},
+		// Three agents, SGL only: the first two starts are clean-symmetric.
+		placement{GraphSpec{Kind: "ring", N: 3}, [][]int{{0, 1, 2}}, true},
+		placement{GraphSpec{Kind: "ring", N: 4}, [][]int{{0, 2, 1}}, true},
+		placement{GraphSpec{Kind: "ring", N: 6}, [][]int{{0, 2, 4}, {5, 1, 2}}, true},
 	)
 	labelPairs := [][]Label{{1, 2}, {1, 3}, {2, 5}, {3, 12}, {7, 6}}
 	budgets := []int{1, 2, 3, 63, 64, 65, 1023, 1024, 1025, 5000, 60000}
@@ -134,7 +152,7 @@ func TestDecidedMatchesSimulated(t *testing.T) {
 	// Cover every graph first, so no catalog extension lands mid-matrix
 	// and 4D is computed under the catalog state every run executes in.
 	for _, p := range placements {
-		sc := Scenario{Kind: ScenarioRendezvous, Graph: p.spec, Starts: p.starts[0], Labels: labelPairs[0],
+		sc := Scenario{Kind: ScenarioRendezvous, Graph: p.spec, Starts: p.starts[0][:2], Labels: labelPairs[0],
 			Budget: 1, AdversaryInstance: perEvent{&sched.RoundRobin{}}}
 		for _, e := range []*Engine{eng, ref} {
 			if _, err := e.Run(ctx, sc); err != nil && !errors.Is(err, ErrBudgetExhausted) {
@@ -150,8 +168,12 @@ func TestDecidedMatchesSimulated(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, starts := range p.starts {
-			for _, labels := range labelPairs {
-				for _, kind := range []ScenarioKind{ScenarioRendezvous, ScenarioBaseline} {
+			for _, pair := range labelPairs {
+				kinds, labels := []ScenarioKind{ScenarioRendezvous, ScenarioBaseline, ScenarioSGL}, pair
+				if len(starts) == 3 {
+					kinds, labels = []ScenarioKind{ScenarioSGL}, []Label{pair[0], pair[1], pair[0] + pair[1]}
+				}
+				for _, kind := range kinds {
 					limit := fourD(eng.Env(), kind, g.N(), labels[0], labels[1])
 					bs := budgets
 					if kind == ScenarioBaseline && limit.IsInt64() && limit.Int64() <= 60000 {
@@ -172,7 +194,7 @@ func TestDecidedMatchesSimulated(t *testing.T) {
 								res, err := eng.Run(ctx, sc)
 								sc.AdversaryInstance = perEvent{refAdv}
 								refRes, refErr := ref.Run(ctx, sc)
-								if got, want := walkerOutcome(res), walkerOutcome(refRes); !reflect.DeepEqual(got, want) {
+								if got, want := decidedOutcome(res), decidedOutcome(refRes); !reflect.DeepEqual(got, want) {
 									t.Fatalf("%s: result %+v, simulated %+v", sc.Name, got, want)
 								}
 								if errText(err) != errText(refErr) {
@@ -182,7 +204,7 @@ func TestDecidedMatchesSimulated(t *testing.T) {
 									t.Fatalf("%s: adversary ends as %+v, simulated %+v", sc.Name, adv, refAdv)
 								}
 								runs++
-								if p.ring && big.NewInt(int64(budget)).Cmp(limit) <= 0 {
+								if p.ring && len(starts) == 2 && big.NewInt(int64(budget)).Cmp(limit) <= 0 {
 									decided++
 									decidedEvents += budget
 								}

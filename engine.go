@@ -397,8 +397,8 @@ func (e *Engine) Run(ctx context.Context, sc Scenario) (*Result, error) {
 // coverage prepare has already resolved, by dispatching to the kind's
 // registered runner. A non-nil routes book (cached declarative specs)
 // makes the deterministic built-in kinds — rendezvous, baseline,
-// certify — replay materialized routes instead of re-deriving their
-// trajectories.
+// certify — and SGL's travellers replay materialized routes instead of
+// re-deriving their trajectories.
 func (e *Engine) runPrepared(ctx context.Context, sc Scenario, g *Graph, adv Adversary, routes *trajectory.RouteBook) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()

@@ -201,6 +201,40 @@ func TestBaselineTotal(t *testing.T) {
 	}
 }
 
+// TestWithinPiTotal pins WithinPiTotal to cost ≤ 2Π against the
+// model's memoized Π, which each case sets: at 2Π − 1, 2Π and 2Π + 1
+// while 2Π is an int64, for every nonnegative cost once 2Π reaches 2^63
+// (Π = 2^62, and the model's own Π(3, 1), which is not an int64), and
+// never for a negative cost. No call allocates.
+func TestWithinPiTotal(t *testing.T) {
+	own := New(PLinear(1)).Pi(3, 1)
+	if own.IsInt64() {
+		t.Fatalf("Π(3, 1) = %v is an int64: the case beyond int64 needs a larger Π", own)
+	}
+	for _, pi := range []*big.Int{big.NewInt(0), big.NewInt(1000), big.NewInt(1<<62 - 1), big.NewInt(1 << 62), own} {
+		m := New(PLinear(1))
+		m.piMemo[[2]int{3, 1}] = pi
+		twice := new(big.Int).Lsh(pi, 1)
+		costs := []int64{-1, math.MinInt64, 0, math.MaxInt64}
+		if twice.IsInt64() {
+			w := twice.Int64()
+			costs = append(costs, w, w+1)
+			if w > 0 {
+				costs = append(costs, w-1)
+			}
+		}
+		for _, cost := range costs {
+			want := cost >= 0 && big.NewInt(cost).Cmp(twice) <= 0
+			if got := m.WithinPiTotal(3, 1, cost); got != want {
+				t.Errorf("Π = %v: WithinPiTotal(cost %d) = %v, want %v", pi, cost, got, want)
+			}
+			if allocs := testing.AllocsPerRun(100, func() { m.WithinPiTotal(3, 1, cost) }); allocs != 0 {
+				t.Errorf("Π = %v: WithinPiTotal(cost %d) allocates %.0f times", pi, cost, allocs)
+			}
+		}
+	}
+}
+
 func TestCheckLemmasHold(t *testing.T) {
 	for _, p := range []PFunc{PLinear(1), PLinear(3), PPoly(1, 2), PPoly(1, 3)} {
 		m := New(p)

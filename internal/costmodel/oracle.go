@@ -38,13 +38,17 @@ func (m *Model) WithinPi(n, mLen int, cost int64) bool {
 }
 
 // WithinPiTotal reports whether a total (two-agent) meeting cost respects
-// 2·Π(n, mLen).
+// 2·Π(n, mLen). It compares in int64 against the memoized Π, without
+// building 2Π.
 func (m *Model) WithinPiTotal(n, mLen int, cost int64) bool {
 	if cost < 0 {
 		return false
 	}
-	bound := new(big.Int).Lsh(m.Pi(n, mLen), 1)
-	return big.NewInt(cost).Cmp(bound) <= 0
+	pi := m.Pi(n, mLen)
+	if !pi.IsInt64() || pi.Int64() >= 1<<62 {
+		return true // 2Π of 2^63 or more exceeds any int64 cost
+	}
+	return cost <= 2*pi.Int64()
 }
 
 // WithinBaseline reports whether a total meeting cost of the exponential

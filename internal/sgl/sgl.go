@@ -155,6 +155,8 @@ type agent struct {
 	output    map[labels.Label]string
 	pub       *Payload // the last published snapshot
 
+	// rv is the RV-asynch-poly trajectory: Config.Trajectory's, or a
+	// fresh core.NewStepper made at wake when that is nil.
 	rv      trajectory.Stepper
 	rvCount int
 	rvEntry int
@@ -200,7 +202,6 @@ func newAgent(l labels.Label, value string, env *trajectory.Env, budget Phase2Bu
 		state:        StateTraveller,
 		bag:          []BagEntry{{Label: l, Value: value}},
 		minLabel:     l,
-		rv:           nil, // created lazily at wake (stepper is stateful)
 	}
 }
 
@@ -398,6 +399,14 @@ type Config struct {
 	// Observer, if non-nil, receives execution events, including each
 	// agent's state and phase transitions.
 	Observer sched.Observer
+	// Trajectory, if non-nil, returns agent i's RV-asynch-poly
+	// trajectory: a stepper emitting the moves core.NewStepper(Labels[i],
+	// Env) makes walked in Graph from Starts[i], such as a route-book
+	// replay. nil derives core.NewStepper. The replay is exact because
+	// an explorer resumes RV only in Phase 2, after backtracking Phase
+	// 1 to the node where it began, with its RV entry port unchanged:
+	// the stepper sees the inputs of an uninterrupted walk.
+	Trajectory func(i int) trajectory.Stepper
 }
 
 // Run executes Algorithm SGL and reports every agent's outcome.
@@ -450,6 +459,9 @@ func run(cfg Config, program func(*agent) sched.Agent) (*Result, error) {
 	schedAgents := make([]sched.Agent, k)
 	for i := range agents {
 		agents[i] = newAgent(cfg.Labels[i], values[i], cfg.Env, budget)
+		if cfg.Trajectory != nil {
+			agents[i].rv = cfg.Trajectory(i)
+		}
 		schedAgents[i] = agents[i]
 		if program != nil {
 			schedAgents[i] = program(agents[i])
@@ -483,8 +495,23 @@ func run(cfg Config, program func(*agent) sched.Agent) (*Result, error) {
 		return nil, fmt.Errorf("sgl: %w", err)
 	}
 	defer r.Close()
-	sum := r.Run()
+	return report(agents, r.Run()), nil
+}
 
+// Unmet returns the Result of a run in which no two agents met within
+// sum's events: every agent is still the traveller it started as, with
+// no output. The engine reports the runs it answers in closed form
+// (sched.Alternation) through it.
+func Unmet(ls []labels.Label, sum sched.Summary) *Result {
+	agents := make([]*agent, len(ls))
+	for i, l := range ls {
+		agents[i] = &agent{label: l, state: StateTraveller}
+	}
+	return report(agents, sum)
+}
+
+// report builds a run's Result from its agents' final states.
+func report(agents []*agent, sum sched.Summary) *Result {
 	res := &Result{Summary: sum, TotalCost: sum.TotalCost, AllOutput: true}
 	for i, a := range agents {
 		rep := AgentReport{
@@ -512,5 +539,5 @@ func run(cfg Config, program func(*agent) sched.Agent) (*Result, error) {
 		}
 		res.Agents = append(res.Agents, rep)
 	}
-	return res, nil
+	return res
 }

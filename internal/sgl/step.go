@@ -64,7 +64,9 @@ func (a *agent) Step(p *sched.Proc, o sched.Observation) sched.Action {
 	for {
 		switch a.ss {
 		case ssInit:
-			a.rv = core.NewStepper(a.label, a.env)
+			if a.rv == nil {
+				a.rv = core.NewStepper(a.label, a.env)
+			}
 			p.Phase("sgl: traveller")
 			a.ss = ssTravDecide
 

@@ -6,10 +6,12 @@ import (
 	"strings"
 	"testing"
 
+	"meetpoly/internal/core"
 	"meetpoly/internal/graph"
 	"meetpoly/internal/labels"
 	"meetpoly/internal/sched"
 	"meetpoly/internal/sched/schedtest"
+	"meetpoly/internal/trajectory"
 	"meetpoly/internal/uxs"
 )
 
@@ -45,14 +47,22 @@ type stepCase struct {
 
 // TestStepMatchesRun is the package-level differential proof that the
 // state-machine program (agent.Step) and the blocking reference program
-// (agent.Run in program_test.go) are the same algorithm: identical
-// instances run with either program must produce identical reports,
-// scheduler summaries (including traversal counts) and meeting streams. Every instance runs
-// under three adversaries with a 200,000-event budget, which every
-// instance completes within except the oriented rings under the
-// deterministic adversaries (the agents co-rotate forever: the
-// symmetry phenomenon of examples/ringmeet), and again cut off by a
-// 3,000-event budget mid-program.
+// (agent.Run in program_test.go) are the same algorithm, and that a
+// traveller replaying its route is the traveller deriving its
+// trajectory tree. Every instance runs three times: Step and the
+// reference on fresh core.NewStepper trees, and Step again with
+// Config.Trajectory replaying the master route ('R', start, label)
+// from one trajectory.RouteBook per graph, shared across the whole
+// matrix, so later runs replay prefixes earlier runs published. All
+// three must produce identical reports, scheduler summaries (including
+// traversal counts) and meeting streams. A replay keyed by the wrong
+// label is not caught here: every label's trajectory opens with the
+// same Y(2) walk until traversal H = 2.75×10^10 (core.Opening), far
+// past any run. Every instance runs under three adversaries with a
+// 200,000-event budget, which every instance completes within except
+// the oriented rings under the deterministic adversaries (the agents
+// co-rotate forever: the symmetry phenomenon of examples/ringmeet),
+// and again cut off by a 3,000-event budget mid-program.
 func TestStepMatchesRun(t *testing.T) {
 	env := testEnv(t)
 	advs := map[string]func() sched.Adversary{
@@ -62,6 +72,19 @@ func TestStepMatchesRun(t *testing.T) {
 	}
 	reference := func(a *agent) sched.Agent {
 		return blockingAgent{agent: a, step: schedtest.Blocking(t, a.Run)}
+	}
+	books := make(map[*graph.Graph]*trajectory.RouteBook)
+	replay := func(cfg Config) func(i int) trajectory.Stepper {
+		book := books[cfg.Graph]
+		if book == nil {
+			book = trajectory.NewRouteBook(cfg.Graph)
+			books[cfg.Graph] = book
+		}
+		return func(i int) trajectory.Stepper {
+			l := cfg.Labels[i]
+			return book.Stepper(trajectory.RouteKey{Start: cfg.Starts[i], Kind: 'R', Param: uint64(l)},
+				func() trajectory.Stepper { return core.NewStepper(l, env) })
+		}
 	}
 	check := func(id string, cfg Config, adv func() sched.Adversary, complete bool) {
 		t.Helper()
@@ -77,21 +100,29 @@ func TestStepMatchesRun(t *testing.T) {
 		}
 		step, stepMeetings := run(nil)
 		ref, refMeetings := run(reference)
-		if !reflect.DeepEqual(step.Summary, ref.Summary) {
-			t.Fatalf("%s: summaries diverge:\nstep %+v\nrun  %+v", id, step.Summary, ref.Summary)
-		}
-		if !reflect.DeepEqual(stepMeetings, refMeetings) {
-			t.Fatalf("%s: meeting streams diverge: step %d meetings, run %d", id, len(stepMeetings), len(refMeetings))
-		}
-		if !reflect.DeepEqual(step.Agents, ref.Agents) {
-			t.Fatalf("%s: agent reports diverge:\nstep %+v\nrun  %+v", id, step.Agents, ref.Agents)
-		}
-		if step.AllOutput != ref.AllOutput || step.TotalCost != ref.TotalCost {
-			t.Fatalf("%s: outcomes diverge: step (%v, %d) run (%v, %d)",
-				id, step.AllOutput, step.TotalCost, ref.AllOutput, ref.TotalCost)
+		cfg.Trajectory = replay(cfg)
+		replayed, replayedMeetings := run(nil)
+		for _, other := range []struct {
+			name     string
+			res      *Result
+			meetings []sched.Meeting
+		}{{"run", ref, refMeetings}, {"replay", replayed, replayedMeetings}} {
+			if !reflect.DeepEqual(step.Summary, other.res.Summary) {
+				t.Fatalf("%s: summaries diverge:\nstep   %+v\n%-6s %+v", id, step.Summary, other.name, other.res.Summary)
+			}
+			if !reflect.DeepEqual(stepMeetings, other.meetings) {
+				t.Fatalf("%s: meeting streams diverge: step %d meetings, %s %d", id, len(stepMeetings), other.name, len(other.meetings))
+			}
+			if !reflect.DeepEqual(step.Agents, other.res.Agents) {
+				t.Fatalf("%s: agent reports diverge:\nstep   %+v\n%-6s %+v", id, step.Agents, other.name, other.res.Agents)
+			}
+			if step.AllOutput != other.res.AllOutput || step.TotalCost != other.res.TotalCost {
+				t.Fatalf("%s: outcomes diverge: step (%v, %d) %s (%v, %d)",
+					id, step.AllOutput, step.TotalCost, other.name, other.res.AllOutput, other.res.TotalCost)
+			}
 		}
 		if complete && !step.AllOutput {
-			t.Fatalf("%s: SGL incomplete with both programs", id)
+			t.Fatalf("%s: SGL incomplete with every program", id)
 		}
 	}
 	for _, tc := range stepMatrix() {

@@ -347,14 +347,11 @@ func (rc *ScenarioRunContext) walk(kind byte, bound *big.Int, adv Adversary, bud
 
 // decide answers a walker run whose every event is provably a
 // contact-free alternation (DESIGN.md §2.2, "Decided symmetric cells"
-// and "Decided periodic cells"). The run must replay a route book and
-// run under a round-robin or avoider instance with no observer and a
-// live context. Two proofs qualify it:
-//   - its starts are related by a clean automorphism σ and its budget
-//     is at most 4D. The agents then emit the same ports for their
-//     first D traversals, stay σ-images of each other and never touch.
-//     This proof simulates nothing and reaches furthest, so it runs
-//     first.
+// and "Decided periodic cells"). The run must pass decidable. Two
+// proofs qualify it:
+//   - symmetric: its starts are related by a clean automorphism σ and
+//     its budget is at most 4D. This proof simulates nothing and
+//     reaches furthest, so it runs first.
 //   - 4L < budget ≤ 4H and its first period of 4L events is a
 //     contact-free alternation (decidePeriodic).
 //
@@ -363,18 +360,41 @@ func (rc *ScenarioRunContext) walk(kind byte, bound *big.Int, adv Adversary, bud
 // reports that r and err are the run's outcome; every other run is
 // simulated.
 func (rc *ScenarioRunContext) decide(kind byte, bound *big.Int) (r *core.Result, ok bool, err error) {
-	e, sc := rc.Engine, rc.Scenario
-	if rc.routes == nil || e.obs != nil || rc.Context.Err() != nil || !sched.Alternates(rc.Adversary) {
+	if !rc.decidable() {
 		return nil, false, nil
 	}
-	if rc.Graph.CleanSymmetric(sc.Starts[0], sc.Starts[1]) &&
-		e.withinHorizon(kind, rc.Graph.N(), sc.Labels[0], sc.Labels[1], sc.Budget) {
-		if e.tele != nil {
-			e.tele.observeDecided(kind, sc.Budget)
-		}
-		return &core.Result{Summary: sched.Alternation(rc.Adversary, sc.Budget, nil), Bound: bound}, true, nil
+	if rc.symmetric(kind) {
+		return &core.Result{Summary: rc.decided(rc.Scenario.Budget, nil), Bound: bound}, true, nil
 	}
 	return rc.decidePeriodic(kind, bound)
+}
+
+// decidable reports whether a run may be answered in closed form at
+// all: it replays a route book and runs under a round-robin or avoider
+// instance, with no observer and a live context.
+func (rc *ScenarioRunContext) decidable() bool {
+	return rc.routes != nil && rc.Engine.obs == nil && rc.Context.Err() == nil && sched.Alternates(rc.Adversary)
+}
+
+// symmetric reports whether the run has exactly two agents, walking
+// route kind's trajectories from starts related by a clean automorphism
+// σ, with a budget of at most 4D. The agents then emit the same ports
+// for their first D traversals, stay σ-images of each other and never
+// touch, so every event of the run is a contact-free alternation.
+func (rc *ScenarioRunContext) symmetric(kind byte) bool {
+	sc := rc.Scenario
+	return len(sc.Starts) == 2 && rc.Graph.CleanSymmetric(sc.Starts[0], sc.Starts[1]) &&
+		rc.Engine.withinHorizon(kind, rc.Graph.N(), sc.Labels[0], sc.Labels[1], sc.Budget)
+}
+
+// decided returns a decided run's summary, sched.Alternation from the
+// adversary's rotation (trav as its Traversals buffer), and counts the
+// run and its events unsimulated.
+func (rc *ScenarioRunContext) decided(unsimulated int, trav []int) Summary {
+	if e := rc.Engine; e.tele != nil {
+		e.tele.observeDecided(rc.Scenario.Kind, unsimulated)
+	}
+	return sched.Alternation(rc.Adversary, rc.Scenario.Budget, trav)
 }
 
 // decidePeriodic decides a run whose budget B has 4L < B ≤ 4H by
@@ -396,8 +416,8 @@ func (rc *ScenarioRunContext) decide(kind byte, bound *big.Int) (r *core.Result,
 //
 // Decided runs count their B − 4L unsimulated events.
 func (rc *ScenarioRunContext) decidePeriodic(kind byte, bound *big.Int) (*core.Result, bool, error) {
-	e, sc := rc.Engine, rc.Scenario
-	fourL, fourH := e.opening(kind, rc.Graph.N(), sc.Labels[0], sc.Labels[1])
+	sc := rc.Scenario
+	fourL, fourH := rc.Engine.opening(kind, rc.Graph.N(), sc.Labels[0], sc.Labels[1])
 	if sc.Budget <= fourL || sc.Budget > fourH {
 		return nil, false, nil
 	}
@@ -423,11 +443,8 @@ func (rc *ScenarioRunContext) decidePeriodic(kind byte, bound *big.Int) (*core.R
 			return nil, false, nil
 		}
 	}
-	if e.tele != nil {
-		e.tele.observeDecided(kind, sc.Budget-fourL)
-	}
 	*rot = start
-	r.Summary = sched.Alternation(rc.Adversary, sc.Budget, r.Summary.Traversals)
+	r.Summary = rc.decided(sc.Budget-fourL, r.Summary.Traversals)
 	return r, true, nil
 }
 
@@ -442,8 +459,17 @@ func runESSTKind(rc *ScenarioRunContext) (*Result, error) {
 	return res, rc.Finish(r.Summary, r.Done, "exploration did not terminate")
 }
 
+// runSGLKind runs Algorithm SGL. Every agent starts as a traveller that
+// walks its master trajectory and decides nothing else before its first
+// meeting, so two travellers are walkers until they meet: a
+// clean-symmetric pair is decided exactly like a rendezvous run
+// (DESIGN.md §2.2), and every traveller replays its 'R' route.
 func runSGLKind(rc *ScenarioRunContext) (*Result, error) {
-	e, sc := rc.Engine, rc.Scenario
+	e, sc, n := rc.Engine, rc.Scenario, rc.Graph.N()
+	if rc.decidable() && rc.symmetric('R') {
+		sum := rc.decided(sc.Budget, nil)
+		return &Result{Scenario: sc, SGL: sgl.Unmet(sc.Labels, sum)}, rc.Finish(sum, false, "not all agents output")
+	}
 	r, err := sgl.Run(sgl.Config{
 		Graph:     rc.Graph,
 		Starts:    sc.Starts,
@@ -454,6 +480,9 @@ func runSGLKind(rc *ScenarioRunContext) (*Result, error) {
 		MaxSteps:  sc.Budget,
 		Context:   rc.Context,
 		Observer:  e.obs,
+		Trajectory: func(i int) trajectory.Stepper {
+			return e.routeStepper(rc.routes, n, 'R', sc.Starts[i], sc.Labels[i])
+		},
 	})
 	if err != nil {
 		return nil, err

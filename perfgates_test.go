@@ -3,7 +3,8 @@ package meetpoly
 // The suite's performance floors, on one small warm campaign.
 // TestWarmSweepReports holds its reports: the oracles pass, and
 // telemetry leaves the warm report as it is. TestPerfGates holds its
-// costs: allocations per event and per cell, and timings, each read as
+// costs: allocations per event and per cell (and per cell of a second,
+// SGL/ESST campaign), and timings, each read as
 // the median of several alternating samples and normalized, where a
 // gate compares against a recorded figure, by a goroutine hand-off
 // round trip timed in the same run. TestPerfGates skips itself under
@@ -45,6 +46,26 @@ func warmSweepSpec() SweepSpec {
 	}
 }
 
+// teamSweepSpec is a 48-cell warm campaign shaped like perfbench's
+// teams-sgl workload: SGL and ESST on path, ring, star and clique 3–5
+// under round-robin and random, budget 40,000.
+func teamSweepSpec() SweepSpec {
+	sizes := []int{3, 4, 5}
+	return SweepSpec{
+		Name:  "perf-teams",
+		Seed:  "perf-teams-v1",
+		Kinds: []string{"sgl", "esst"},
+		Graphs: []SweepGraphAxis{
+			{Kind: "path", Sizes: sizes},
+			{Kind: "ring", Sizes: sizes},
+			{Kind: "star", Sizes: sizes},
+			{Kind: "clique", Sizes: sizes},
+		},
+		Adversaries: []string{"", "random"},
+		Budget:      40_000,
+	}
+}
+
 // warmEngines returns a plain and a telemetry-enabled engine, each
 // warmed by two sweeps of warmSweepSpec (the cold pass that fills the
 // caches and a settling pass), with the settled reports.
@@ -62,7 +83,14 @@ func warmEngines(t *testing.T) (plain, instr *Engine, plainRep, instrRep *SweepR
 // an oracle failure.
 func warmSweep(t *testing.T, eng *Engine) *SweepReport {
 	t.Helper()
-	rep, err := eng.Sweep(context.Background(), warmSweepSpec())
+	return sweepOK(t, eng, warmSweepSpec())
+}
+
+// sweepOK runs spec once and fails the test on an error or an oracle
+// failure.
+func sweepOK(t *testing.T, eng *Engine, spec SweepSpec) *SweepReport {
+	t.Helper()
+	rep, err := eng.Sweep(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,6 +121,10 @@ const perfSamples = 7
 //   - at most 383.8 allocations per cell (4x the 95.96 recorded on the
 //     72-cell version of the campaign), which per-cell set-up creeping
 //     back breaks;
+//   - at most 470 allocations per cell of a warm SGL/ESST campaign
+//     (teamSweepSpec; twice the 235.0 read in five runs on one
+//     machine), which SGL travellers deriving their trajectory trees
+//     instead of replaying their routes break;
 //   - at most 0.05 allocations per event on each runner path, per-event
 //     and stretch, run directly: the engine decides 200,000 of the warm
 //     sweep's 200,222 events without simulating them (DESIGN.md §2.2),
@@ -126,6 +158,17 @@ func TestPerfGates(t *testing.T) {
 	}
 	if perCell > 383.8 {
 		t.Errorf("warm sweep allocates %.1f times per cell, ceiling 383.8", perCell)
+	}
+
+	teams := NewEngine(WithMaxN(6), WithSeed(1))
+	for range 2 {
+		sweepOK(t, teams, teamSweepSpec())
+	}
+	allocs = testing.AllocsPerRun(3, func() { rep = sweepOK(t, teams, teamSweepSpec()) })
+	perTeamCell := allocs / float64(rep.Cells)
+	t.Logf("warm team sweep: %.0f allocs over %d cells: %.1f/cell", allocs, rep.Cells, perTeamCell)
+	if perTeamCell > 470 {
+		t.Errorf("warm team sweep allocates %.1f times per cell, ceiling 470", perTeamCell)
 	}
 
 	book := schedbench.NewStretchBook()

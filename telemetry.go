@@ -68,8 +68,8 @@ type engineMetrics struct {
 
 	verdicts [5]*telemetry.Counter // indexed by verdict class below
 
-	decidedR, decidedB *telemetry.Counter // decided walker runs, by kind
-	decidedEvents      *telemetry.Counter // the events they did not simulate
+	decidedR, decidedB, decidedS *telemetry.Counter // decided runs, by kind
+	decidedEvents                *telemetry.Counter // the events they did not simulate
 
 	byKind   labelCache // kind  -> cells counter
 	byOracle labelCache // oracle -> failure counter
@@ -118,12 +118,12 @@ func newEngineMetrics(e *Engine, reg *Metrics) *engineMetrics {
 
 	decided := func(kind ScenarioKind) *telemetry.Counter {
 		return reg.Counter("meetpoly_engine_cells_decided_total",
-			"Rendezvous and baseline runs answered in closed form (clean-symmetric starts within 4D, or a contact-free first period within 4H), by scenario kind.",
+			"Runs answered in closed form, by scenario kind: rendezvous, baseline and two-traveller SGL runs on clean-symmetric starts within 4D, and rendezvous and baseline runs with a contact-free first period within 4H.",
 			telemetry.L("kind", string(kind)))
 	}
-	m.decidedR, m.decidedB = decided(ScenarioRendezvous), decided(ScenarioBaseline)
+	m.decidedR, m.decidedB, m.decidedS = decided(ScenarioRendezvous), decided(ScenarioBaseline), decided(ScenarioSGL)
 	m.decidedEvents = reg.Counter("meetpoly_engine_events_decided_total",
-		"Adversary events the runs answered in closed form count in Steps without simulating: a periodic run's budget less its first period.")
+		"Adversary events the runs answered in closed form count in Steps without simulating: a symmetric run's whole budget, a periodic run's budget less its first period.")
 
 	m.byKind.init(func(kind string) any {
 		return reg.Counter("meetpoly_engine_cells_total",
@@ -158,12 +158,15 @@ func (m *engineMetrics) observeJudge(cell SweepCell, cr SweepCellResult) {
 	}
 }
 
-// observeDecided records one decided walker run of route kind 'R'
-// (rendezvous) or 'B' (baseline) and the events it did not simulate.
-func (m *engineMetrics) observeDecided(kind byte, events int) {
-	if kind == 'B' {
+// observeDecided records one decided run of a rendezvous, baseline or
+// SGL scenario and the events it did not simulate.
+func (m *engineMetrics) observeDecided(kind ScenarioKind, events int) {
+	switch kind {
+	case ScenarioBaseline:
 		m.decidedB.Inc()
-	} else {
+	case ScenarioSGL:
+		m.decidedS.Inc()
+	default:
 		m.decidedR.Inc()
 	}
 	m.decidedEvents.Add(uint64(events))
