@@ -728,6 +728,9 @@ func (e *Engine) SweepWithOracles(ctx context.Context, spec SweepSpec, oracles .
 // stream — campaign.Aggregator is one — reproduces Engine.Sweep's
 // report exactly. Breaking out of the range stops the sweep: in-flight
 // cells finish and are discarded, queued cells are never executed.
+// A stream with one worker (WithParallelism(1), or a one-cell range)
+// runs each cell in the caller's goroutine, between two yields, so its
+// results arrive in expansion order and a break runs no further cell.
 // Cells are judged with the default paper-bound oracle suite; use
 // SweepStreamWithOracles to substitute another.
 //
@@ -809,7 +812,9 @@ func (e *Engine) sweepPrepass(spec SweepSpec) {
 // prepares (through the prepared-scenario cache), executes and
 // oracle-judges its cell inline, and the judged results are yielded to
 // the consumer as they complete — a million-cell campaign runs in
-// memory proportional to the worker pool, not the cell count. mkOracles
+// memory proportional to the worker pool, not the cell count. With one
+// worker there is no pipeline: the caller's goroutine expands, runs and
+// yields each cell in turn. mkOracles
 // runs after the graph pre-pass, so suites derived from the engine's
 // catalog (the default) bind to the catalog state every cell executes
 // under — and the pre-pass deliberately covers the WHOLE spec even for
@@ -842,8 +847,14 @@ func (e *Engine) sweepSeq(ctx context.Context, spec SweepSpec, lo, hi int, mkOra
 		if workers > hi-lo {
 			workers = hi - lo
 		}
-		if workers < 1 {
-			workers = 1
+		if workers <= 1 {
+			// One worker runs the cells in the caller's goroutine, in
+			// expansion order: with nothing to overlap, a pipeline would
+			// only add two channel hand-offs per cell.
+			WalkSweepRange(spec, lo, hi, func(c SweepCell) bool { //nolint:errcheck // validated above
+				return yield(e.runCell(runCtx, c, oracles), nil)
+			})
+			return
 		}
 		// stop tears the pipeline down when the consumer breaks out of
 		// the range early: the producer quits, and workers abandon

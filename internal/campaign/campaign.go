@@ -16,7 +16,6 @@ package campaign
 
 import (
 	"fmt"
-	"hash/fnv"
 	"math/rand"
 	"strconv"
 	"strings"
@@ -117,11 +116,13 @@ type GraphAxis struct {
 }
 
 // graphCell is one resolved graph cell of an axis: the descriptor its
-// cells carry (the size axis collapsed, seeds made explicit) and its
-// node count, for start-pair derivation.
+// cells carry (the size axis collapsed, seeds made explicit), its node
+// count, for start-pair derivation, and its axisLabel, which every cell
+// ID and draw key of the graph cell embeds.
 type graphCell struct {
 	spec  registry.GraphSpec
 	nodes int
+	label string
 }
 
 // Cell is one fully-resolved scenario descriptor of the sweep.
@@ -267,7 +268,7 @@ func (ga GraphAxis) cells() ([]graphCell, error) {
 		if spec.Shuffle && spec.Seed == 0 {
 			spec.Seed = uxs.DefaultShuffleSeed(nodes)
 		}
-		return graphCell{spec: spec, nodes: nodes}
+		return graphCell{spec: spec, nodes: nodes, label: axisLabel(spec)}
 	}
 	if k.Sized {
 		if len(ga.Sizes) == 0 {
@@ -306,32 +307,55 @@ func (ga GraphAxis) cells() ([]graphCell, error) {
 // registry-agnostic: rows×cols descriptors label as "-RxC", sized ones
 // as "-N", and dimensionless kinds (petersen) as the bare name.
 func axisLabel(p registry.GraphSpec) string {
-	var sb strings.Builder
-	sb.WriteString(p.Kind)
+	var buf [64]byte
+	return string(appendAxisLabel(buf[:0], p))
+}
+
+func appendAxisLabel(b []byte, p registry.GraphSpec) []byte {
+	b = append(b, p.Kind...)
 	switch {
 	case p.Rows != 0 || p.Cols != 0:
-		fmt.Fprintf(&sb, "-%dx%d", p.Rows, p.Cols)
+		b = append(b, '-')
+		b = strconv.AppendInt(b, int64(p.Rows), 10)
+		b = append(b, 'x')
+		b = strconv.AppendInt(b, int64(p.Cols), 10)
 	case p.N != 0:
-		fmt.Fprintf(&sb, "-%d", p.N)
+		b = append(b, '-')
+		b = strconv.AppendInt(b, int64(p.N), 10)
 	}
 	if p.Shuffle {
-		sb.WriteString("-shuf")
+		b = append(b, "-shuf"...)
 	}
-	return sb.String()
+	return b
 }
 
 // hash64 hashes a seed string to the int64 that drives a cell's derived
-// randomness (FNV-1a; stability across builds matters more than quality
-// here, and Go pins FNV).
-func hash64(s string) int64 {
-	h := fnv.New64a()
-	h.Write([]byte(s))
-	return int64(h.Sum64() & (1<<63 - 1))
+// randomness: 64-bit FNV-1a, as hash/fnv computes it, without its
+// allocations. Stability across builds matters more than quality here,
+// and FNV-1a is fixed by its definition.
+func hash64[S string | []byte](s S) int64 {
+	const (
+		offset64 = 14695981039346656037
+		prime64  = 1099511628211
+	)
+	h := uint64(offset64)
+	for i := 0; i < len(s); i++ {
+		h ^= uint64(s[i])
+		h *= prime64
+	}
+	return int64(h & (1<<63 - 1))
 }
 
 // CellSeed returns the replay seed string of cell index under master.
 func CellSeed(master string, index int) string {
-	return fmt.Sprintf("%s#%d", master, index)
+	var buf [64]byte
+	return string(appendCellSeed(buf[:0], master, index))
+}
+
+func appendCellSeed(b []byte, master string, index int) []byte {
+	b = append(b, master...)
+	b = append(b, '#')
+	return strconv.AppendInt(b, int64(index), 10)
 }
 
 // ParseCellSeed splits a replay seed string into master seed and index.
@@ -387,22 +411,60 @@ func Expand(spec Spec) ([]Cell, error) {
 // The source is a lazyrand.Source: re-seeding it yields exactly the
 // stream a fresh rand.NewSource would, and a key's two draws build 32
 // of its register words instead of filling all 607.
+//
+// A draw is seeded by the hash of its key string,
+// "<seed>/<axis label>/start<sp>[/label<lp>]". The memos are keyed by
+// (axis label, sp, lp) instead, which determines that string, so the
+// string is formatted (into buf) and hashed only on a miss.
 type expander struct {
 	spec  Spec
 	index int
 
 	rng       *rand.Rand
-	startMemo map[string][2]int
-	labelMemo map[string][2]uint64
+	startMemo map[drawKey][2]int
+	labelMemo map[drawKey][2]uint64
+	buf       []byte
+}
+
+// drawKey identifies a memoized draw: the graph cell's axis label, the
+// start pair index and, for a label assignment, the label pair index.
+type drawKey struct {
+	label  string
+	sp, lp int
+}
+
+func newExpander(spec Spec) *expander {
+	return &expander{
+		spec:      spec,
+		rng:       rand.New(lazyrand.New(0)),
+		startMemo: make(map[drawKey][2]int),
+		labelMemo: make(map[drawKey][2]uint64),
+	}
+}
+
+// seedDraw re-seeds the source from the hash of the draw's key string;
+// lp < 0 selects a start placement's key, which has no label part.
+func (x *expander) seedDraw(label string, sp, lp int) {
+	b := append(x.buf[:0], x.spec.Seed...)
+	b = append(b, '/')
+	b = append(b, label...)
+	b = append(b, "/start"...)
+	b = strconv.AppendInt(b, int64(sp), 10)
+	if lp >= 0 {
+		b = append(b, "/label"...)
+		b = strconv.AppendInt(b, int64(lp), 10)
+	}
+	x.buf = b
+	x.rng.Seed(hash64(b))
 }
 
 // starts returns the (shared) start placement for (graph cell, sp).
 func (x *expander) starts(gp graphCell, sp int) [2]int {
-	key := fmt.Sprintf("%s/%s/start%d", x.spec.Seed, axisLabel(gp.spec), sp)
+	key := drawKey{label: gp.label, sp: sp}
 	if s, ok := x.startMemo[key]; ok {
 		return s
 	}
-	x.rng.Seed(hash64(key))
+	x.seedDraw(gp.label, sp, -1)
 	s1 := x.rng.Intn(gp.nodes)
 	s2 := x.rng.Intn(gp.nodes - 1)
 	if s2 >= s1 {
@@ -415,11 +477,11 @@ func (x *expander) starts(gp graphCell, sp int) [2]int {
 
 // labels returns the (shared) label assignment for (graph cell, sp, lp).
 func (x *expander) labels(gp graphCell, sp, lp int) [2]uint64 {
-	key := fmt.Sprintf("%s/%s/start%d/label%d", x.spec.Seed, axisLabel(gp.spec), sp, lp)
+	key := drawKey{label: gp.label, sp: sp, lp: lp}
 	if l, ok := x.labelMemo[key]; ok {
 		return l
 	}
-	x.rng.Seed(hash64(key))
+	x.seedDraw(gp.label, sp, lp)
 	l1 := uint64(1 + x.rng.Intn(64))
 	l2 := uint64(1 + x.rng.Intn(63))
 	if l2 >= l1 {
@@ -430,11 +492,13 @@ func (x *expander) labels(gp graphCell, sp, lp int) [2]uint64 {
 	return out
 }
 
-// cell resolves one concrete cell of the cross product.
+// cell resolves one concrete cell of the cross product. Its strings are
+// appended into stack buffers, one allocation each.
 func (x *expander) cell(meta registry.KindMeta, gp graphCell, sp, lp int, adversary string) Cell {
 	idx := x.index
 	x.index++
-	seed := CellSeed(x.spec.Seed, idx)
+	var buf [128]byte
+	seed := string(appendCellSeed(buf[:0], x.spec.Seed, idx))
 	c := Cell{
 		Index: idx,
 		Seed:  seed,
@@ -465,7 +529,10 @@ func (x *expander) cell(meta registry.KindMeta, gp graphCell, sp, lp int, advers
 		// cell's replay string, so cells differ while each stays
 		// individually replayable.
 		if am, ok := registry.LookupAdversaryMeta(name); ok && am.PerCellSeed {
-			adversary = fmt.Sprintf("%s:%d", name, hash64(seed+"/adv"))
+			h := hash64(append(append(buf[:0], seed...), "/adv"...))
+			b := append(buf[:0], name...)
+			b = append(b, ':')
+			adversary = string(strconv.AppendInt(b, h, 10))
 		}
 	}
 	c.Adversary = adversary
@@ -473,7 +540,16 @@ func (x *expander) cell(meta registry.KindMeta, gp graphCell, sp, lp int, advers
 	if advLabel == "" {
 		advLabel = "roundrobin"
 	}
-	c.ID = fmt.Sprintf("%s/%s/s%d/l%d/%s", meta.Name, axisLabel(gp.spec), sp, lp, advLabel)
+	b := append(buf[:0], meta.Name...)
+	b = append(b, '/')
+	b = append(b, gp.label...)
+	b = append(b, "/s"...)
+	b = strconv.AppendInt(b, int64(sp), 10)
+	b = append(b, "/l"...)
+	b = strconv.AppendInt(b, int64(lp), 10)
+	b = append(b, '/')
+	b = append(b, advLabel...)
+	c.ID = string(b)
 	return c
 }
 
@@ -503,12 +579,7 @@ func WalkRange(spec Spec, lo, hi int, yield func(Cell) bool) error {
 		return fmt.Errorf("campaign: invalid cell range [%d, %d)", lo, hi)
 	}
 	spec = spec.normalized()
-	x := &expander{
-		spec:      spec,
-		rng:       rand.New(lazyrand.New(0)),
-		startMemo: make(map[string][2]int),
-		labelMemo: make(map[string][2]uint64),
-	}
+	x := newExpander(spec)
 	// emit advances one cross-product position: positions below lo skip
 	// their derivation entirely, positions at or past hi end the walk.
 	emit := func(meta registry.KindMeta, gp graphCell, sp, lp int, adv string) bool {

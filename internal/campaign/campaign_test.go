@@ -171,9 +171,11 @@ func TestExpanderReseedMatchesFreshSource(t *testing.T) {
 		}
 	}
 
-	x := &expander{spec: testSpec(), rng: rand.New(lazyrand.New(0)),
-		startMemo: make(map[string][2]int), labelMemo: make(map[string][2]uint64)}
-	for _, gp := range []graphCell{{registry.GraphSpec{Kind: "path", N: 4}, 4}, {registry.GraphSpec{Kind: "ring", N: 9}, 9}} {
+	x := newExpander(testSpec())
+	for _, gp := range []graphCell{
+		{spec: registry.GraphSpec{Kind: "path", N: 4}, nodes: 4, label: "path-4"},
+		{spec: registry.GraphSpec{Kind: "ring", N: 9}, nodes: 9, label: "ring-9"},
+	} {
 		label := axisLabel(gp.spec)
 		for sp := 0; sp < 3; sp++ {
 			fresh := rand.New(rand.NewSource(hash64(fmt.Sprintf("unit-seed/%s/start%d", label, sp))))
@@ -449,5 +451,200 @@ func TestReportAggregationAndTable(t *testing.T) {
 		if !strings.Contains(tbl, want) {
 			t.Errorf("table missing %q:\n%s", want, tbl)
 		}
+	}
+}
+
+// referenceMatrix holds the specs whose expansion must match the
+// reference expander's (expand_ref_test.go) cell for cell: every
+// built-in graph kind, shuffled axes, axes that share an axis label,
+// bare and parameterized adversaries, all five kinds (certify cells
+// skip the adversary axis, ESST cells the label axis) and start and
+// label pairs above 1.
+func referenceMatrix() map[string]Spec {
+	advs := []string{"", "avoider", "random", "random:7", "latewake:50", "biased:3,1"}
+	return map[string]Spec{
+		"every-graph-kind": {
+			Name: "every-graph-kind", Seed: "ref/every-kind",
+			Graphs: []GraphAxis{
+				{Kind: "path", Sizes: []int{3, 5}},
+				{Kind: "ring", Sizes: []int{4}, Shuffle: true},
+				{Kind: "star", Sizes: []int{5}},
+				{Kind: "clique", Sizes: []int{4}},
+				{Kind: "complete", Sizes: []int{5}},
+				{Kind: "bintree", Sizes: []int{6}},
+				{Kind: "tree", Sizes: []int{6}, Seed: 3},
+				{Kind: "random", Sizes: []int{7}, P: 0.4},
+				{Kind: "random", Sizes: []int{8}, P: 0.6, Shuffle: true},
+				{Kind: "grid", Rows: 2, Cols: 3},
+				{Kind: "torus", Rows: 3, Cols: 3, Shuffle: true},
+				{Kind: "hypercube", Sizes: []int{3}},
+				{Kind: "lollipop", Rows: 3, Cols: 2},
+				{Kind: "petersen"},
+				{Kind: "petersen", Shuffle: true},
+			},
+			StartPairs: 2, LabelPairs: 3, Adversaries: advs, Budget: 500, Moves: 40,
+		},
+		"shared-axis-labels": {
+			Seed: "ref/shared",
+			Graphs: []GraphAxis{
+				{Kind: "random", Sizes: []int{6}, P: 0.3},
+				{Kind: "random", Sizes: []int{6}, P: 0.5, Seed: 11},
+				{Kind: "ring", Sizes: []int{5}},
+				{Kind: "ring", Sizes: []int{5}, Seed: 2},
+				{Kind: "ring", Sizes: []int{5}, Shuffle: true},
+			},
+			StartPairs: 3, LabelPairs: 2, Adversaries: advs, Budget: 100,
+		},
+		"bare-random-only": {
+			Seed:        "ref/random",
+			Kinds:       []string{KindRendezvous, KindESST},
+			Graphs:      []GraphAxis{{Kind: "star", Sizes: []int{4, 6}}},
+			StartPairs:  4,
+			LabelPairs:  4,
+			Adversaries: []string{"random"},
+			Budget:      100,
+		},
+		"certify-only": {
+			Seed:       "ref/certify",
+			Kinds:      []string{KindCertify},
+			Graphs:     []GraphAxis{{Kind: "path", Sizes: []int{4, 6}}, {Kind: "grid", Rows: 2, Cols: 2}},
+			StartPairs: 3, LabelPairs: 2,
+		},
+		"rendezvous-long": rendezvousLongShaped(),
+	}
+}
+
+// rendezvousLongShaped is one campaign of perfbench's rendezvous-long
+// workload: 80 cells on eight graphs, one start and label pair each.
+func rendezvousLongShaped() Spec {
+	return Spec{
+		Name:  "rendezvous-long",
+		Seed:  "rendezvous-long/3",
+		Kinds: []string{KindRendezvous, KindBaseline},
+		Graphs: []GraphAxis{
+			{Kind: "path", Sizes: []int{5}},
+			{Kind: "ring", Sizes: []int{6}},
+			{Kind: "star", Sizes: []int{5}},
+			{Kind: "clique", Sizes: []int{6}},
+			{Kind: "tree", Sizes: []int{5}},
+			{Kind: "grid", Rows: 2, Cols: 4},
+			{Kind: "hypercube", Sizes: []int{3}},
+			{Kind: "petersen"},
+		},
+		Adversaries: []string{"", "avoider", "random:1234567", "latewake:50", "biased:3,1"},
+		Budget:      200000,
+	}
+}
+
+// requireWalkMatchesReference walks [lo, hi) with both expanders and
+// requires the same cells, or the same error.
+func requireWalkMatchesReference(t *testing.T, name string, spec Spec, lo, hi int) {
+	t.Helper()
+	var got, want []Cell
+	gerr := WalkRange(spec, lo, hi, func(c Cell) bool { got = append(got, c); return true })
+	werr := referenceWalkRange(spec, lo, hi, func(c Cell) bool { want = append(want, c); return true })
+	if (gerr == nil) != (werr == nil) || gerr != nil && gerr.Error() != werr.Error() {
+		t.Fatalf("%s [%d, %d): error %v, reference %v", name, lo, hi, gerr, werr)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("%s [%d, %d): %d cells, reference %d", name, lo, hi, len(got), len(want))
+	}
+	for i := range want {
+		if !reflect.DeepEqual(got[i], want[i]) {
+			t.Fatalf("%s [%d, %d): cell %d differs:\n got %+v\nwant %+v", name, lo, hi, want[i].Index, got[i], want[i])
+		}
+	}
+}
+
+// TestWalkMatchesReference pins the expander to the fmt-based reference
+// over the matrix, on whole walks and on ranges that start mid-campaign
+// (whose memos start empty at the range's first cell).
+func TestWalkMatchesReference(t *testing.T) {
+	for name, spec := range referenceMatrix() {
+		n, err := Count(spec)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for _, r := range [][2]int{{0, n}, {1, n}, {n / 3, 2 * n / 3}, {n/2 + 1, n}, {n - 1, n}} {
+			requireWalkMatchesReference(t, name, spec, r[0], r[1])
+		}
+	}
+	for _, gp := range []registry.GraphSpec{
+		{Kind: "grid", Rows: -2, Cols: 3}, {Kind: "ring", N: -4, Shuffle: true}, {Kind: "petersen"}, {},
+	} {
+		if got, want := axisLabel(gp), referenceAxisLabel(gp); got != want {
+			t.Errorf("axisLabel(%+v) = %q, reference %q", gp, got, want)
+		}
+	}
+	for _, idx := range []int{0, 9, 10, 99, 100, MaxCells, -1} {
+		if got, want := CellSeed("ü#%/", idx), referenceCellSeed("ü#%/", idx); got != want {
+			t.Errorf("CellSeed(%d) = %q, reference %q", idx, got, want)
+		}
+	}
+}
+
+// FuzzWalkMatchesReference fuzzes the seed string, which every cell
+// seed, draw key and per-cell adversary seed embeds, the axis sizes and
+// the first cell of the range.
+func FuzzWalkMatchesReference(f *testing.F) {
+	f.Add("nightly", 5, 2, 2, 0)
+	f.Add("a#b%c/d", 4, 1, 3, 7)
+	f.Add("ünïcødé/#%d", 7, 3, 1, 40)
+	f.Add("\xff\x00/start1/label2", 3, 4, 4, 200)
+	f.Fuzz(func(t *testing.T, seed string, n, starts, labels, lo int) {
+		clamp := func(v, min, max int) int {
+			if v < 0 {
+				v = -v
+			}
+			return min + v%(max-min+1)
+		}
+		n, starts, labels = clamp(n, 3, 9), clamp(starts, 1, 4), clamp(labels, 1, 4)
+		spec := Spec{
+			Seed: seed,
+			Graphs: []GraphAxis{
+				{Kind: "path", Sizes: []int{n}},
+				{Kind: "ring", Sizes: []int{n}, Shuffle: true},
+				{Kind: "random", Sizes: []int{n}, P: 0.5},
+				{Kind: "random", Sizes: []int{n}, P: 0.7, Seed: int64(n)},
+				{Kind: "grid", Rows: 2, Cols: n / 2},
+				{Kind: "petersen"},
+			},
+			StartPairs:  starts,
+			LabelPairs:  labels,
+			Adversaries: []string{"", "random", "avoider", "random:9"},
+			Budget:      100,
+		}
+		total, err := Count(spec)
+		if err != nil {
+			requireWalkMatchesReference(t, "fuzz", spec, 0, MaxCells)
+			return
+		}
+		requireWalkMatchesReference(t, "fuzz", spec, clamp(lo, 0, total), total)
+		if got, want := hash64(seed), referenceHash64(seed); got != want {
+			t.Fatalf("hash64(%q) = %d, reference %d", seed, got, want)
+		}
+	})
+}
+
+// TestWalkAllocsPerCell holds the expander's allocations per cell on a
+// rendezvous-long-shaped campaign: a cell allocates its seed, ID,
+// starts and labels, and nothing is formatted on a memo hit. The
+// ceiling is twice the median of five runs on one machine (the
+// fmt-based expander read 20.7).
+func TestWalkAllocsPerCell(t *testing.T) {
+	spec := rendezvousLongShaped()
+	n, err := Count(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		if err := Walk(spec, func(Cell) bool { return true }); err != nil {
+			t.Fatal(err)
+		}
+	})
+	perCell := allocs / float64(n)
+	t.Logf("Walk: %.0f allocations over %d cells: %.2f per cell", allocs, n, perCell)
+	if perCell > 10 {
+		t.Errorf("Walk allocates %.2f times per cell, ceiling 10", perCell)
 	}
 }

@@ -2,8 +2,11 @@ package campaign
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strings"
+
+	"meetpoly/internal/registry"
 )
 
 // OracleFailure records one oracle's verdict on one cell.
@@ -29,7 +32,12 @@ type GroupKey func(Cell) string
 
 // ByKindGraph groups results by scenario kind and graph cell — the
 // default report shape.
-func ByKindGraph(c Cell) string { return c.Kind + "/" + axisLabel(c.Graph) }
+func ByKindGraph(c Cell) string {
+	var buf [64]byte
+	b := append(buf[:0], c.Kind...)
+	b = append(b, '/')
+	return string(appendAxisLabel(b, c.Graph))
+}
 
 // GroupStats aggregates the cells of one bucket.
 type GroupStats struct {
@@ -101,9 +109,12 @@ func BuildReport(spec Spec, results []CellResult, key GroupKey) *Report {
 // sort by name, failures by cell index). Add and Report are not safe
 // for concurrent use; callers serialize (the engine holds a mutex).
 type Aggregator struct {
-	key    GroupKey
+	key    GroupKey // nil: ByKindGraph, looked up through byCell
 	r      *Report
 	groups map[string]*GroupStats
+	// byCell finds a cell's ByKindGraph group without building its
+	// name: the name depends only on the cell's kind and graph.
+	byCell map[kindGraph]*GroupStats
 	// seen guards against the same cell being folded twice. Within one
 	// campaign a cell's seed string "<seed>#<index>" and its index are a
 	// bijection, so the index — coalescing into a handful of intervals —
@@ -117,14 +128,44 @@ type Aggregator struct {
 // NewAggregator returns an empty aggregator for one campaign
 // (ByKindGraph grouping when key is nil).
 func NewAggregator(spec Spec, key GroupKey) *Aggregator {
-	if key == nil {
-		key = ByKindGraph
-	}
 	return &Aggregator{
 		key:    key,
 		r:      &Report{Name: spec.Name, Seed: spec.Seed},
 		groups: make(map[string]*GroupStats),
+		byCell: make(map[kindGraph]*GroupStats),
 	}
+}
+
+// kindGraph is what ByKindGraph reads of a cell.
+type kindGraph struct {
+	kind  string
+	graph registry.GraphSpec
+}
+
+// group returns the stats bucket of a cell, creating it on first use.
+func (a *Aggregator) group(c Cell) *GroupStats {
+	if a.key != nil {
+		return a.named(a.key(c))
+	}
+	kg := kindGraph{c.Kind, c.Graph}
+	g, ok := a.byCell[kg]
+	if !ok {
+		g = a.named(ByKindGraph(c))
+		if !math.IsNaN(c.Graph.P) { // a NaN key would never be found again
+			a.byCell[kg] = g
+		}
+	}
+	return g
+}
+
+// named returns the group called name, creating it on first use.
+func (a *Aggregator) named(name string) *GroupStats {
+	g, ok := a.groups[name]
+	if !ok {
+		g = &GroupStats{Group: name}
+		a.groups[name] = g
+	}
+	return g
 }
 
 // Add folds one cell result into the aggregate. Feeding the same cell
@@ -138,12 +179,7 @@ func (a *Aggregator) Add(cr CellResult) {
 	r := a.r
 	r.Cells++
 	r.Events += int64(cr.Outcome.Steps)
-	k := a.key(cr.Cell)
-	g, ok := a.groups[k]
-	if !ok {
-		g = &GroupStats{Group: k}
-		a.groups[k] = g
-	}
+	g := a.group(cr.Cell)
 	g.Runs++
 	o := cr.Outcome
 	switch {

@@ -131,7 +131,7 @@ func (a *copyingAgent) OnMeet(e sched.Encounter) {
 }
 
 func (a *copyingAgent) setOutput() {
-	a.hasOutput = true
+	a.markOutput()
 	a.final = true
 	a.output = make(map[labels.Label]string, len(a.bag))
 	for l, v := range a.bag {
@@ -284,6 +284,23 @@ func TestMeetingPathMatchesCopying(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestOutputCountedOnce: run stops once its count of agents with
+// output reaches the team size, so an agent counts once however often
+// a program sets its output. The copying reference's Step sets it again
+// right after the agent's own Step did.
+func TestOutputCountedOnce(t *testing.T) {
+	outputs := 0
+	a := newAgent(3, "value-of-3", testEnv(t), PracticalBudget(3))
+	a.outputs = &outputs
+	ref := newCopyingAgent(a).(*copyingAgent)
+	a.setOutput()
+	ref.setOutput()
+	a.setOutput()
+	if outputs != 1 {
+		t.Fatalf("one agent with output counted %d times", outputs)
 	}
 }
 

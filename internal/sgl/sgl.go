@@ -154,6 +154,9 @@ type agent struct {
 	hasOutput bool
 	output    map[labels.Label]string
 	pub       *Payload // the last published snapshot
+	// outputs counts the run's agents with output, for its stop test
+	// (nil outside run).
+	outputs *int
 
 	// rv is the RV-asynch-poly trajectory: Config.Trajectory's, or a
 	// fresh core.NewStepper made at wake when that is nil.
@@ -302,12 +305,20 @@ func (a *agent) learn(bag []BagEntry) {
 }
 
 func (a *agent) setOutput() {
-	a.hasOutput = true
+	a.markOutput()
 	a.final = true
 	a.output = make(map[labels.Label]string, len(a.bag))
 	for _, e := range a.bag {
 		a.output[e.Label] = e.Value
 	}
+}
+
+// markOutput sets hasOutput and counts the agent the first time.
+func (a *agent) markOutput() {
+	if !a.hasOutput && a.outputs != nil {
+		*a.outputs++
+	}
+	a.hasOutput = true
 }
 
 // drainPending applies the traveller rules to the queued encounters in
@@ -457,8 +468,10 @@ func run(cfg Config, program func(*agent) sched.Agent) (*Result, error) {
 
 	agents := make([]*agent, k)
 	schedAgents := make([]sched.Agent, k)
+	outputs := 0
 	for i := range agents {
 		agents[i] = newAgent(cfg.Labels[i], values[i], cfg.Env, budget)
+		agents[i].outputs = &outputs
 		if cfg.Trajectory != nil {
 			agents[i].rv = cfg.Trajectory(i)
 		}
@@ -480,16 +493,9 @@ func run(cfg Config, program func(*agent) sched.Agent) (*Result, error) {
 		Agents:         schedAgents,
 		InitiallyAwake: awake,
 		MaxSteps:       cfg.MaxSteps,
-		StopWhen: func(*sched.Runner) bool {
-			for _, a := range agents {
-				if !a.hasOutput {
-					return false
-				}
-			}
-			return true
-		},
-		Context:  cfg.Context,
-		Observer: cfg.Observer,
+		StopWhen:       func(*sched.Runner) bool { return outputs == k },
+		Context:        cfg.Context,
+		Observer:       cfg.Observer,
 	}, adv)
 	if err != nil {
 		return nil, fmt.Errorf("sgl: %w", err)

@@ -78,36 +78,34 @@ func TestSweepStreamFoldEquality(t *testing.T) {
 }
 
 // TestSweepStreamEarlyBreak: breaking out of the range stops the sweep
-// without leaking the pipeline's goroutines — the producer, the workers
-// and the closer must all observe the stop channel and wind down — and
-// a second sweep on the same engine still works. Breaking at the very
-// first yield is the hardest teardown: the producer and every worker
-// are still in full flight.
+// without leaking goroutines, and a second sweep on the same engine
+// still works.
 //
-// The one-worker rows pin the server-conditions case — a client
-// disconnecting mid-campaign while the lone worker is blocked handing
-// over a result and the producer is blocked on a full work queue; a
-// send that ignored the stop channel would show up as a leaked
-// goroutine here.
+// The two-worker rows run the pipeline: the producer, the workers and
+// the closer must all observe the stop channel and wind down. Breaking
+// at the very first yield is the hardest teardown, with the producer
+// and both workers still in full flight; a send that ignored the stop
+// channel would show up as a leaked goroutine here. The rows set the
+// parallelism, so a one-CPU machine covers the pipeline too.
+//
+// The one-worker rows pin the inline path: the caller's goroutine
+// expands and runs every cell, so no goroutine may exist beyond those
+// alive before the sweep, even inside the loop body.
 func TestSweepStreamEarlyBreak(t *testing.T) {
 	ctx := context.Background()
 	cases := []struct {
 		name        string
 		breakAt     int
-		parallelism int // 0 = engine default
+		parallelism int
 	}{
-		{"break-at-1", 1, 0},
-		{"break-at-5", 5, 0},
+		{"break-at-1", 1, 2},
+		{"break-at-5", 5, 2},
 		{"one-worker-break-at-2", 2, 1},
 		{"one-worker-break-at-6", 6, 1},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			opts := []Option{WithMaxN(6), WithSeed(1)}
-			if tc.parallelism > 0 {
-				opts = append(opts, WithParallelism(tc.parallelism))
-			}
-			eng := NewEngine(opts...)
+			eng := NewEngine(WithMaxN(6), WithSeed(1), WithParallelism(tc.parallelism))
 			before := runtime.NumGoroutine()
 
 			got := 0
@@ -116,6 +114,9 @@ func TestSweepStreamEarlyBreak(t *testing.T) {
 					t.Fatal(err)
 				}
 				_ = cr
+				if n := runtime.NumGoroutine(); tc.parallelism == 1 && n > before {
+					t.Fatalf("one-worker sweep runs %d goroutines, %d before it", n, before)
+				}
 				if got++; got >= tc.breakAt {
 					break
 				}
