@@ -27,7 +27,6 @@ package esst
 
 import (
 	"fmt"
-	"strings"
 
 	"meetpoly/internal/graph"
 	"meetpoly/internal/sched"
@@ -108,16 +107,6 @@ func (e *Explorer) Step(p *sched.Proc, o sched.Observation) sched.Action {
 	e.withToken = false
 	e.epochAtStep = e.meetEpoch
 	return sched.Action{Port: port}
-}
-
-// codeOfRec renders the paper's code: the sequence of ports along the
-// path from u_j to the sighting.
-func codeOfRec(partial []MoveRec) string {
-	var sb strings.Builder
-	for _, m := range partial {
-		fmt.Fprintf(&sb, "%d,", m.Exit)
-	}
-	return sb.String()
 }
 
 // Token is the semi-stationary token: an agent that never moves but is
@@ -207,13 +196,16 @@ func explore(opts sched.RunOpts, g *graph.Graph, startExplorer, startToken int, 
 // CoversAllEdges replays an exit-port trace from start and reports
 // whether every edge of g was traversed.
 func CoversAllEdges(g *graph.Graph, start int, exits []int) bool {
-	covered := make(map[[2]int]bool, g.M())
-	cur := start
+	covered := make([]bool, g.M())
+	count, cur := 0, start
 	for _, port := range exits {
-		covered[g.EdgeID(cur, port)] = true
+		if e := g.EdgeIndex(cur, port); !covered[e] {
+			covered[e] = true
+			count++
+		}
 		cur, _ = g.Succ(cur, port)
 	}
-	return len(covered) == g.M()
+	return count == g.M()
 }
 
 // CostBound returns this implementation's per-run cost bound for a

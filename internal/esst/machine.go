@@ -71,13 +71,15 @@ type Machine struct {
 	backIdx int
 	after   mstate
 
-	// Probe pass.
-	codes   map[string]bool
-	jj      int // trunc steps taken while probing (the paper's j)
-	pseq    []int
-	pidx    int
-	pentry  int
-	partial []MoveRec
+	// Probe pass. The distinct codes recorded this phase are exit-port
+	// sequences, concatenated in codes; code c ends at codeEnds[c].
+	codes    []int
+	codeEnds []int
+	jj       int // trunc steps taken while probing (the paper's j)
+	pseq     []int
+	pidx     int
+	pentry   int
+	partial  []MoveRec
 }
 
 // emit records the decision and hands the exit port to the caller.
@@ -105,6 +107,31 @@ func (m *Machine) startBacktrack(rec []MoveRec, after mstate) {
 	m.backIdx = len(rec) - 1
 	m.after = after
 	m.state = msBacktrack
+}
+
+// addCode records the code of rec, the exit ports from u_j to the
+// sighting, unless this phase already holds it. A phase stops at i/3
+// distinct codes, so the scan is short.
+func (m *Machine) addCode(rec []MoveRec) {
+	start := 0
+seen:
+	for _, end := range m.codeEnds {
+		code := m.codes[start:end]
+		start = end
+		if len(code) != len(rec) {
+			continue
+		}
+		for x, port := range code {
+			if rec[x].Exit != port {
+				continue seen
+			}
+		}
+		return
+	}
+	for _, mv := range rec {
+		m.codes = append(m.codes, mv.Exit)
+	}
+	m.codeEnds = append(m.codeEnds, len(m.codes))
 }
 
 // Step advances the procedure by one decision. deg and entry describe
@@ -149,7 +176,7 @@ func (m *Machine) Step(deg, entry int, sighted, withToken bool) (port int, runni
 				}
 				// Trunc was clean and the token was seen: backtrack to
 				// u1 and start the probe pass.
-				m.codes = make(map[string]bool)
+				m.codes, m.codeEnds = m.codes[:0], m.codeEnds[:0]
 				m.jj = 0
 				m.startBacktrack(m.trunc, msProbeStart)
 				continue
@@ -180,8 +207,8 @@ func (m *Machine) Step(deg, entry int, sighted, withToken bool) (port int, runni
 
 		case msProbeStart:
 			if withToken {
-				m.codes[""] = true // the empty code: token at u_j itself
-				if len(m.codes) >= m.i/3 {
+				m.addCode(nil) // the empty code: token at u_j itself
+				if len(m.codeEnds) >= m.i/3 {
 					m.failPhase()
 					continue
 				}
@@ -207,14 +234,14 @@ func (m *Machine) Step(deg, entry int, sighted, withToken bool) (port int, runni
 			m.partial = append(m.partial, MoveRec{Exit: m.lastExit, Entry: entry})
 			m.pentry = entry
 			if sighted {
-				m.codes[codeOfRec(m.partial)] = true
+				m.addCode(m.partial)
 				m.startBacktrack(m.partial, msProbeEval)
 				continue
 			}
 			m.state = msProbeMove
 
 		case msProbeEval:
-			if len(m.codes) >= m.i/3 {
+			if len(m.codeEnds) >= m.i/3 {
 				m.failPhase()
 				continue
 			}

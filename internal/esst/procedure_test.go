@@ -2,6 +2,7 @@ package esst
 
 import (
 	"fmt"
+	"strings"
 
 	"meetpoly/internal/sched"
 	"meetpoly/internal/uxs"
@@ -135,6 +136,18 @@ func (pr *Procedure) probe(i int, codes map[string]bool) bool {
 		}
 	}
 	return false
+}
+
+// codeOfRec renders the paper's code: the sequence of ports along the
+// path from u_j to the sighting. Machine compares the port sequences
+// themselves; this rendering is injective, so both count the same
+// distinct codes.
+func codeOfRec(partial []MoveRec) string {
+	var sb strings.Builder
+	for _, m := range partial {
+		fmt.Fprintf(&sb, "%d,", m.Exit)
+	}
+	return sb.String()
 }
 
 // procedureExplorer is the reference ESST agent: Explorer's meeting

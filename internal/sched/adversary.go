@@ -49,6 +49,10 @@ func (rr *RoundRobin) Next(v *View) (Event, bool) {
 // can advance, Next alternates them from rr.next.
 func (rr *RoundRobin) rotation() *int { return &rr.next }
 
+// forced implements forcer: Next picks the one agent that can act and
+// prefers the agent after it next.
+func (rr *RoundRobin) forced(agent, _ int) { rr.next = agent + 1 }
+
 // Biased advances agent i Weights[i] half-steps per cycle, modelling
 // persistently different agent speeds (e.g. 10:1). Zero-weight agents are
 // frozen until everyone else is stuck, keeping the schedule valid.
@@ -131,14 +135,16 @@ func (l *LateWake) Next(v *View) (Event, bool) {
 // chaotic but reproducible speed variation.
 type Random struct {
 	rng *rand.Rand
-	buf []Event // candidate scratch, reused so Next allocates nothing
+	src *lazyrand.Source // rng's source, drawn directly by forced
+	buf []Event          // candidate scratch, reused so Next allocates nothing
 }
 
 // NewRandom returns a Random adversary with the given seed. Its source
 // draws rand.NewSource(seed)'s stream but seeds at the cost of the
 // draws a run makes (internal/lazyrand).
 func NewRandom(seed int64) *Random {
-	return &Random{rng: rand.New(lazyrand.New(seed))}
+	src := lazyrand.New(seed)
+	return &Random{rng: rand.New(src), src: src}
 }
 
 // Next implements Adversary.
@@ -162,6 +168,18 @@ func (r *Random) Next(v *View) (Event, bool) {
 		return Event{}, false
 	}
 	return candidates[r.rng.Intn(len(candidates))], true
+}
+
+// forced implements forcer: with one candidate, each Next draws
+// Intn(1), which consumes one Int63, and leaves that candidate in buf.
+//
+//rvlint:hotpath
+func (r *Random) forced(agent, events int) {
+	for range events {
+		r.src.Int63()
+	}
+	// The append grows buf only where Next's first append would.
+	r.buf = append(r.buf[:0], Event{Kind: EventAdvance, Agent: agent}) //lint:allow hotalloc
 }
 
 // Avoider is the meeting-dodging adversary: it wakes everyone (a mobile
@@ -222,3 +240,7 @@ func (a *Avoider) Next(v *View) (Event, bool) {
 // can advance, Next alternates them from a.next until the preferred
 // half-step would create contact.
 func (a *Avoider) rotation() *int { return &a.next }
+
+// forced implements forcer: Next picks the one agent that can act,
+// dodging or conceding, and prefers the agent after it next.
+func (a *Avoider) forced(agent, _ int) { a.next = agent + 1 }

@@ -256,6 +256,10 @@ type Runner struct {
 	rot     *int
 	walkers [2]*Walker
 	replays [2]replay
+
+	// Solo stretches (solo): the adversary when it implements forcer,
+	// nil otherwise.
+	forcer forcer
 }
 
 // runScratch is the pooled per-run buffer set. Runners acquire one in
@@ -386,7 +390,16 @@ func NewRunner(cfg Config, adv Adversary) (*Runner, error) {
 	r.meetBuf = s.meetBuf
 	r.viewBuf = View{g: r.g, dormant: &r.dormantCount, agents: r.agents}
 	r.bindLockstep(cfg, adv)
+	r.forcer, _ = adv.(forcer)
 	return r, nil
+}
+
+// forcer is an adversary whose schedule, once no agent is dormant and
+// every agent but one has halted, is that agent's advances: RoundRobin,
+// Avoider and Random. forced leaves the adversary where that many
+// calls of Next, each returning an advance of agent, would.
+type forcer interface {
+	forced(agent, events int)
 }
 
 // rotator is an adversary whose schedule, while both agents of a
@@ -465,6 +478,16 @@ func (r *Runner) Run() Summary {
 		// one that stopped short leaves the next event to the adversary.
 		if r.rot != nil && r.pendingCount == 2 && r.lockstep() {
 			continue
+		}
+		// With no agent dormant, one move pending means one agent left
+		// that is not halted: every event is its advance. A solo stretch
+		// that stopped short of its limit met a stop check: the run is
+		// over.
+		if r.forcer != nil && r.pendingCount == 1 && r.dormantCount == 0 {
+			if r.solo() {
+				continue
+			}
+			break
 		}
 		v := r.view()
 		ev, ok := r.adv.Next(v)
@@ -625,6 +648,46 @@ func (r *Runner) lockstep() bool {
 	return steps == limit
 }
 
+// solo applies a solo stretch (DESIGN.md §2.2): once no agent is
+// dormant and every agent but one has halted, a forcer adversary can
+// only advance the last mover, so the stretch applies its half-steps
+// through advance without asking the adversary for each. Between
+// events it makes the Run loop's stop checks, in the loop's order; it
+// returns at the next context poll and at the budget, leaving those
+// checks to the loop, and then tells the adversary how many events it
+// took. The runner's state is updated event by event, so StopWhen,
+// agents and an attached observer see what the per-event path shows
+// them. It reports whether it ran to its step limit; otherwise a stop
+// check fired and the run is over.
+//
+//rvlint:hotpath
+func (r *Runner) solo() bool {
+	limit := (r.steps/ctxPollStride + 1) * ctxPollStride
+	if limit > r.maxSteps {
+		limit = r.maxSteps
+	}
+	i := 0
+	for r.agents[i].status != StatusActive {
+		i++
+	}
+	start := r.steps
+	for {
+		entered := r.advance(i)
+		if r.obs != nil {
+			r.obs.OnEvent(r.steps, Event{Kind: EventAdvance, Agent: i})
+		}
+		r.steps++
+		if entered {
+			r.detectAfterMove(i)
+		}
+		if r.steps == limit || r.stopAtMeet && r.met || r.stopWhen != nil && r.stopWhen(r) || r.pendingCount == 0 {
+			break
+		}
+	}
+	r.forcer.forced(i, r.steps-start)
+	return r.steps == limit
+}
+
 // Alternates reports whether adv alternates the two agents of a
 // two-agent run from its rotation while neither's preferred half-step
 // creates contact: a *RoundRobin or an *Avoider, the adversaries
@@ -730,36 +793,46 @@ func (r *Runner) apply(ev Event) (enteredEdge bool) {
 		if st.status != StatusActive || !st.hasPending {
 			r.invalidEvent(ev)
 		}
-		if st.pos.Kind == AtNode {
-			// Half-step 1: leave the node. The arrival entry port is
-			// resolved here, by the same Succ lookup, so the arrival
-			// half-step need not repeat it.
-			from := st.pos.Node
-			to, entry := r.g.Succ(from, st.pendingPort)
-			st.pos = Position{Kind: InEdge, From: from, To: to}
-			st.pendingEntry = entry
-			return true
-		}
-		// Half-step 2: arrive.
-		from, to := st.pos.From, st.pos.To
-		entry := st.pendingEntry
-		st.pos = Position{Kind: AtNode, Node: to}
-		st.traversals++
-		st.hasPending = false
-		r.pendingCount--
-		if r.obs != nil {
-			r.obs.OnTraversal(ev.Agent, from, to)
-		}
-		// Meetings caused by the arrival must be delivered before the
-		// agent decides its next action. (The adversary view is synced
-		// once per event by the Run loop; nothing here reads it.)
-		r.detectAfterMove(ev.Agent)
-		r.commit(st, st.agent.Step(st.proc, Observation{Degree: r.g.Degree(to), Entry: entry}))
-		return false
+		return r.advance(ev.Agent)
 	default:
 		r.invalidEvent(ev)
 		return false
 	}
+}
+
+// advance moves agent i, which holds a move, one half-step: apply's
+// advance event and each event of a solo stretch. It reports whether
+// the agent entered an edge, whose meeting detection the caller owes.
+//
+//rvlint:hotpath
+func (r *Runner) advance(i int) (enteredEdge bool) {
+	st := r.agents[i]
+	if st.pos.Kind == AtNode {
+		// Half-step 1: leave the node. The arrival entry port is
+		// resolved here, by the same Succ lookup, so the arrival
+		// half-step need not repeat it.
+		from := st.pos.Node
+		to, entry := r.g.Succ(from, st.pendingPort)
+		st.pos = Position{Kind: InEdge, From: from, To: to}
+		st.pendingEntry = entry
+		return true
+	}
+	// Half-step 2: arrive.
+	from, to := st.pos.From, st.pos.To
+	entry := st.pendingEntry
+	st.pos = Position{Kind: AtNode, Node: to}
+	st.traversals++
+	st.hasPending = false
+	r.pendingCount--
+	if r.obs != nil {
+		r.obs.OnTraversal(i, from, to)
+	}
+	// Meetings caused by the arrival must be delivered before the
+	// agent decides its next action. (The adversary view is synced
+	// once per event by the Run loop; nothing here reads it.)
+	r.detectAfterMove(i)
+	r.commit(st, st.agent.Step(st.proc, Observation{Degree: r.g.Degree(to), Entry: entry}))
+	return false
 }
 
 // invalidEvent fails loudly on a malformed adversary event. Cold by
@@ -788,7 +861,8 @@ func inContact(a, b *agentState) bool {
 // detectAfterMove is the incremental fast path of meeting detection:
 // after agent i moved a half-step, only pairs involving i can change.
 // If i gained a new contact the full detector runs (it owns group
-// assembly and encounter delivery); otherwise the pair bits involving i
+// assembly and encounter delivery), or, with two agents, the one
+// possible meeting fires directly; otherwise the pair bits involving i
 // are refreshed in place and nothing fires. This removes the full
 // all-pairs rescan from the per-event cost without changing which
 // meetings fire or when.
@@ -799,10 +873,17 @@ func (r *Runner) detectAfterMove(i int) {
 	si := r.agents[i]
 	if k == 2 {
 		// Two-agent fast path (the dominant shape): one opponent, and
-		// the (0,1) pair bit is index 1.
+		// the (0,1) pair bit is index 1. A new contact is the one group
+		// detectMeetings would assemble, {0, 1}, at the node or inside
+		// the edge agent 0 occupies, so it fires directly.
 		if inContact(si, r.agents[1-i]) {
 			if !r.contacts[1] {
-				r.detectMeetings()
+				if a := r.agents[0]; a.pos.Kind == AtNode {
+					r.fireMeeting(pairMembers, false, a.pos.Node, [2]int{})
+				} else {
+					r.fireMeeting(pairMembers, true, 0, canonEdge(a.pos.From, a.pos.To))
+				}
+				r.contacts[1] = true
 			}
 		} else {
 			r.contacts[1] = false
@@ -827,6 +908,10 @@ func (r *Runner) detectAfterMove(i int) {
 		}
 	}
 }
+
+// pairMembers is the member list of a two-agent meeting. fireMeeting
+// only reads its members, and recordMeeting copies them.
+var pairMembers = []int{0, 1}
 
 // pairBit returns the index of the (i, j) contact bit in the k*k pair
 // bitset (order-normalized).
