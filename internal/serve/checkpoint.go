@@ -52,7 +52,6 @@ const (
 // cells are pure functions of their seed strings, so a recovered result
 // is byte-identical to what re-execution would produce.
 type Checkpoint struct {
-	dir     string
 	results faultinject.WriteSyncer
 	ranges  faultinject.WriteSyncer
 
@@ -94,27 +93,57 @@ func OpenCheckpoint(dir string) (*Checkpoint, error) {
 // around the write/fsync seam of both logs (nil injects nothing) — the
 // chaos harness's entry point into the durable layer.
 func OpenCheckpointFaults(dir string, inj *faultinject.Injector) (*Checkpoint, error) {
-	return openCheckpoint(dir, inj, nil)
+	var recovered []meetpoly.SweepCellResult
+	cp, err := openCheckpoint(dir, inj, nil, func(cr meetpoly.SweepCellResult, _ []byte) bool {
+		recovered = append(recovered, cr)
+		return true
+	})
+	if err != nil {
+		return nil, err
+	}
+	cp.recovered = recovered
+	return cp, nil
 }
 
 // openCheckpoint is the full-seam constructor RunShard uses: fault
-// injection plus the durability metrics.
-func openCheckpoint(dir string, inj *faultinject.Injector, m *shardMetrics) (*Checkpoint, error) {
+// injection, the durability metrics, and recovery as one streaming
+// pass. Recovery hands replay each recovered result with its log line
+// (newline included: a slice of the log as read at open, which the
+// pass never reuses) as soon as it has decoded that line, in log
+// order: every recorded cell whose index lies in a sealed range,
+// exactly once each. Torn tails are truncated and the logs opened for
+// append only once the pass has read both logs to their ends. If
+// replay returns false the pass stops there and openCheckpoint returns
+// ErrStopped, having truncated, opened and appended nothing.
+func openCheckpoint(dir string, inj *faultinject.Injector, m *shardMetrics, replay func(cr meetpoly.SweepCellResult, line []byte) bool) (*Checkpoint, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("serve: checkpoint dir: %w", err)
 	}
-	cp := &Checkpoint{dir: dir, m: m}
-	if err := cp.recoverRanges(); err != nil {
+	cp := &Checkpoint{m: m}
+	rangesPath := filepath.Join(dir, rangesFile)
+	resultsPath := filepath.Join(dir, resultsFile)
+	rangesGood, rangesSize, err := cp.recoverRanges(rangesPath)
+	if err != nil {
 		return nil, err
 	}
-	if err := cp.recoverResults(); err != nil {
+	resultsGood, resultsSize, err := cp.recoverResults(resultsPath, replay)
+	if err != nil {
 		return nil, err
 	}
-	rf, err := os.OpenFile(filepath.Join(dir, rangesFile), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	// Only the torn tail a crash can leave — a final partial line, or a
+	// corrupt line and everything after it — is dropped, so appends
+	// never land after garbage.
+	if err := truncateTail(rangesPath, rangesGood, rangesSize); err != nil {
+		return nil, err
+	}
+	if err := truncateTail(resultsPath, resultsGood, resultsSize); err != nil {
+		return nil, err
+	}
+	rf, err := os.OpenFile(rangesPath, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("serve: checkpoint ranges log: %w", err)
 	}
-	resf, err := os.OpenFile(filepath.Join(dir, resultsFile), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	resf, err := os.OpenFile(resultsPath, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		rf.Close()
 		return nil, fmt.Errorf("serve: checkpoint results log: %w", err)
@@ -124,19 +153,17 @@ func openCheckpoint(dir string, inj *faultinject.Injector, m *shardMetrics) (*Ch
 	return cp, nil
 }
 
-// recoverRanges re-merges the sealed interval log. Only the torn tail a
-// crash can leave — a final partial line — is tolerated; it is
-// truncated so appends never land after garbage.
-func (cp *Checkpoint) recoverRanges() error {
-	path := filepath.Join(cp.dir, rangesFile)
+// recoverRanges re-merges the sealed interval log. It trusts the
+// longest prefix of whole, well-formed lines and returns that prefix's
+// length and the file's size; the caller truncates the rest.
+func (cp *Checkpoint) recoverRanges(path string) (good, size int, err error) {
 	data, err := os.ReadFile(path)
 	if os.IsNotExist(err) {
-		return nil
+		return 0, 0, nil
 	}
 	if err != nil {
-		return fmt.Errorf("serve: reading %s: %w", path, err)
+		return 0, 0, fmt.Errorf("serve: reading %s: %w", path, err)
 	}
-	good := 0
 	for off := 0; off < len(data); {
 		nl := bytes.IndexByte(data[off:], '\n')
 		if nl < 0 {
@@ -151,56 +178,60 @@ func (cp *Checkpoint) recoverRanges() error {
 		off += nl + 1
 		good = off
 	}
-	if good < len(data) {
-		if err := os.Truncate(path, int64(good)); err != nil {
-			return fmt.Errorf("serve: truncating torn tail of %s: %w", path, err)
-		}
-	}
-	return nil
+	return good, len(data), nil
 }
 
-// recoverResults loads the results covered by sealed ranges, dropping
-// duplicates (a crash between result-append and range-seal makes the
-// re-executed cell appear twice; the copies are identical, so first
-// wins) and truncating any torn tail.
-func (cp *Checkpoint) recoverResults() error {
-	path := filepath.Join(cp.dir, resultsFile)
+// recoverResults walks the results log once, handing replay each
+// result covered by a sealed range as soon as its line decodes. It
+// drops duplicates (a crash between result-append and range-seal makes
+// the re-executed cell appear twice; the copies are identical, so
+// first wins) and stops trusting at the first torn or corrupt line.
+// It returns the trusted prefix's length and the file's size, or
+// ErrStopped as soon as replay returns false.
+func (cp *Checkpoint) recoverResults(path string, replay func(meetpoly.SweepCellResult, []byte) bool) (good, size int, err error) {
 	data, err := os.ReadFile(path)
 	if os.IsNotExist(err) {
-		return nil
+		return 0, 0, nil
 	}
 	if err != nil {
-		return fmt.Errorf("serve: reading %s: %w", path, err)
+		return 0, 0, fmt.Errorf("serve: reading %s: %w", path, err)
 	}
 	var loaded campaign.IndexSet
-	good := 0
 	for off := 0; off < len(data); {
 		nl := bytes.IndexByte(data[off:], '\n')
 		if nl < 0 {
 			break // torn tail
 		}
-		line := data[off : off+nl]
 		var cr meetpoly.SweepCellResult
-		if err := json.Unmarshal(line, &cr); err != nil {
+		if err := json.Unmarshal(data[off:off+nl], &cr); err != nil {
 			break // torn or corrupt: stop trusting from here on
 		}
-		if cp.sealed.Contains(cr.Cell.Index) && loaded.Add(cr.Cell.Index) {
-			cp.recovered = append(cp.recovered, cr)
+		if cp.sealed.Contains(cr.Cell.Index) && loaded.Add(cr.Cell.Index) && !replay(cr, data[off:off+nl+1]) {
+			return 0, 0, ErrStopped
 		}
 		off += nl + 1
 		good = off
 	}
-	if good < len(data) {
-		if err := os.Truncate(path, int64(good)); err != nil {
-			return fmt.Errorf("serve: truncating torn tail of %s: %w", path, err)
-		}
+	return good, len(data), nil
+}
+
+// truncateTail cuts path back to its first good bytes when recovery
+// stopped trusting it before its end.
+func truncateTail(path string, good, size int) error {
+	if good == size {
+		return nil
+	}
+	if err := os.Truncate(path, int64(good)); err != nil {
+		return fmt.Errorf("serve: truncating torn tail of %s: %w", path, err)
 	}
 	return nil
 }
 
 // Recovered returns the cell results recovery loaded: every recorded
 // cell whose index lies in a sealed range, exactly once each, in log
-// order. The caller replays these instead of re-executing them.
+// order. The caller replays these instead of re-executing them. Only
+// OpenCheckpoint and OpenCheckpointFaults collect them; RunShard
+// replays each one while recovery reads it.
 func (cp *Checkpoint) Recovered() []meetpoly.SweepCellResult { return cp.recovered }
 
 // Completed returns the sealed index set as of recovery plus everything
@@ -221,9 +252,17 @@ func (cp *Checkpoint) Record(cr meetpoly.SweepCellResult) error {
 	if err != nil {
 		return fmt.Errorf("serve: encoding checkpoint record: %w", err)
 	}
+	return cp.stage(cr.Cell.Index, append(line, '\n'))
+}
+
+// stage is Record for a result already encoded: line is its
+// json.Marshal bytes plus a newline, the bytes RunShard also streams.
+func (cp *Checkpoint) stage(index int, line []byte) error {
+	if cp.err != nil {
+		return cp.err
+	}
 	cp.resBuf.Write(line)
-	cp.resBuf.WriteByte('\n')
-	cp.pending.Add(cr.Cell.Index)
+	cp.pending.Add(index)
 	if cp.m != nil {
 		cp.m.recorded.Inc()
 	}

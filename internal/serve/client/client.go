@@ -270,27 +270,17 @@ func (c *Client) attempt(ctx context.Context, spec []byte, done *campaign.IndexS
 		if len(line) == 0 {
 			continue
 		}
-		// A stream line is either a cell result (has "cell") or the
-		// final trailer (has "done"/"error").
-		var probe struct {
-			Cell  *json.RawMessage `json:"cell"`
-			Done  bool             `json:"done"`
-			Error string           `json:"error"`
-		}
-		if err := json.Unmarshal(line, &probe); err != nil {
+		sl, isCell, err := decodeStreamLine(line)
+		if err != nil {
 			c.m.retriedStream()
-			return got, fmt.Errorf("client: undecodable stream line (connection garbled?): %w", err)
+			return got, err
 		}
-		if probe.Cell == nil {
+		if !isCell {
 			sawTrailer = true
-			trailerErr = probe.Error
+			trailerErr = sl.Error
 			break
 		}
-		var cr meetpoly.SweepCellResult
-		if err := json.Unmarshal(line, &cr); err != nil {
-			c.m.retriedStream()
-			return got, fmt.Errorf("client: decoding cell result: %w", err)
-		}
+		cr := sl.SweepCellResult
 		if cr.Outcome.Canceled {
 			continue // not a result: the gap persists and is re-requested
 		}
@@ -326,6 +316,60 @@ func (c *Client) attempt(ctx context.Context, spec []byte, done *campaign.IndexS
 		return got, fmt.Errorf("client: stream ended with %d of %d requested cells undelivered", missing, requested)
 	}
 	return got, nil
+}
+
+// streamLine is one /v1/sweep line decoded in a single pass: a cell
+// result with the trailer's done and error beside it, so decoding a
+// cell line type-checks those two fields exactly as the probe does.
+type streamLine struct {
+	meetpoly.SweepCellResult
+	Done  bool   `json:"done"`
+	Error string `json:"error"`
+}
+
+// cellLinePrefix opens every cell line the server writes.
+var cellLinePrefix = []byte(`{"cell":{`)
+
+// decodeStreamLine decodes one stream line: either a cell result
+// (isCell) or the trailer, which has no cell and carries done and
+// error. A line that opens with the cell object, as every cell line
+// the server writes does, is decoded once, into streamLine. Any other
+// line is probed for a cell first and, when it has one, decoded again
+// as a result. Both ways accept and reject the same lines, except one
+// shape no encoder writes: a cell object followed by the "cell" key
+// again with null. The probe reads that line as a trailer; here it
+// reads as it would without its null cells.
+func decodeStreamLine(line []byte) (sl streamLine, isCell bool, err error) {
+	if bytes.HasPrefix(line, cellLinePrefix) {
+		if err := json.Unmarshal(line, &sl); err != nil {
+			if _, torn := err.(*json.SyntaxError); torn {
+				return streamLine{}, false, garbled(err)
+			}
+			return streamLine{}, false, fmt.Errorf("client: decoding cell result: %w", err)
+		}
+		return sl, true, nil
+	}
+	var probe struct {
+		Cell  *json.RawMessage `json:"cell"`
+		Done  bool             `json:"done"`
+		Error string           `json:"error"`
+	}
+	if err := json.Unmarshal(line, &probe); err != nil {
+		return streamLine{}, false, garbled(err)
+	}
+	if probe.Cell == nil {
+		return streamLine{Done: probe.Done, Error: probe.Error}, false, nil
+	}
+	if err := json.Unmarshal(line, &sl.SweepCellResult); err != nil {
+		return streamLine{}, false, fmt.Errorf("client: decoding cell result: %w", err)
+	}
+	return sl, true, nil
+}
+
+// garbled reports a stream line that is not JSON, or whose done or
+// error has the wrong type.
+func garbled(err error) error {
+	return fmt.Errorf("client: undecodable stream line (connection garbled?): %w", err)
 }
 
 // backoff computes the wait before the next attempt: exponential in

@@ -2,11 +2,12 @@ package serve
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
 	"sort"
+
+	"meetpoly"
 )
 
 // CompactStats reports what Compact rewrote.
@@ -43,13 +44,21 @@ func Compact(dir string) (CompactStats, error) {
 	st.RangesBefore = fileSize(filepath.Join(dir, rangesFile))
 
 	// Recovery is the read path: it already merges intervals, truncates
-	// torn tails and drops unsealed or duplicate results.
-	cp, err := OpenCheckpoint(dir)
+	// torn tails and drops unsealed or duplicate results. Its lines are
+	// the cells' one encoding, so they are kept verbatim.
+	type record struct {
+		index int
+		line  []byte
+	}
+	var recovered []record
+	cp, err := openCheckpoint(dir, nil, nil, func(cr meetpoly.SweepCellResult, line []byte) bool {
+		recovered = append(recovered, record{cr.Cell.Index, line})
+		return true
+	})
 	if err != nil {
 		return st, err
 	}
 	sealed := cp.Completed()
-	recovered := cp.Recovered()
 	if err := cp.Close(); err != nil {
 		return st, err
 	}
@@ -60,15 +69,10 @@ func Compact(dir string) (CompactStats, error) {
 		return st, fmt.Errorf("serve: compact %s: checkpoint is corrupt: %d sealed indices but %d recoverable results", dir, want, got)
 	}
 
-	sort.Slice(recovered, func(i, j int) bool { return recovered[i].Cell.Index < recovered[j].Cell.Index })
+	sort.Slice(recovered, func(i, j int) bool { return recovered[i].index < recovered[j].index })
 	var res bytes.Buffer
-	for _, cr := range recovered {
-		line, err := json.Marshal(cr)
-		if err != nil {
-			return st, fmt.Errorf("serve: compact: encoding result: %w", err)
-		}
-		res.Write(line)
-		res.WriteByte('\n')
+	for _, r := range recovered {
+		res.Write(r.line)
 	}
 	var rng bytes.Buffer
 	ranges := sealed.Ranges()

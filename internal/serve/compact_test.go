@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
@@ -29,7 +30,7 @@ func TestCompact(t *testing.T) {
 	_, err := RunShard(ctx, ShardConfig{
 		Engine: newServeEngine(), Spec: spec, Dir: dir,
 		FlushEvery: 4, Faults: faultinject.MustNew("kill=2"),
-	}, func(meetpoly.SweepCellResult) bool { return true })
+	}, nil)
 	if !errors.Is(err, faultinject.ErrKilled) {
 		t.Fatalf("chaos run returned %v, want injected kill", err)
 	}
@@ -47,7 +48,7 @@ func TestCompact(t *testing.T) {
 
 	if _, err := RunShard(ctx, ShardConfig{
 		Engine: newServeEngine(), Spec: spec, Dir: dir, FlushEvery: 4,
-	}, func(meetpoly.SweepCellResult) bool { return true }); err != nil {
+	}, nil); err != nil {
 		t.Fatal(err)
 	}
 
@@ -72,6 +73,22 @@ func TestCompact(t *testing.T) {
 	if got := strings.TrimSpace(string(rng)); strings.ContainsRune(got, '\n') {
 		t.Fatalf("ranges.log after compaction has multiple lines:\n%s", got)
 	}
+	// The compacted log is every cell's json.Marshal line, in index
+	// order: the recovered lines kept verbatim are those bytes.
+	lines := make([][]byte, total)
+	for cr, err := range newServeEngine().SweepStream(ctx, spec) {
+		if err != nil {
+			t.Fatal(err)
+		}
+		line, err := json.Marshal(cr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines[cr.Cell.Index] = append(line, '\n')
+	}
+	if res, err := os.ReadFile(filepath.Join(dir, resultsFile)); err != nil || !bytes.Equal(res, bytes.Join(lines, nil)) {
+		t.Fatalf("compacted results.ndjson (err %v) is not the campaign's cell lines in index order", err)
+	}
 
 	// The compacted checkpoint replays the whole campaign without
 	// re-executing a single cell, to the byte-identical report.
@@ -79,7 +96,7 @@ func TestCompact(t *testing.T) {
 	rep, err := RunShard(ctx, ShardConfig{
 		Engine: newServeEngine(), Spec: spec, Dir: dir,
 		onCellRun: func(int) { ran++ },
-	}, func(meetpoly.SweepCellResult) bool { return true })
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -104,7 +104,6 @@ func runLease(ctx context.Context, client *http.Client, cfg WorkerConfig, spec m
 	go heartbeat(hbCtx, client, cfg.Coordinator, lr.Lease, ttl/3)
 
 	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
 	_, err := serve.RunShard(ctx, serve.ShardConfig{
 		Engine:     cfg.Engine,
 		Spec:       spec,
@@ -112,11 +111,11 @@ func runLease(ctx context.Context, client *http.Client, cfg WorkerConfig, spec m
 		Dir:        cfg.Dir,
 		FlushEvery: cfg.FlushEvery,
 		Faults:     cfg.Faults,
-	}, func(cr meetpoly.SweepCellResult) bool {
+	}, func(cr meetpoly.SweepCellResult, line []byte) bool {
 		if cr.Outcome.Canceled {
 			return true // not a result; the remainder re-leases
 		}
-		enc.Encode(cr) //nolint:errcheck // bytes.Buffer cannot fail
+		buf.Write(line) // the cell's one encoding, as checkpointed and streamed
 		return true
 	})
 	if err != nil {

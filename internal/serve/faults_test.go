@@ -88,7 +88,7 @@ func TestRunShardFaultedFlushResumes(t *testing.T) {
 	_, err := RunShard(ctx, ShardConfig{
 		Engine: newServeEngine(), Spec: spec, Dir: dir,
 		FlushEvery: 8, Faults: faultinject.MustNew("sync-err=1"),
-	}, func(meetpoly.SweepCellResult) bool { return true })
+	}, nil)
 	if !errors.Is(err, faultinject.ErrSync) {
 		t.Fatalf("faulted run returned %v, want injected fsync error", err)
 	}
@@ -104,7 +104,7 @@ func TestRunShardFaultedFlushResumes(t *testing.T) {
 
 	rep, err := RunShard(ctx, ShardConfig{
 		Engine: newServeEngine(), Spec: spec, Dir: dir, FlushEvery: 8,
-	}, func(meetpoly.SweepCellResult) bool { return true })
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +136,7 @@ func TestRunShardRanges(t *testing.T) {
 		var got campaign.IndexSet
 		_, err := RunShard(ctx, ShardConfig{
 			Engine: newServeEngine(), Spec: spec, Ranges: c.ranges,
-		}, func(cr meetpoly.SweepCellResult) bool {
+		}, func(cr meetpoly.SweepCellResult, _ []byte) bool {
 			if !got.Add(cr.Cell.Index) {
 				t.Errorf("ranges %v emitted cell %d twice", c.ranges, cr.Cell.Index)
 			}

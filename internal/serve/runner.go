@@ -1,8 +1,11 @@
 package serve
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
+	"fmt"
 
 	"meetpoly"
 	"meetpoly/internal/campaign"
@@ -62,18 +65,21 @@ const DefaultFlushEvery = 32
 
 // RunShard executes cfg.Ranges (the whole campaign when empty),
 // streaming each cell result to emit (return false to stop early) and
-// folding everything into the slice's aggregate report. With a
-// checkpoint directory the run is resumable: results recovered from a
-// previous run are replayed into the stream and fold without
-// re-execution, only the sealed-range gaps run, and completed cells
-// are flushed durably every FlushEvery cells. Canceled cells are
-// folded and emitted but never checkpointed — a resumed run must
-// re-execute them for real.
+// folding everything into the slice's aggregate report. emit also gets
+// the result's line: its json.Marshal bytes plus a newline, the bytes
+// the checkpoint logs, valid only until emit returns. A nil emit
+// consumes nothing. With a checkpoint directory the run is resumable:
+// results recovered from a previous run are replayed into the stream
+// and fold without re-execution, each as soon as recovery has verified
+// its log line and with that line's bytes; only the sealed-range gaps
+// run, and completed cells are flushed durably every FlushEvery cells.
+// Canceled cells are folded and emitted but never checkpointed — a
+// resumed run must re-execute them for real.
 //
 // The fold is the engine's own order-independent aggregator, so a
 // whole-campaign run's report — interrupted and resumed any number of
 // times — is byte-identical to an uninterrupted Engine.Sweep.
-func RunShard(ctx context.Context, cfg ShardConfig, emit func(meetpoly.SweepCellResult) bool) (*meetpoly.SweepReport, error) {
+func RunShard(ctx context.Context, cfg ShardConfig, emit func(cr meetpoly.SweepCellResult, line []byte) bool) (*meetpoly.SweepReport, error) {
 	if cfg.FlushEvery <= 0 {
 		cfg.FlushEvery = DefaultFlushEvery
 	}
@@ -90,9 +96,26 @@ func RunShard(ctx context.Context, cfg ShardConfig, emit func(meetpoly.SweepCell
 	}
 
 	m := newShardMetrics(cfg.Metrics)
+	agg := campaign.NewAggregator(cfg.Spec, nil)
+
+	// Replay what a previous run already completed, line by line as
+	// recovery reads it. Recovered results are exact (cells are pure
+	// functions of their seeds), and the aggregator's duplicate guard
+	// makes a boundary cell arriving on both the replay and
+	// re-execution paths harmless.
 	var cp *Checkpoint
+	done := &campaign.IndexSet{}
 	if cfg.Dir != "" {
-		cp, err = openCheckpoint(cfg.Dir, cfg.Faults, m)
+		cp, err = openCheckpoint(cfg.Dir, cfg.Faults, m, func(cr meetpoly.SweepCellResult, line []byte) bool {
+			if !want.Contains(cr.Cell.Index) {
+				return true // sealed under a different slicing; not ours now
+			}
+			if m != nil {
+				m.recovered.Inc()
+			}
+			agg.Add(cr)
+			return emit == nil || emit(cr, line)
+		})
 		if err != nil {
 			return nil, err
 		}
@@ -101,31 +124,13 @@ func RunShard(ctx context.Context, cfg ShardConfig, emit func(meetpoly.SweepCell
 				cp.Close()
 			}
 		}()
-	}
-
-	agg := campaign.NewAggregator(cfg.Spec, nil)
-
-	// Replay what a previous run already completed. Recovered results
-	// are exact (cells are pure functions of their seeds), and the
-	// aggregator's duplicate guard makes a boundary cell arriving on
-	// both the replay and re-execution paths harmless.
-	done := &campaign.IndexSet{}
-	if cp != nil {
-		for _, cr := range cp.Recovered() {
-			if !want.Contains(cr.Cell.Index) {
-				continue // sealed under a different slicing; not ours now
-			}
-			if m != nil {
-				m.recovered.Inc()
-			}
-			agg.Add(cr)
-			if !emit(cr) {
-				return nil, ErrStopped
-			}
-		}
 		done = cp.Completed()
 	}
 
+	// Each executed cell is encoded once, into one reused buffer; the
+	// checkpoint and the consumer share those bytes.
+	var line bytes.Buffer
+	enc := json.NewEncoder(&line)
 	flushes := 0
 	for _, iv := range want.Ranges() {
 		for _, gap := range done.Gaps(iv.Lo, iv.Hi) {
@@ -140,8 +145,16 @@ func RunShard(ctx context.Context, cfg ShardConfig, emit func(meetpoly.SweepCell
 					m.cellsRun.Inc()
 				}
 				agg.Add(cr)
-				if cp != nil && !cr.Outcome.Canceled {
-					if err := cp.Record(cr); err != nil {
+				record := cp != nil && !cr.Outcome.Canceled
+				if !record && emit == nil {
+					continue
+				}
+				line.Reset()
+				if err := enc.Encode(cr); err != nil {
+					return nil, fmt.Errorf("serve: encoding cell result: %w", err)
+				}
+				if record {
+					if err := cp.stage(cr.Cell.Index, line.Bytes()); err != nil {
 						return nil, err
 					}
 					if cp.Pending() >= cfg.FlushEvery {
@@ -159,7 +172,7 @@ func RunShard(ctx context.Context, cfg ShardConfig, emit func(meetpoly.SweepCell
 						}
 					}
 				}
-				if !emit(cr) {
+				if emit != nil && !emit(cr, line.Bytes()) {
 					return nil, ErrStopped
 				}
 			}

@@ -94,7 +94,7 @@ func TestRunShardCrashResume(t *testing.T) {
 		Engine: newServeEngine(), Spec: spec, Dir: dir,
 		FlushEvery: 8, Faults: faultinject.MustNew("kill=2"),
 		onCellRun: func(int) { crashed++ },
-	}, func(meetpoly.SweepCellResult) bool { return true })
+	}, nil)
 	if !errors.Is(err, faultinject.ErrKilled) {
 		t.Fatalf("crash run returned %v, want injected kill", err)
 	}
@@ -134,7 +134,7 @@ func TestRunShardCrashResume(t *testing.T) {
 				t.Errorf("sealed cell %d re-executed after resume", i)
 			}
 		},
-	}, func(meetpoly.SweepCellResult) bool { return true })
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +163,7 @@ func TestRunShardCrashResume(t *testing.T) {
 	rep3, err := RunShard(ctx, ShardConfig{
 		Engine: newServeEngine(), Spec: spec, Dir: dir,
 		onCellRun: func(i int) { t.Errorf("completed campaign re-executed cell %d", i) },
-	}, func(meetpoly.SweepCellResult) bool { return true })
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +200,7 @@ func TestRunShardPartition(t *testing.T) {
 				Engine: newServeEngine(), Spec: spec,
 				Ranges: ranges,
 				Dir:    t.TempDir(),
-			}, func(cr meetpoly.SweepCellResult) bool {
+			}, func(cr meetpoly.SweepCellResult, _ []byte) bool {
 				if !own.Contains(cr.Cell.Index) {
 					t.Fatalf("slice %v emitted out-of-range cell %d", ranges, cr.Cell.Index)
 				}
@@ -230,7 +230,7 @@ func TestRunShardEmitStop(t *testing.T) {
 	n := 0
 	_, err := RunShard(context.Background(), ShardConfig{
 		Engine: newServeEngine(), Spec: serveSpec(), Dir: dir, FlushEvery: 4,
-	}, func(meetpoly.SweepCellResult) bool { n++; return n < 10 })
+	}, func(meetpoly.SweepCellResult, []byte) bool { n++; return n < 10 })
 	if !errors.Is(err, ErrStopped) {
 		t.Fatalf("stopped run returned %v, want ErrStopped", err)
 	}

@@ -391,7 +391,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request, stream bool
 	log.Debug("sweep admitted", "cells", total, "stream", stream)
 
 	if !stream {
-		rep, err := RunShard(ctx, cfg, func(meetpoly.SweepCellResult) bool { return true })
+		rep, err := RunShard(ctx, cfg, nil)
 		if err != nil {
 			log.Error("sweep failed", "err", err)
 			http.Error(w, err.Error(), http.StatusInternalServerError)
@@ -414,8 +414,10 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request, stream bool
 	flusher, _ := w.(http.Flusher)
 	enc := json.NewEncoder(w)
 	wrote := false
-	rep, err := RunShard(ctx, cfg, func(cr meetpoly.SweepCellResult) bool {
-		if err := enc.Encode(cr); err != nil {
+	rep, err := RunShard(ctx, cfg, func(_ meetpoly.SweepCellResult, line []byte) bool {
+		// RunShard's line is the cell's one encoding: the bytes the
+		// checkpoint logs, or, on a replay, the recovered log line.
+		if _, err := w.Write(line); err != nil {
 			return false // client went away; RunShard returns ErrStopped
 		}
 		wrote = true
@@ -427,9 +429,11 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request, stream bool
 			// The scheduled mid-NDJSON connection cut: ErrAbortHandler
 			// aborts the connection without a response trailer, exactly
 			// what a network partition looks like to the client. The
-			// panic unwinds through RunShard, so the checkpoint's
-			// deferred Close still flushes — a reset loses the
-			// connection, never durable server state.
+			// panic unwinds through RunShard: a cut during the replay
+			// leaves the logs as it found them (recovery has truncated
+			// and opened nothing yet), and a later cut still flushes
+			// through the checkpoint's deferred Close — a reset loses
+			// the connection, never durable server state.
 			panic(http.ErrAbortHandler)
 		}
 		return true
